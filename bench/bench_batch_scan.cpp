@@ -1,12 +1,12 @@
 // Batch execution core harness (run by scripts/bench.sh): the tentpole
 // claim of the exec::RecordBatch refactor is that the pipeline's hottest
-// scan — the full-day stage-one aggregation over a columnar v3 lake —
+// scan — the full-day stage-one aggregation over a columnar lake —
 // runs >= 1.5x faster when the aggregator consumes SoA batches
 // (DayAggregator::add_batch, dict-code pass-through, one classification
 // per dictionary entry) than when the same blocks are emitted through the
 // row-callback shim one FlowRecord at a time.
 //
-// Both paths read the *same* v3 day file with the same day-aggregate
+// Both paths read the *same* day file with the same day-aggregate
 // projection; the only variable is the consumption shape. The identity
 // gate is unconditional and field-exact — subscribers, per-service
 // counters, fp time bins, RTT sample order, domain tallies — because a
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--min-speedup") == 0) min_speedup = std::atof(argv[i + 1]);
   }
 
-  // One big multi-block v3 "day": several synthetic days merged and
+  // One big multi-block "day": several synthetic days merged and
   // time-sorted — the same full-day working set the stage-one pipeline
   // re-scans five years of.
   const auto scenario = ew::synth::build_paper_scenario(/*seed=*/7, /*scale=*/0.2);
@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::size_t blocks = lake.load_day_blocks(base).blocks().size();
-  std::printf("batch scan bench: %zu records, %zu v3 blocks, %d repeats\n", records.size(),
+  std::printf("batch scan bench: %zu records, %zu blocks, %d repeats\n", records.size(),
               blocks, repeats);
 
   const ew::storage::ScanPredicate proj =

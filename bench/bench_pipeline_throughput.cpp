@@ -83,19 +83,18 @@ BENCHMARK(BM_LakeWriteScan);
 
 // The acceptance curve for the columnar scan path: one stored day, scanned
 // end to end (read + CRC + decode + deliver) with a byte-summing consumer.
-// Arg(0) selects the path: 0 = the v2 row-format baseline, 1 = v3 decoding
-// every field, 2 = v3 projected to the stage-one day-aggregate working set
-// (analytics::kDayAggregateScanFields — what the pipeline's full-day scan
-// actually runs). The v2 numbers are the comparison baseline for the
-// v3 speedups recorded in BENCH_pipeline.json (bench_scan_selectivity
-// measures the same three curves machine-readably).
+// Arg(0) selects the path: 1 = decoding every field, 2 = projected to the
+// stage-one day-aggregate working set (analytics::kDayAggregateScanFields —
+// what the pipeline's full-day scan actually runs). Arg 0 was the retired
+// row-format baseline; the numbering is kept so BENCH_pipeline.json
+// entries stay comparable (bench_scan_selectivity measures the same curves
+// machine-readably).
 void BM_LakeFullDayScan(benchmark::State& state) {
   const auto& records = sample_records();
   const int mode = static_cast<int>(state.range(0));
   const auto dir = std::filesystem::temp_directory_path() / "ew_bench_lake_scan";
   std::filesystem::remove_all(dir);
   ew::storage::DataLake lake{dir};
-  if (mode == 0) lake.set_write_format(ew::storage::LakeFormat::kV2);
   lake.append({2016, 5, 10}, records);
   const ew::storage::ScanPredicate proj =
       ew::storage::ScanPredicate::project(ew::analytics::kDayAggregateScanFields);
@@ -110,12 +109,10 @@ void BM_LakeFullDayScan(benchmark::State& state) {
     benchmark::DoNotOptimize(sum);
   }
   std::filesystem::remove_all(dir);
-  state.SetLabel(mode == 0   ? "v2-baseline"
-                 : mode == 1 ? "v3-all-fields"
-                             : "v3-projected");
+  state.SetLabel(mode == 1 ? "v3-all-fields" : "v3-projected");
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(records.size()));
 }
-BENCHMARK(BM_LakeFullDayScan)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_LakeFullDayScan)->Arg(1)->Arg(2);
 
 // Stage-one aggregation of one stored day with the blocks fanned out over
 // a pool of Arg(0) threads (1 = the serial path). Deterministic: every

@@ -1,23 +1,11 @@
-// Lake write-path harness (run by scripts/bench.sh): the tentpole claim of
-// the write-path overhaul is that ingest→sealed-day-file throughput is
-// >= 2x the pre-overhaul serial writer's, from two independent levers:
+// Lake write-path harness (run by scripts/bench.sh): ingest→sealed-day-file
+// time of the serial writer vs the pipelined encoder (with an encode pool,
+// per-block transpose/compress runs across workers while frames commit in
+// order), plus the day file's size and per-codec byte tallies.
 //
-//   1. codec v2 — the adaptive per-segment codec (FOR-bitpack / RLE /
-//      stored / LZ, smallest wins) replaces the layout-1 encoder's
-//      LZ-everything pass, so even a single core encodes blocks faster;
-//   2. the pipelined encoder — with an encode pool, per-block
-//      serialize/transpose/compress runs across workers while frames
-//      commit in order, so wall time shrinks with cores.
-//
-// Both levers are measured separately and combined into one
-// effective-speedup estimate vs the pre-overhaul writer (its per-block
-// encode cost is re-measured live with the frozen layout-1 encoder, so the
-// baseline does not rot as the scenario changes). Hard exit-code gates
-// keep the bench honest even as a CI smoke run: the parallel file must be
-// byte-identical to the serial one, and the codec-v2 day file must not be
-// more than 2% larger than the layout-1 encoding of the same blocks
-// (in practice it is smaller). --min-speedup adds the throughput gate for
-// machines with enough cores to express it.
+// Hard exit-code gate, kept even as a CI smoke run: the pooled file must be
+// byte-identical to the serial one. --min-speedup adds a pooled-vs-serial
+// throughput gate for machines with enough cores to express it.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -28,12 +16,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/bytes.hpp"
 #include "core/thread_pool.hpp"
 #include "core/time.hpp"
 #include "obs/obs.hpp"
-#include "services/catalog.hpp"
-#include "storage/columnar.hpp"
 #include "storage/datalake.hpp"
 #include "synth/generator.hpp"
 #include "synth/scenario.hpp"
@@ -136,46 +121,11 @@ int main(int argc, char** argv) {
   const auto dir = fs::temp_directory_path() / "ew_bench_write_path";
   fs::remove_all(dir);
 
-  // --- lever 1: per-block encode, frozen layout-1 writer vs codec v2 ----
-  const auto& catalog = ew::services::ServiceCatalog::standard();
-  const std::size_t block_n = ew::storage::DataLake::kBlockRecords;
-  const std::size_t nblocks = (records.size() + block_n - 1) / block_n;
-  const auto chunk = [&](std::size_t i) {
-    const std::size_t lo = i * block_n;
-    return std::span<const ew::flow::FlowRecord>{records}.subspan(
-        lo, std::min(block_n, records.size() - lo));
-  };
-  ew::core::ByteWriter body;
-  std::uint64_t l1_bytes = 0, l2_bytes = 0;
-  const double l1_encode_s = best_of(repeats, [&] {
-    l1_bytes = 0;
-    for (std::size_t i = 0; i < nblocks; ++i) {
-      body.clear();
-      ew::storage::encode_columnar_block_layout1(chunk(i), catalog, body);
-      l1_bytes += body.view().size();
-    }
-  });
-  // Codec v2 with the same chain policy the lake applies (delta dicts
-  // against the previous block, chain restart every kDictChainInterval).
-  ew::storage::EncodeScratch scratch;
-  ew::storage::DictChainState chain;
-  const double l2_encode_s = best_of(repeats, [&] {
-    l2_bytes = 0;
-    for (std::size_t i = 0; i < nblocks; ++i) {
-      body.clear();
-      const ew::storage::DictChainState* prev = nullptr;
-      if (i % ew::storage::kDictChainInterval != 0) {
-        ew::storage::build_dict_chain_state(chunk(i - 1), chain);
-        prev = &chain;
-      }
-      ew::storage::encode_columnar_block(chunk(i), catalog, body, scratch, prev);
-      l2_bytes += body.view().size();
-    }
-  });
-  const double codec_speedup = l2_encode_s > 0 ? l1_encode_s / l2_encode_s : 0;
-  const double size_ratio = l1_bytes > 0 ? double(l2_bytes) / double(l1_bytes) : 0;
+  const std::size_t nblocks =
+      (records.size() + ew::storage::DataLake::kBlockRecords - 1) /
+      ew::storage::DataLake::kBlockRecords;
 
-  // --- lever 2: full append (ingest -> sealed file), serial vs pooled ---
+  // Full append (ingest -> sealed file), serial vs pooled.
   ew::storage::DataLake lake{dir / "lake"};
   const auto path = lake.root() / ew::storage::DataLake::day_filename(base);
   const CodecTotals before = codec_totals();
@@ -202,26 +152,16 @@ int main(int argc, char** argv) {
   const auto parallel_file = file_bytes(path);
 
   const double pipeline_speedup = parallel_s > 0 ? serial_s / parallel_s : 0;
-  // The pre-overhaul writer = today's serial append with its codec-v2
-  // encode time swapped back for the layout-1 encode time; against the
-  // pooled append that yields the end-to-end claim.
-  const double prepr_serial_s = serial_s - l2_encode_s + l1_encode_s;
-  const double effective_speedup = parallel_s > 0 ? prepr_serial_s / parallel_s : 0;
   const double mb = double(serial_file.size()) / 1e6;
 
   std::printf("write path bench: %zu records, %zu blocks, %zu workers, %d repeats\n",
               records.size(), nblocks, workers, repeats);
-  std::printf("  layout-1 encode:   %8.3f s  (%.1f MB of block bodies)\n", l1_encode_s,
-              l1_bytes / 1e6);
-  std::printf("  codec-v2 encode:   %8.3f s  (%.1f MB, %.2fx vs layout-1, size x%.3f)\n",
-              l2_encode_s, l2_bytes / 1e6, codec_speedup, size_ratio);
+  std::printf("  day file:          %8.2f MB\n", mb);
   std::printf("  serial append:     %8.3f s  (%.1f MB/s, %.2fM flows/s)\n", serial_s,
               mb / serial_s, records.size() / serial_s / 1e6);
   std::printf("  pooled append:     %8.3f s  (%.1f MB/s, %.2fM flows/s, %.2fx vs serial)\n",
               parallel_s, mb / parallel_s, records.size() / parallel_s / 1e6,
               pipeline_speedup);
-  std::printf("  vs pre-overhaul:   %.2fx  (estimated pre-overhaul serial: %.3f s)\n",
-              effective_speedup, prepr_serial_s);
   static const char* kScheme[] = {"stored", "lz", "for", "rle"};
   for (int k = 0; k < 4; ++k) {
     const std::uint64_t din = after.in[k] - before.in[k];
@@ -237,16 +177,10 @@ int main(int argc, char** argv) {
                  parallel_file.size(), serial_file.size());
     return 1;
   }
-  // Gate 2: codec v2 must not grow the day file by more than 2%.
-  if (size_ratio > 1.02) {
-    std::fprintf(stderr, "FAIL: codec-v2 bodies %.1f%% larger than layout-1 (budget 2%%)\n",
-                 100 * (size_ratio - 1));
-    return 1;
-  }
-  // Gate 3 (opt-in): end-to-end throughput vs the pre-overhaul writer.
-  if (min_speedup > 0 && effective_speedup < min_speedup) {
-    std::fprintf(stderr, "FAIL: %.2fx vs pre-overhaul writer (need >= %.2fx)\n",
-                 effective_speedup, min_speedup);
+  // Gate 2 (opt-in): pooled vs serial ingest throughput.
+  if (min_speedup > 0 && pipeline_speedup < min_speedup) {
+    std::fprintf(stderr, "FAIL: pooled append %.2fx vs serial (need >= %.2fx)\n",
+                 pipeline_speedup, min_speedup);
     return 1;
   }
 
@@ -258,23 +192,17 @@ int main(int argc, char** argv) {
                 "  \"blocks\": %zu,\n"
                 "  \"workers\": %zu,\n"
                 "  \"repeats\": %d,\n"
-                "  \"layout1_encode_s\": %.6f,\n"
-                "  \"codec_v2_encode_s\": %.6f,\n"
-                "  \"codec_speedup\": %.2f,\n"
-                "  \"body_size_ratio_vs_layout1\": %.4f,\n"
                 "  \"serial_append_s\": %.6f,\n"
                 "  \"parallel_append_s\": %.6f,\n"
                 "  \"pipeline_speedup\": %.2f,\n"
-                "  \"effective_speedup_vs_pre_overhaul\": %.2f,\n"
                 "  \"file_mb\": %.2f,\n"
                 "  \"parallel_mb_s\": %.2f,\n"
                 "  \"parallel_flows_s\": %.0f,\n"
                 "  \"codec_bytes_out\": {\"stored\": %llu, \"lz\": %llu, \"for\": %llu, "
                 "\"rle\": %llu}\n"
                 "}\n",
-                records.size(), nblocks, workers, repeats, l1_encode_s, l2_encode_s,
-                codec_speedup, size_ratio, serial_s, parallel_s, pipeline_speedup,
-                effective_speedup, mb, mb / parallel_s, records.size() / parallel_s,
+                records.size(), nblocks, workers, repeats, serial_s, parallel_s,
+                pipeline_speedup, mb, mb / parallel_s, records.size() / parallel_s,
                 static_cast<unsigned long long>(after.out[0] - before.out[0]),
                 static_cast<unsigned long long>(after.out[1] - before.out[1]),
                 static_cast<unsigned long long>(after.out[2] - before.out[2]),

@@ -3,16 +3,13 @@
 // measurement pipeline, usable on any Ethernet/IPv4 capture.
 //
 //   ./build/examples/pcap2flows [trace.pcap] [--out out.csv]
-//                               [--lake dir] [--lake-format {v2,v3}]
-//                               [--stats[=path]]
+//                               [--lake dir] [--stats[=path]]
 //
 // With no capture, a demonstration trace is synthesized, written to a
 // temporary pcap (openable with any standard tool), and then processed.
 // Output defaults to build/flows.csv so runs never litter the source tree.
 // --lake additionally appends the records to a data lake (day-partitioned
-// by first_packet); --lake-format picks the on-disk block layout — the
-// columnar v3 default or the row-format v2 — and implies --lake, so either
-// format stays exercisable end-to-end from a raw capture. --stats dumps the
+// by first_packet, columnar blocks). --stats dumps the
 // final obs:: snapshot (counters, stage histograms, spans) as JSON to
 // stdout — or to a file with --stats=path — replacing the ad-hoc summary
 // lines; it reports zeros in an EW_OBS=OFF build.
@@ -87,7 +84,6 @@ int main(int argc, char** argv) {
   fs::path output;
   fs::path lake_dir;
   fs::path stats_path;
-  auto lake_format = ew::storage::LakeFormat::kV3;
   bool want_lake = false;
   bool want_stats = false;
   for (int i = 1; i < argc; ++i) {
@@ -97,25 +93,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--lake" && i + 1 < argc) {
       lake_dir = argv[++i];
       want_lake = true;
-    } else if (arg == "--lake-format" && i + 1 < argc) {
-      const std::string_view fmt = argv[++i];
-      if (fmt == "v2") {
-        lake_format = ew::storage::LakeFormat::kV2;
-      } else if (fmt == "v3") {
-        lake_format = ew::storage::LakeFormat::kV3;
-      } else {
-        std::fprintf(stderr, "unknown --lake-format %.*s (expected v2 or v3)\n",
-                     static_cast<int>(fmt.size()), fmt.data());
-        return 1;
-      }
-      want_lake = true;
     } else if (arg == "--stats" || arg.rfind("--stats=", 0) == 0) {
       want_stats = true;
       if (arg.size() > 8) stats_path = fs::path(std::string(arg.substr(8)));
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: pcap2flows [trace.pcap] [--out out.csv] [--lake dir] "
-          "[--lake-format {v2,v3}] [--stats[=path]]\n");
+          "usage: pcap2flows [trace.pcap] [--out out.csv] [--lake dir] [--stats[=path]]\n");
       return 0;
     } else {
       input = argv[i];
@@ -132,7 +115,6 @@ int main(int argc, char** argv) {
   const fs::path build_dir{"build"};
   const fs::path out_root = fs::is_directory(build_dir) ? build_dir : fs::temp_directory_path();
   if (output.empty()) output = out_root / "flows.csv";
-  if (want_lake && lake_dir.empty()) lake_dir = out_root / "lake";
   if (output.has_parent_path()) {
     std::error_code ec;
     fs::create_directories(output.parent_path(), ec);
@@ -174,15 +156,13 @@ int main(int argc, char** argv) {
 
   if (want_lake) {
     ew::storage::DataLake lake{lake_dir};
-    lake.set_write_format(lake_format);
     for (auto& [day, records] : by_day) {
       if (!lake.append(day, records)) {
         std::fprintf(stderr, "lake append failed for %s\n", day.to_string().c_str());
         return 1;
       }
     }
-    std::printf("appended %zu day file(s) to %s (%s blocks)\n", by_day.size(), lake_dir.c_str(),
-                lake_format == ew::storage::LakeFormat::kV3 ? "columnar v3" : "row v2");
+    std::printf("appended %zu day file(s) to %s\n", by_day.size(), lake_dir.c_str());
   }
   if (want_stats) {
     // Scrape last so the snapshot covers the lake appends above, not just

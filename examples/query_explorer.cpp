@@ -4,12 +4,9 @@
 // log is re-read after the build. Each answer prints the documented error
 // bound next to the estimate; counters are exact.
 //
-//   ./build/examples/query_explorer [--lake-format {v2,v3}] [--stats[=path]]
+//   ./build/examples/query_explorer [--stats[=path]]
 //
-// --lake-format selects the on-disk layout for the synthetic lake (columnar
-// v3 by default); the rollup answers are identical either way — the flag
-// exists so the row-format v2 path stays exercisable end-to-end. --stats
-// dumps the final obs:: snapshot as JSON on exit (stdout, or a file with
+// --stats dumps the final obs:: snapshot as JSON on exit (stdout, or a file with
 // --stats=path): query latency histograms, rollup build counters, and the
 // lake's scan/prune statistics from the build pass.
 #include <cstdio>
@@ -29,27 +26,15 @@ namespace ew = edgewatch;
 namespace fs = std::filesystem;
 
 int main(int argc, char** argv) {
-  auto lake_format = ew::storage::LakeFormat::kV3;
   fs::path stats_path;
   bool want_stats = false;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--lake-format" && i + 1 < argc) {
-      const std::string_view fmt = argv[++i];
-      if (fmt == "v2") {
-        lake_format = ew::storage::LakeFormat::kV2;
-      } else if (fmt == "v3") {
-        lake_format = ew::storage::LakeFormat::kV3;
-      } else {
-        std::fprintf(stderr, "unknown --lake-format %.*s (expected v2 or v3)\n",
-                     static_cast<int>(fmt.size()), fmt.data());
-        return 1;
-      }
-    } else if (arg == "--stats" || arg.rfind("--stats=", 0) == 0) {
+    if (arg == "--stats" || arg.rfind("--stats=", 0) == 0) {
       want_stats = true;
       if (arg.size() > 8) stats_path = fs::path(std::string(arg.substr(8)));
     } else if (arg == "--help" || arg == "-h") {
-      std::printf("usage: query_explorer [--lake-format {v2,v3}] [--stats[=path]]\n");
+      std::printf("usage: query_explorer [--stats[=path]]\n");
       return 0;
     } else {
       std::fprintf(stderr, "unknown argument %s\n", argv[i]);
@@ -57,8 +42,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("edgewatch query explorer — sketch rollups over the data lake (%s lake)\n\n",
-              lake_format == ew::storage::LakeFormat::kV3 ? "columnar v3" : "row v2");
+  std::printf("edgewatch query explorer — sketch rollups over the data lake\n\n");
 
   // Two observed days per month across one quarter: small enough to build
   // in seconds, wide enough to exercise week and month bucketing.
@@ -67,7 +51,6 @@ int main(int argc, char** argv) {
   const auto dir = fs::temp_directory_path() / "ew_query_explorer";
   fs::remove_all(dir);
   ew::storage::DataLake lake{dir / "lake"};
-  lake.set_write_format(lake_format);
   std::vector<ew::core::CivilDate> days;
   for (std::uint8_t month : {std::uint8_t{4}, std::uint8_t{5}, std::uint8_t{6}}) {
     for (std::uint8_t d : {std::uint8_t{10}, std::uint8_t{20}}) {

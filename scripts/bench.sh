@@ -34,12 +34,12 @@ mkdir -p "$FRAGMENTS"
 # Overload sweep is about shed *ratios*, not throughput — a few hundred
 # conversations give a full Healthy→Shedding curve without minutes of spin.
 ./build/bench/bench_overload 400 "$REPEATS" "$FRAGMENTS/overload.json"
-# v2-vs-v3 scan path: 8 merged synthetic days make enough blocks that the
+# Columnar scan path: 8 merged synthetic days make enough blocks that the
 # one-hour predicate must prune ≥90% of them (the binary exits non-zero if
-# it doesn't, or if the two formats deliver different records).
+# it doesn't, or if any scan's answer differs from the in-memory records).
 ./build/bench/bench_scan_selectivity 8 "$REPEATS" "$FRAGMENTS/scan_selectivity.json"
 # Batch execution core: the full-day aggregate scan consumed as SoA batches
-# must beat the row-emit shim on the same v3 lake. The aggregate-identity
+# must beat the row-emit shim on the same lake. The aggregate-identity
 # gate is unconditional; the ≥1.5x speedup gate (override with
 # BATCH_SPEEDUP_GATE) only arms on ≥4-core machines, where the measurement
 # isn't dominated by a loaded shared host.
@@ -49,11 +49,10 @@ if [ "$(nproc)" -ge 4 ]; then
 fi
 ./build/bench/bench_batch_scan 8 "$REPEATS" "$FRAGMENTS/batch_scan.json" \
   ${BATCH_ARGS[@]+"${BATCH_ARGS[@]}"}
-# Write path: the parallel/serial byte-identity and day-file-size gates are
-# unconditional; the ≥2x ingest→sealed-file throughput gate (vs the
-# pre-overhaul serial writer) needs enough cores for the encode pipeline to
-# express itself, so it only arms on ≥4-core machines (override the bar
-# with WRITE_SPEEDUP_GATE).
+# Write path: the parallel/serial byte-identity gate is unconditional; the
+# ≥2x ingest→sealed-file throughput gate (pooled vs serial append) needs
+# enough cores for the encode pipeline to express itself, so it only arms
+# on ≥4-core machines (override the bar with WRITE_SPEEDUP_GATE).
 WRITE_ARGS=()
 if [ "$(nproc)" -ge 4 ]; then
   WRITE_ARGS+=(--min-speedup "${WRITE_SPEEDUP_GATE:-2.0}")

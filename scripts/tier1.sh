@@ -14,6 +14,10 @@
 #                                    # backend and then proves the metrics
 #                                    # registry compiled out by grepping the
 #                                    # archives for obs::live symbols
+#   REPEAT=3 scripts/tier1.sh        # any preset, each test run until it
+#                                    # fails or 3 times, all cores at once:
+#                                    # proves the suite is hermetic (no two
+#                                    # test processes share a temp path)
 #
 # The sanitizer passes exist for the robustness work: the fault-injection
 # matrix, the corruption tests, and the fuzz sweeps only prove memory
@@ -59,4 +63,8 @@ if [ "$check_null_obs" = 1 ]; then
   echo "null-obs check: no obs::live symbols in build-noobs archives"
 fi
 
-ctest --preset "$preset" -j "$(nproc)" "${ctest_extra[@]}"
+if [ -n "${REPEAT:-}" ]; then
+  ctest_extra+=(--repeat "until-fail:${REPEAT}")
+fi
+
+ctest --preset "$preset" -j "$(nproc)" ${ctest_extra[@]+"${ctest_extra[@]}"}

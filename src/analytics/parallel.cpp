@@ -57,26 +57,14 @@ DayScanAggregate aggregate_day(const storage::DataLake& lake, core::CivilDate da
     out.scan.errc = idx.fatal();
     return out;
   }
-  // Batch delivery: v3 blocks aggregate column-at-a-time with dict-code
-  // pass-through (no per-row FlowRecord, no string materialization); v1/v2
-  // blocks stage through the scratch transposer. Identical aggregates to
-  // the old per-record callback — add_batch is golden-tested against add().
+  // Batch delivery: blocks aggregate column-at-a-time with dict-code
+  // pass-through (no per-row FlowRecord, no string materialization).
+  // Identical aggregates to the per-record callback — add_batch is
+  // golden-tested against add().
   auto deliver = [&agg](const exec::RecordBatch& b) { agg.add_batch(b); };
-  const auto& blocks = idx.blocks();
-  const auto& chain = idx.chain();
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    // Dictionary-chain resolver over the day's stream-order adjacency
-    // (layout-2 delta dictionaries), salvage candidates included; the
-    // sequential chain cache handles the common case, this covers
-    // resumption after a pruned or damaged block.
-    const std::size_t ci = idx.chain_pos(i);
-    const auto resolve = [&, ci](std::size_t back) -> std::span<const std::byte> {
-      if (back == 0 || back > ci) return {};
-      return idx.body(chain[ci - back]);
-    };
-    const storage::PrevBlockResolver resolver{resolve};
-    storage::DataLake::scan_block_batches(idx.body(blocks[i]), blocks[i].record_count, predicate,
-                                          scratch, out.scan, deliver, &resolver);
+  for (const auto& block : idx.blocks()) {
+    storage::DataLake::scan_block_batches(idx.body(block), block.record_count, predicate, scratch,
+                                          out.scan, deliver);
   }
   out.scan.blocks_skipped += idx.damaged_ranges();
   if (out.scan.errc == core::Errc::kOk || idx.baseline() == core::Errc::kCorrupt) {
@@ -122,18 +110,8 @@ DayScanAggregate aggregate_day_parallel_impl(const storage::DataLake& lake, core
       auto deliver = [&agg](const exec::RecordBatch& b) { agg.add_batch(b); };
       for (std::size_t b = lo; b < hi; ++b) {
         const auto& block = idx.blocks()[b];
-        // Resolve over the *global* stream-order adjacency (salvage
-        // candidates included): a worker's first blocks may delta-chain
-        // into the previous worker's range, and the shared index's bodies
-        // are immutable, so cross-range resolution is safe.
-        const std::size_t cb = idx.chain_pos(b);
-        const auto resolve = [&, cb](std::size_t back) -> std::span<const std::byte> {
-          if (back == 0 || back > cb) return {};
-          return idx.body(idx.chain()[cb - back]);
-        };
-        const storage::PrevBlockResolver resolver{resolve};
         storage::DataLake::scan_block_batches(idx.body(block), block.record_count, predicate,
-                                              scratch, p.scan, deliver, &resolver);
+                                              scratch, p.scan, deliver);
       }
       p.aggregate = std::move(agg).take();
       return p;

@@ -32,7 +32,7 @@ struct DayScanAggregate {
 };
 
 /// Exactly the FlowRecord fields DayAggregator::add reads — the projection
-/// the stage-one scan pushes down so v3 days skip the 14 column segments
+/// the stage-one scan pushes down so lake scans skip the 14 column segments
 /// (duration, ports, close flags, upstream packet/quality counters, wire
 /// bytes, HTTP status, content-type, RTT spread, name source) the
 /// aggregation never touches. first_packet, proto and server_ip are always
@@ -57,7 +57,7 @@ static_assert(kDayAggregateScanFields ==
 /// Scratch-reusing, optionally filtered variant: the caller owns the scan
 /// buffers, so a loop over many days (the rollup store's incremental
 /// build) decodes every block of every day into the same allocations. A
-/// non-null predicate is pushed below the block decoder — v3 blocks are
+/// non-null predicate is pushed below the block decoder — blocks are
 /// pruned on zone maps (ScanResult::blocks_pruned) and only referenced
 /// column segments decode.
 [[nodiscard]] DayScanAggregate aggregate_day(

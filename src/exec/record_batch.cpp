@@ -45,133 +45,6 @@ void note_batch_delivered(const RecordBatch& batch) {
   }
 }
 
-void BatchStaging::clear() {
-  ts_.clear();
-  dur_.clear();
-  rtt_min_.clear();
-  rtt_max_.clear();
-  rtt_avg_.clear();
-  proto_.clear();
-  access_.clear();
-  flags_.clear();
-  l7_.clear();
-  web_.clear();
-  name_source_.clear();
-  cport_.clear();
-  sport_.clear();
-  cip_.clear();
-  sip_.clear();
-  name_idx_.clear();
-  ct_idx_.clear();
-  up_pkts_.clear();
-  up_bytes_.clear();
-  up_hdr_.clear();
-  up_retx_.clear();
-  up_ooo_.clear();
-  dn_pkts_.clear();
-  dn_bytes_.clear();
-  dn_hdr_.clear();
-  dn_retx_.clear();
-  dn_ooo_.clear();
-  rtt_samples_.clear();
-  http_status_.clear();
-  // Dictionaries persist (see class comment); bound the pathological case
-  // of a scan over endless distinct names so the interning table cannot
-  // grow without limit across a multi-year sweep.
-  constexpr std::size_t kDictResetThreshold = 1u << 20;
-  if (name_entries_.size() + ct_entries_.size() > kDictResetThreshold) {
-    name_entries_.clear();
-    ct_entries_.clear();
-    name_codes_.clear();
-    ct_codes_.clear();
-    name_views_.clear();
-    ct_views_.clear();
-  }
-}
-
-std::uint32_t BatchStaging::intern(
-    std::string_view s, std::deque<std::string>& entries,
-    core::FlatHashMap<std::string_view, std::uint32_t, core::StringHash>& codes,
-    std::vector<std::string_view>& views) {
-  if (const auto it = codes.find(s); it != codes.end()) return it->second;
-  const auto code = static_cast<std::uint32_t>(entries.size());
-  entries.emplace_back(s);
-  views.emplace_back(entries.back());
-  codes.emplace(std::string_view{entries.back()}, code);
-  return code;
-}
-
-void BatchStaging::add(const flow::FlowRecord& r) {
-  ts_.push_back(r.first_packet.micros());
-  dur_.push_back(r.last_packet - r.first_packet);
-  proto_.push_back(static_cast<std::uint8_t>(r.proto));
-  access_.push_back(static_cast<std::uint8_t>(r.access));
-  flags_.push_back(static_cast<std::uint8_t>((r.handshake_completed ? 1u : 0u) |
-                                             (static_cast<unsigned>(r.close_reason) << 1)));
-  l7_.push_back(static_cast<std::uint8_t>(r.l7));
-  web_.push_back(static_cast<std::uint8_t>(r.web));
-  name_source_.push_back(static_cast<std::uint8_t>(r.name_source));
-  cport_.push_back(r.client_port);
-  sport_.push_back(r.server_port);
-  cip_.push_back(r.client_ip.value());
-  sip_.push_back(r.server_ip.value());
-  up_pkts_.push_back(r.up.packets);
-  up_bytes_.push_back(r.up.bytes);
-  up_hdr_.push_back(r.up.bytes_with_hdr);
-  up_retx_.push_back(r.up.retransmits);
-  up_ooo_.push_back(r.up.out_of_order);
-  dn_pkts_.push_back(r.down.packets);
-  dn_bytes_.push_back(r.down.bytes);
-  dn_hdr_.push_back(r.down.bytes_with_hdr);
-  dn_retx_.push_back(r.down.retransmits);
-  dn_ooo_.push_back(r.down.out_of_order);
-  rtt_samples_.push_back(r.rtt.samples);
-  rtt_min_.push_back(r.rtt.min_us);
-  rtt_max_.push_back(r.rtt.max_us);
-  rtt_avg_.push_back(r.rtt.avg_us);
-  http_status_.push_back(r.http_status);
-  name_idx_.push_back(intern(r.server_name, name_entries_, name_codes_, name_views_));
-  ct_idx_.push_back(intern(r.content_type, ct_entries_, ct_codes_, ct_views_));
-}
-
-RecordBatch BatchStaging::finish(std::uint32_t fields) {
-  RecordBatch b;
-  b.fields = fields;
-  b.rows = ts_.size();
-  b.ts = ts_;
-  b.dur = dur_;
-  b.proto = proto_;
-  b.access = access_;
-  b.flags = flags_;
-  b.l7 = l7_;
-  b.web = web_;
-  b.name_source = name_source_;
-  b.cport = cport_;
-  b.sport = sport_;
-  b.cip = cip_;
-  b.sip = sip_;
-  b.up_pkts = up_pkts_;
-  b.up_bytes = up_bytes_;
-  b.up_hdr = up_hdr_;
-  b.up_retx = up_retx_;
-  b.up_ooo = up_ooo_;
-  b.dn_pkts = dn_pkts_;
-  b.dn_bytes = dn_bytes_;
-  b.dn_hdr = dn_hdr_;
-  b.dn_retx = dn_retx_;
-  b.dn_ooo = dn_ooo_;
-  b.rtt_samples = rtt_samples_;
-  b.rtt_min_us = rtt_min_;
-  b.rtt_max_us = rtt_max_;
-  b.rtt_avg_us = rtt_avg_;
-  b.http_status = http_status_;
-  b.name_idx = name_idx_;
-  b.ct_idx = ct_idx_;
-  b.name_dict = name_views_;
-  b.ct_dict = ct_views_;
-  return b;
-}
-
 namespace {
 
 /// The emit tail shared by every projection instantiation. `wantp` is a

@@ -6,33 +6,27 @@
 // A RecordBatch is a non-owning column view over one decoded lake block:
 // parallel arrays for timestamps, byte/packet counters, RTT, service/proto
 // codes, server IP/port — plus the dictionary-coded name/content-type
-// columns, which pass the v3 dict codes through as (index, dictionary-view)
+// columns, which pass the block dict codes through as (index, dictionary-view)
 // pairs so a consumer that tallies per hostname touches each distinct
-// string once per block instead of once per row. Columnar (v3) blocks fill
-// a batch straight from the decode scratch with zero string materialization;
-// row-format (v1/v2) blocks stage their decoded records into a BatchStaging
-// so every consumer sees one shape regardless of the on-disk format.
+// string once per block instead of once per row. Lake blocks fill a batch
+// straight from the decode scratch with zero string materialization.
 //
-// Lifetime: a batch views the scratch (or staging) that produced it. It is
-// valid until the next decode/stage call on that scratch — consume it inside
-// the sink callback, copy out what must survive.
+// Lifetime: a batch views the scratch that produced it. It is valid until
+// the next decode call on that scratch — consume it inside the sink
+// callback, copy out what must survive.
 //
 // Projection: `fields` (scan_fields bits) says which spans are populated.
-// The filter/zone columns — ts, service, proto, sip — are always present
-// for v3 batches; unprojected spans are empty, never stale. Row-format
-// staging always populates everything (projection is a v3 fast path).
+// The filter/zone columns — ts, service, proto, sip — are always present;
+// unprojected spans are empty, never stale.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/flat_hash_map.hpp"
 #include "core/function_ref.hpp"
-#include "core/hash.hpp"
 #include "flow/record.hpp"
 
 namespace edgewatch::exec {
@@ -45,13 +39,7 @@ namespace edgewatch::exec {
 /// server_ip plus the materialized service codes — are always decoded: they
 /// drive row selection and the zone-map cross-check. All other unprojected
 /// fields of emitted records are value-initialized (zero / empty), never
-/// stale.
-///
-/// Projection is a v3 fast path, not a semantic filter: row-format (v1/v2)
-/// blocks materialize every field regardless, and a consumer must not rely
-/// on unprojected fields being zeroed when it may read v2 days.
-/// (Lived in storage::scan_fields before the batch refactor; storage
-/// aliases this namespace so predicate call sites read unchanged.)
+/// stale. (storage::scan_fields aliases this namespace.)
 namespace scan_fields {
 inline constexpr std::uint32_t kLastPacket = 1u << 0;     ///< duration column
 inline constexpr std::uint32_t kClientIp = 1u << 1;
@@ -99,9 +87,9 @@ struct RecordBatch {
   std::span<const std::int64_t> ts;          ///< first_packet, µs (always present)
   std::span<const std::int64_t> dur;         ///< last_packet − first_packet
   /// Global ServiceId per row, resolved against the catalog the block was
-  /// *written* with. Present for v3 batches (it is a filter column), empty
-  /// for row-format staging. Advisory: a consumer whose catalog may differ
-  /// from the writer's must classify from l7 + the name dictionary instead.
+  /// *written* with (always present: it is a filter column). Advisory: a
+  /// consumer whose catalog may differ from the writer's must classify from
+  /// l7 + the name dictionary instead.
   std::span<const std::uint8_t> service;
   std::span<const std::uint8_t> proto;       ///< TransportProto (always present)
   std::span<const std::uint8_t> access, l7, web, name_source;
@@ -113,14 +101,14 @@ struct RecordBatch {
   std::span<const std::uint64_t> dn_pkts, dn_bytes, dn_hdr, dn_retx, dn_ooo;
   std::span<const std::uint64_t> rtt_samples, http_status;
   /// Resolved RTT values (the on-disk delta/dense coding is a storage
-  /// detail the batch contract hides). min/max are exact; avg is the exact
-  /// double for row-format sources and the v3 writer's integer-quantized
-  /// value for columnar ones — same as the row-callback path delivers.
+  /// detail the batch contract hides). min/max are exact; avg is the
+  /// writer's integer-quantized value — same as the row-callback path
+  /// delivers.
   std::span<const std::int64_t> rtt_min_us, rtt_max_us;
   std::span<const double> rtt_avg_us;
   /// Dictionary-coded string columns: per-row dict indexes plus the block's
-  /// dictionary as views. The views alias the producing scratch's blob /
-  /// chain-cache buffers — same lifetime as the batch itself.
+  /// dictionary as views. The views alias the producing scratch's blob
+  /// buffers — same lifetime as the batch itself.
   std::span<const std::uint32_t> name_idx, ct_idx;
   std::span<const std::string_view> name_dict, ct_dict;
 
@@ -141,49 +129,9 @@ struct RecordBatch {
   }
 };
 
-/// Transposes already-materialized FlowRecords (the v1/v2 row-format decode,
-/// or any in-memory record stream) into a RecordBatch, interning server
-/// names and content types into a dictionary so the batch contract is
-/// identical to the columnar path's. Owns its columns; a finished batch
-/// views them and stays valid until the next clear()/add().
-///
-/// The dictionary persists across clear() — hostnames repeat heavily from
-/// block to block, so steady-state interning is one hash probe per row with
-/// no string copy (entries live in deques: growth never moves them, which
-/// is what keeps both the map's string_view keys and every previously
-/// finished batch's dictionary views stable).
-class BatchStaging {
- public:
-  /// Forget the staged rows, keep the dictionaries and capacity.
-  void clear();
-  void add(const flow::FlowRecord& record);
-  /// View the staged rows as a batch. `fields` is recorded as the batch's
-  /// projection mask; staging always populates every span regardless.
-  [[nodiscard]] RecordBatch finish(std::uint32_t fields = scan_fields::kAll);
-  [[nodiscard]] std::size_t size() const noexcept { return ts_.size(); }
-
- private:
-  [[nodiscard]] std::uint32_t intern(std::string_view s, std::deque<std::string>& entries,
-                                     core::FlatHashMap<std::string_view, std::uint32_t,
-                                                       core::StringHash>& codes,
-                                     std::vector<std::string_view>& views);
-
-  std::vector<std::int64_t> ts_, dur_, rtt_min_, rtt_max_;
-  std::vector<double> rtt_avg_;
-  std::vector<std::uint8_t> proto_, access_, flags_, l7_, web_, name_source_;
-  std::vector<std::uint16_t> cport_, sport_;
-  std::vector<std::uint32_t> cip_, sip_, name_idx_, ct_idx_;
-  std::vector<std::uint64_t> up_pkts_, up_bytes_, up_hdr_, up_retx_, up_ooo_;
-  std::vector<std::uint64_t> dn_pkts_, dn_bytes_, dn_hdr_, dn_retx_, dn_ooo_;
-  std::vector<std::uint64_t> rtt_samples_, http_status_;
-  std::deque<std::string> name_entries_, ct_entries_;
-  core::FlatHashMap<std::string_view, std::uint32_t, core::StringHash> name_codes_, ct_codes_;
-  std::vector<std::string_view> name_views_, ct_views_;
-};
-
-/// The batch→row compatibility shim: emit every delivered row of `batch`
-/// through the one reused `rec`, exactly as the pre-batch columnar decoder
-/// did — per-block value-initialization of unprojected fields, dict-index
+/// The batch→row shim behind DataLake::scan_day's row callback: emit every
+/// delivered row of `batch` through the one reused `rec` — per-block
+/// value-initialization of unprojected fields, dict-index
 /// change detection so a string is only re-assigned when the row's code
 /// differs from the previous row's, rows in stream order, ingest_seq
 /// always 0 (not stored in the lake). Counts what `fn` saw into

@@ -129,13 +129,13 @@ BucketOutcome merge_bucket(const RollupStore& store, const QuerySpec& spec, Dime
   // record; protocol groups sum web bytes into bytes_down — so a fallback
   // day is indistinguishable from a rollup-answered one. The day file is
   // the time partition (no time filter pushed), but a group-restricted
-  // service query pushes its service mask below the block decoder: v3
+  // service query pushes its service mask below the block decoder:
   // blocks whose zone map lacks the service are pruned undecompressed.
   //
   // Consumption is batch-at-a-time (scan_day_batches): the projection is
   // narrowed to the columns each dimension actually reads, service
   // classification runs once per dictionary entry instead of once per row,
-  // and v3 days never materialize a FlowRecord.
+  // and no FlowRecord is ever materialized.
   if (raw_fallback_applies(spec, dim) && !out.missing.empty()) {
     std::vector<core::CivilDate> still_missing;
     std::vector<services::ServiceId> dict_service;  // per-batch dict classification cache

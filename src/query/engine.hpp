@@ -66,7 +66,7 @@ struct QuerySpec {
   /// Answer rollup-less days of the range by scanning the raw lake with a
   /// pushed-down ScanPredicate instead of reporting them missing. Exact
   /// metrics only (kBytes/kFlows, service or protocol dimension): a
-  /// service-restricted query prunes whole v3 blocks via zone maps, so the
+  /// service-restricted query prunes whole blocks via zone maps, so the
   /// fallback touches a fraction of the day file. Days that stay
   /// unanswerable (no lake file either, or an approximate metric) are
   /// still reported missing.

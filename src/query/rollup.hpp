@@ -4,7 +4,7 @@
 // along one dimension; sketches merge losslessly across days, so any time
 // range collapses to a handful of section reads plus sketch merges.
 //
-// On-disk format `.ewr` v1 ("EWRU") reuses the lake's v2 durability idioms:
+// On-disk format `.ewr` v1 ("EWRU") reuses the lake's durability idioms:
 //
 //   file    := magic "EWRU" | u8 version | section*
 //   section := u8 id | u32le body_len | u32le crc32c(id | body_len | body)

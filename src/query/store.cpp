@@ -107,7 +107,7 @@ RollupStore::DayOutcome RollupStore::build_day(core::CivilDate day,
   // build() pass sees it as stale again — never the other way around.
   const storage::FileIdentity source = lake_.day_identity(day);
   // One ScanScratch per worker thread, reused across every day this worker
-  // builds: block decompression and the v3 column buffers warm up once per
+  // builds: the column decode buffers warm up once per
   // build() instead of reallocating per day (and, before the scratch-passing
   // aggregate_day existed, per block).
   thread_local storage::ScanScratch scratch;

@@ -15,23 +15,23 @@ namespace edgewatch::storage {
 
 namespace {
 
-// Fixed column schema (layouts 1 and 2 share it). Every column id below must
+// Fixed column schema. Every column id below must
 // appear exactly once in a block's segment directory; unknown ids are
 // corruption.
 enum Column : std::uint8_t {
   kColTs = 0,          // zigzag delta chain of first_packet µs
-  kColDur = 1,         // zigzag last−first (mirrors the v2 field exactly)
+  kColDur = 1,         // zigzag last−first
   kColService = 2,     // u8 dict codes into the service dictionary
   kColProto = 3,       // u8 raw TransportProto values
   kColAccess = 4,      // u8
-  kColFlags = 5,       // u8 handshake | close_reason<<1 (v2 flag byte)
+  kColFlags = 5,       // u8 handshake | close_reason<<1
   kColL7 = 6,          // u8
   kColWeb = 7,         // u8
   kColNameSource = 8,  // u8
-  kColClientPort = 9,  // layout 1: u16le fixed; layout 2: value segment
+  kColClientPort = 9,  // value segment
   kColServerPort = 10, // value segment
-  kColClientIp = 11,   // layout 1: u32le fixed; layout 2: value segment
-  kColServerIp = 12,   // layout 1: u32le fixed; layout 2: value segment
+  kColClientIp = 11,   // value segment
+  kColServerIp = 12,   // value segment
   kColUpPkts = 13,     // value segment … through kColDnOoo
   kColUpBytes = 14,
   kColUpHdr = 15,
@@ -56,7 +56,7 @@ constexpr std::size_t kColumnCount = 32;
 static_assert(kColumnCount == kColumnSegmentCount,
               "kColumnSegmentCount (columnar.hpp) must track the column enum");
 
-/// Mirror of decode_columnar_block's projection gates, kept adjacent to the
+/// Mirror of decode_columnar_batch's projection gates, kept adjacent to the
 /// column enum so a new column fails the static_assert below instead of
 /// silently skewing the skipped-segments metric.
 constexpr unsigned segments_for_fields_impl(std::uint32_t fields) noexcept {
@@ -85,21 +85,15 @@ static_assert(segments_for_fields_impl(0) == 4, "filter columns always decode");
 // u8 column payloads carry a 1-byte encoding tag: most enum columns are
 // single-valued across a whole block (one access tech per vantage, one
 // protocol per service's blocks once data clusters), so a constant column
-// costs 2 bytes instead of 4096. Layout 2 adds a run-length variant for
-// columns that cluster without being constant.
+// costs 2 bytes instead of 4096; a run-length variant covers columns that
+// cluster without being constant.
 constexpr std::uint8_t kU8Constant = 0;
 constexpr std::uint8_t kU8Plain = 1;
-constexpr std::uint8_t kU8Rle = 2;  // (varint run_len | u8 value)*, layout 2 only
+constexpr std::uint8_t kU8Rle = 2;  // (varint run_len | u8 value)*
 
 constexpr std::size_t kZoneMapSize = 36;
 constexpr std::size_t kMaxNameLen = 4096;  // decode_record's sanity bounds
 constexpr std::size_t kMaxCtLen = 256;
-
-/// Hard cap on how many predecessor blocks a dictionary chain walk visits.
-/// The encoder restarts chains every kDictChainInterval blocks, so a
-/// truthful file never needs more than kDictChainInterval − 1 steps; the cap
-/// only bounds adversarial link graphs.
-constexpr std::size_t kMaxDictChainWalk = 64;
 
 void put_zone_map(core::ByteWriter& w, const ZoneMap& z) {
   w.u64le(static_cast<std::uint64_t>(z.ts_min_us));
@@ -129,162 +123,6 @@ void put_zone_map(core::ByteWriter& w, const ZoneMap& z) {
 
 [[nodiscard]] constexpr std::uint64_t zigzag(std::int64_t v) noexcept {
   return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
-}
-
-// ---- dictionary chain helpers --------------------------------------------
-//
-// A layout-2 delta link names its predecessor by the CRC-32C of that
-// dictionary's *canonical full serialization* (varint count | per entry
-// varint len | bytes) — computed over the resolved entries, never over the
-// wire bytes, so a delta-coded and a full-coded predecessor key identically.
-
-[[nodiscard]] std::uint32_t crc_varint(std::uint32_t crc, std::uint64_t v) noexcept {
-  std::array<std::byte, 10> tmp;
-  std::size_t k = 0;
-  while (v >= 0x80) {
-    tmp[k++] = static_cast<std::byte>((v & 0x7f) | 0x80);
-    v >>= 7;
-  }
-  tmp[k++] = static_cast<std::byte>(v);
-  return core::crc32c(std::span<const std::byte>{tmp.data(), k}, crc);
-}
-
-[[nodiscard]] std::uint32_t canonical_dict_crc(std::span<const std::string> dict) noexcept {
-  std::uint32_t crc = crc_varint(0, dict.size());
-  for (const auto& s : dict) {
-    crc = crc_varint(crc, s.size());
-    crc = core::crc32c({reinterpret_cast<const std::byte*>(s.data()), s.size()}, crc);
-  }
-  return crc;
-}
-
-/// Parse a full dictionary stream (varint count | entries) into owned
-/// strings, reusing `out`'s string capacity (resize + assign).
-[[nodiscard]] bool parse_full_dict(std::span<const std::byte> stream, std::size_t max_entries,
-                                   std::size_t max_len, std::vector<std::string>& out) {
-  core::ByteReader r(stream);
-  const std::uint64_t count = get_varint(r);
-  if (!r.ok() || count > max_entries) return false;
-  out.resize(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t len = get_varint(r);
-    if (!r.ok() || len > max_len) return false;
-    const auto s = r.string(static_cast<std::size_t>(len));
-    if (!r.ok()) return false;
-    out[static_cast<std::size_t>(i)].assign(s);
-  }
-  return r.remaining() == 0;
-}
-
-/// Resolve a delta dictionary stream (u32le prev_crc | varint count |
-/// entries; entry = varint 0 | varint len | bytes for a literal, varint k
-/// for prev[k−1]) against `prev`, whose canonical CRC the caller asserts is
-/// `prev_crc`. `out` must not alias `prev`.
-[[nodiscard]] bool apply_dict_delta(std::span<const std::byte> stream,
-                                    std::span<const std::string> prev, std::uint32_t prev_crc,
-                                    std::size_t max_entries, std::size_t max_len,
-                                    std::vector<std::string>& out) {
-  core::ByteReader r(stream);
-  const std::uint32_t embedded = r.u32le();
-  if (!r.ok() || embedded != prev_crc) return false;
-  const std::uint64_t count = get_varint(r);
-  if (!r.ok() || count > max_entries) return false;
-  out.resize(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t code = get_varint(r);
-    if (!r.ok()) return false;
-    if (code == 0) {
-      const std::uint64_t len = get_varint(r);
-      if (!r.ok() || len > max_len) return false;
-      const auto s = r.string(static_cast<std::size_t>(len));
-      if (!r.ok()) return false;
-      out[static_cast<std::size_t>(i)].assign(s);
-    } else {
-      if (code - 1 >= prev.size()) return false;
-      out[static_cast<std::size_t>(i)].assign(prev[static_cast<std::size_t>(code - 1)]);
-    }
-  }
-  return r.remaining() == 0;
-}
-
-/// Minimal layout-2 header parse of a predecessor body: the payload and
-/// delta bit of its `dict_col` segment. A predecessor that is not a valid
-/// layout-2 block fails the walk — chains never legally cross into layout 1
-/// or another append.
-[[nodiscard]] bool locate_v2_dict_segment(std::span<const std::byte> body, std::uint8_t dict_col,
-                                          std::span<const std::byte>& payload, bool& delta) {
-  core::ByteReader r(body);
-  if (r.u8() != kColumnarTag || r.u8() != kColumnarLayoutV2) return false;
-  r.skip(kZoneMapSize);
-  const std::uint8_t svc = r.u8();
-  if (!r.ok() || svc > services::kServiceCount) return false;
-  r.skip(svc);
-  const std::uint8_t link = r.u8();
-  if ((link & 0xfc) != 0) return false;
-  const std::uint8_t seg_count = r.u8();
-  if (!r.ok() || seg_count != kColumnCount) return false;
-  std::array<std::uint32_t, kColumnCount> id_len{};
-  std::array<std::uint8_t, kColumnCount> id_of{};
-  for (std::size_t i = 0; i < kColumnCount; ++i) {
-    id_of[i] = r.u8();
-    const std::uint64_t len = get_varint(r);
-    if (!r.ok() || id_of[i] >= kColumnCount || len > body.size()) return false;
-    id_len[i] = static_cast<std::uint32_t>(len);
-  }
-  for (std::size_t i = 0; i < kColumnCount; ++i) {
-    const auto seg = r.bytes(id_len[i]);
-    if (!r.ok()) return false;
-    if (id_of[i] == dict_col) {
-      payload = seg;
-      delta = dict_col == kColNameDict ? (link & 1) != 0 : (link & 2) != 0;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Random-access chain resolution: walk predecessors through the caller's
-/// resolver until a full dictionary, then re-apply the deltas forward. The
-/// result must hash to `want_crc` — a quarantined/reordered predecessor
-/// produces a CRC mismatch and a clean failure, never a mis-resolved
-/// dictionary. Cold path (sequential scans hit the ColumnScratch cache), so
-/// local allocation is fine.
-[[nodiscard]] bool resolve_prev_dict_via_walk(std::uint8_t dict_col, std::uint32_t want_crc,
-                                              std::size_t max_len,
-                                              const PrevBlockResolver& resolve,
-                                              std::vector<std::string>& out) {
-  struct Link {
-    std::span<const std::byte> payload;
-    bool delta;
-  };
-  std::vector<Link> links;
-  for (std::size_t back = 1;; ++back) {
-    if (back > kMaxDictChainWalk) return false;
-    const auto body = resolve(back);
-    if (body.empty()) return false;
-    Link link;
-    if (!locate_v2_dict_segment(body, dict_col, link.payload, link.delta)) return false;
-    links.push_back(link);
-    if (!link.delta) break;
-  }
-  std::vector<std::byte> seg_scratch;
-  std::vector<std::string> prev, tmp;
-  {
-    const auto stream = decompress_block_view(links.back().payload, seg_scratch);
-    if (!stream || !parse_full_dict(*stream, kMaxColumnarRecords, max_len, prev)) return false;
-  }
-  for (std::size_t i = links.size() - 1; i-- > 0;) {
-    const auto stream = decompress_block_view(links[i].payload, seg_scratch);
-    if (!stream) return false;
-    const std::uint32_t prev_crc = canonical_dict_crc(prev);
-    if (!apply_dict_delta(*stream, prev, prev_crc, kMaxColumnarRecords, max_len, tmp)) {
-      return false;
-    }
-    prev.swap(tmp);
-  }
-  if (canonical_dict_crc(prev) != want_crc) return false;
-  out.swap(prev);
-  return true;
 }
 
 // ---- encode helpers ------------------------------------------------------
@@ -319,13 +157,12 @@ struct SegmentSink {
 
 void encode_columnar_block_impl(std::span<const flow::FlowRecord> records,
                                 const services::ServiceCatalog& catalog, core::ByteWriter& out,
-                                EncodeScratch& es, const DictChainState* prev, const bool v2) {
+                                EncodeScratch& es) {
   const std::size_t n = records.size();
 
   // Pass 1: service ids, the service dictionary (first-appearance order)
-  // and the zone map. The service dictionary stays inline and full in both
-  // layouts — at most kServiceCount+1 bytes, below the break-even of any
-  // delta scheme.
+  // and the zone map. The service dictionary stays inline: at most
+  // kServiceCount+1 bytes.
   ZoneMap zone;
   zone.record_count = static_cast<std::uint32_t>(n);
   es.service_code.resize(n);
@@ -357,31 +194,16 @@ void encode_columnar_block_impl(std::span<const flow::FlowRecord> records,
   }
 
   // Pass 2: transpose into column streams, each with its own compression
-  // envelope so similar bytes sit together. Layout 2 stages numeric columns
-  // as u64 values and lets compress_u64_segment pick the codec; layout 1
-  // reproduces the legacy varint streams byte for byte.
+  // envelope so similar bytes sit together. Numeric columns are staged as
+  // u64 values and compress_u64_segment picks the codec per segment.
   SegmentSink sink(es);
   const auto numeric = [&](std::uint8_t id, auto&& get) {
-    if (v2) {
-      es.u64.resize(n);
-      for (std::size_t i = 0; i < n; ++i) es.u64[i] = get(i);
-      sink.add_values(id, es.u64);
-    } else {
-      es.stream.clear();
-      for (std::size_t i = 0; i < n; ++i) put_varint(es.stream, get(i));
-      sink.add(id, es.stream.view());
-    }
+    es.u64.resize(n);
+    for (std::size_t i = 0; i < n; ++i) es.u64[i] = get(i);
+    sink.add_values(id, es.u64);
   };
   const auto numeric_signed = [&](std::uint8_t id, auto&& get) {
-    if (v2) {
-      es.u64.resize(n);
-      for (std::size_t i = 0; i < n; ++i) es.u64[i] = zigzag(get(i));
-      sink.add_values(id, es.u64);
-    } else {
-      es.stream.clear();
-      for (std::size_t i = 0; i < n; ++i) put_varint_signed(es.stream, get(i));
-      sink.add(id, es.stream.view());
-    }
+    numeric(id, [&get](std::size_t i) { return zigzag(get(i)); });
   };
 
   numeric_signed(kColTs, [&records, prev_ts = std::int64_t{0}](std::size_t i) mutable {
@@ -402,32 +224,28 @@ void encode_columnar_block_impl(std::span<const flow::FlowRecord> records,
     if (constant) {
       es.stream.u8(kU8Constant);
       es.stream.u8(values[0]);
+      sink.add(id, es.stream.view());
+      return;
+    }
+    std::size_t rle_size = 1;
+    for (std::size_t i = 0; i < values.size();) {
+      std::size_t j = i + 1;
+      while (j < values.size() && values[j] == values[i]) ++j;
+      rle_size += varint_len(j - i) + 1;
+      i = j;
+    }
+    if (rle_size < 1 + values.size()) {
+      es.stream.u8(kU8Rle);
+      for (std::size_t i = 0; i < values.size();) {
+        std::size_t j = i + 1;
+        while (j < values.size() && values[j] == values[i]) ++j;
+        put_varint(es.stream, j - i);
+        es.stream.u8(values[i]);
+        i = j;
+      }
     } else {
-      bool rle = false;
-      if (v2) {
-        std::size_t rle_size = 1;
-        for (std::size_t i = 0; i < values.size();) {
-          std::size_t j = i + 1;
-          while (j < values.size() && values[j] == values[i]) ++j;
-          rle_size += varint_len(j - i) + 1;
-          i = j;
-        }
-        rle = rle_size < 1 + values.size();
-        if (rle) {
-          es.stream.u8(kU8Rle);
-          for (std::size_t i = 0; i < values.size();) {
-            std::size_t j = i + 1;
-            while (j < values.size() && values[j] == values[i]) ++j;
-            put_varint(es.stream, j - i);
-            es.stream.u8(values[i]);
-            i = j;
-          }
-        }
-      }
-      if (!rle) {
-        es.stream.u8(kU8Plain);
-        for (const auto v : values) es.stream.u8(v);
-      }
+      es.stream.u8(kU8Plain);
+      for (const auto v : values) es.stream.u8(v);
     }
     sink.add(id, es.stream.view());
   };
@@ -449,64 +267,36 @@ void encode_columnar_block_impl(std::span<const flow::FlowRecord> records,
     u8col(kColNameSource, [](const auto& r) { return static_cast<std::uint8_t>(r.name_source); });
   }
 
-  // Fixed-width columns: layout 1 keeps the little-endian raw streams;
-  // layout 2 routes them through the value codec (server IPs cluster, so
+  const auto field = [&](std::uint8_t id, auto&& get) {
+    numeric(id, [&](std::size_t i) { return static_cast<std::uint64_t>(get(records[i])); });
+  };
+  // Ports and IPs go through the value codec too (server IPs cluster, so
   // frame-of-reference packs them well below 4 bytes each).
-  if (v2) {
-    numeric(kColClientPort, [&](std::size_t i) { return std::uint64_t{records[i].client_port}; });
-  } else {
-    es.stream.clear();
-    for (const auto& r : records) {
-      es.stream.u8(static_cast<std::uint8_t>(r.client_port & 0xff));
-      es.stream.u8(static_cast<std::uint8_t>(r.client_port >> 8));
-    }
-    sink.add(kColClientPort, es.stream.view());
-  }
-  numeric(kColServerPort, [&](std::size_t i) { return std::uint64_t{records[i].server_port}; });
-  const auto fixed_u32 = [&](std::uint8_t id, auto&& get) {
-    if (v2) {
-      numeric(id, [&](std::size_t i) { return std::uint64_t{get(records[i])}; });
-    } else {
-      es.stream.clear();
-      for (const auto& r : records) es.stream.u32le(get(r));
-      sink.add(id, es.stream.view());
-    }
-  };
-  fixed_u32(kColClientIp, [](const auto& r) { return r.client_ip.value(); });
-  fixed_u32(kColServerIp, [](const auto& r) { return r.server_ip.value(); });
-
-  const auto dir_col = [&](std::uint8_t id, auto&& get) {
-    numeric(id, [&](std::size_t i) { return get(records[i]); });
-  };
-  dir_col(kColUpPkts, [](const auto& r) { return r.up.packets; });
-  dir_col(kColUpBytes, [](const auto& r) { return r.up.bytes; });
-  dir_col(kColUpHdr, [](const auto& r) { return r.up.bytes_with_hdr; });
-  dir_col(kColUpRetx, [](const auto& r) { return std::uint64_t{r.up.retransmits}; });
-  dir_col(kColUpOoo, [](const auto& r) { return std::uint64_t{r.up.out_of_order}; });
-  dir_col(kColDnPkts, [](const auto& r) { return r.down.packets; });
-  dir_col(kColDnBytes, [](const auto& r) { return r.down.bytes; });
-  dir_col(kColDnHdr, [](const auto& r) { return r.down.bytes_with_hdr; });
-  dir_col(kColDnRetx, [](const auto& r) { return std::uint64_t{r.down.retransmits}; });
-  dir_col(kColDnOoo, [](const auto& r) { return std::uint64_t{r.down.out_of_order}; });
-  dir_col(kColRttSamples, [](const auto& r) { return std::uint64_t{r.rtt.samples}; });
+  field(kColClientPort, [](const auto& r) { return r.client_port; });
+  field(kColServerPort, [](const auto& r) { return r.server_port; });
+  field(kColClientIp, [](const auto& r) { return r.client_ip.value(); });
+  field(kColServerIp, [](const auto& r) { return r.server_ip.value(); });
+  field(kColUpPkts, [](const auto& r) { return r.up.packets; });
+  field(kColUpBytes, [](const auto& r) { return r.up.bytes; });
+  field(kColUpHdr, [](const auto& r) { return r.up.bytes_with_hdr; });
+  field(kColUpRetx, [](const auto& r) { return r.up.retransmits; });
+  field(kColUpOoo, [](const auto& r) { return r.up.out_of_order; });
+  field(kColDnPkts, [](const auto& r) { return r.down.packets; });
+  field(kColDnBytes, [](const auto& r) { return r.down.bytes; });
+  field(kColDnHdr, [](const auto& r) { return r.down.bytes_with_hdr; });
+  field(kColDnRetx, [](const auto& r) { return r.down.retransmits; });
+  field(kColDnOoo, [](const auto& r) { return r.down.out_of_order; });
+  field(kColRttSamples, [](const auto& r) { return r.rtt.samples; });
   {
     // RTT stats exist only when samples > 0: dense sub-columns over those
     // rows, in row order (the row-aligned expansion at decode replays the
     // same order).
     const auto rtt_dense = [&](std::uint8_t id, auto&& get) {
-      if (v2) {
-        es.u64.clear();
-        for (const auto& r : records) {
-          if (r.rtt.samples > 0) es.u64.push_back(zigzag(get(r)));
-        }
-        sink.add_values(id, es.u64);
-      } else {
-        es.stream.clear();
-        for (const auto& r : records) {
-          if (r.rtt.samples > 0) put_varint_signed(es.stream, get(r));
-        }
-        sink.add(id, es.stream.view());
+      es.u64.clear();
+      for (const auto& r : records) {
+        if (r.rtt.samples > 0) es.u64.push_back(zigzag(get(r)));
       }
+      sink.add_values(id, es.u64);
     };
     rtt_dense(kColRttMin, [](const auto& r) { return r.rtt.min_us; });
     rtt_dense(kColRttMaxDelta, [](const auto& r) { return r.rtt.max_us - r.rtt.min_us; });
@@ -514,17 +304,12 @@ void encode_columnar_block_impl(std::span<const flow::FlowRecord> records,
       return static_cast<std::int64_t>(r.rtt.avg_us) - r.rtt.min_us;
     });
   }
-  dir_col(kColHttpStatus, [](const auto& r) { return std::uint64_t{r.http_status}; });
+  field(kColHttpStatus, [](const auto& r) { return r.http_status; });
 
-  // String dictionaries (server_name, content_type), first-appearance
-  // order. Layout 2 may delta-code the dictionary against the predecessor
-  // block's (the dict_link bits record the per-column choice); indexes go
-  // through the value codec. The delta is only taken when it is actually
-  // smaller than re-emitting the full dictionary.
-  std::uint8_t dict_link = 0;
-  const auto string_dict = [&](std::uint8_t dict_id, std::uint8_t idx_id,
-                               const std::vector<std::string>* prev_dict, std::uint32_t prev_crc,
-                               std::uint8_t delta_bit, auto&& get) {
+  // String dictionaries (server_name, content_type): the block's distinct
+  // values in first-appearance order, stored in full; per-row indexes go
+  // through the value codec.
+  const auto string_dict = [&](std::uint8_t dict_id, std::uint8_t idx_id, auto&& get) {
     auto& codes = es.dict_codes;
     codes.clear();
     es.dict_entries.clear();
@@ -539,72 +324,26 @@ void encode_columnar_block_impl(std::span<const flow::FlowRecord> records,
       }
       es.u64[i] = it->second;
     }
-    bool use_delta = false;
-    if (v2 && prev_dict != nullptr) {
-      auto& pc = es.prev_codes;
-      pc.clear();
-      for (std::size_t k = 0; k < prev_dict->size(); ++k) {
-        pc.try_emplace(std::string_view{(*prev_dict)[k]}, static_cast<std::uint32_t>(k + 1));
-      }
-      std::size_t full_size = varint_len(count);
-      std::size_t delta_size = 4 + varint_len(count);
-      for (const auto sv : es.dict_entries) {
-        const std::size_t literal = varint_len(sv.size()) + sv.size();
-        full_size += literal;
-        const auto it = pc.find(sv);
-        delta_size += it != pc.end() ? varint_len(it->second) : 1 + literal;
-      }
-      use_delta = delta_size < full_size;
-      if (use_delta) {
-        es.stream.clear();
-        es.stream.u32le(prev_crc);
-        put_varint(es.stream, count);
-        for (const auto sv : es.dict_entries) {
-          const auto it = pc.find(sv);
-          if (it != pc.end()) {
-            put_varint(es.stream, it->second);
-          } else {
-            put_varint(es.stream, 0);
-            put_varint(es.stream, sv.size());
-            es.stream.string(sv);
-          }
-        }
-        sink.add(dict_id, es.stream.view());
-        dict_link |= delta_bit;
-      }
+    es.stream.clear();
+    put_varint(es.stream, count);
+    for (const auto sv : es.dict_entries) {
+      put_varint(es.stream, sv.size());
+      es.stream.string(sv);
     }
-    if (!use_delta) {
-      es.stream.clear();
-      put_varint(es.stream, count);
-      for (const auto sv : es.dict_entries) {
-        put_varint(es.stream, sv.size());
-        es.stream.string(sv);
-      }
-      sink.add(dict_id, es.stream.view());
-    }
-    if (v2) {
-      sink.add_values(idx_id, es.u64);
-    } else {
-      es.stream.clear();
-      for (std::size_t i = 0; i < n; ++i) put_varint(es.stream, es.u64[i]);
-      sink.add(idx_id, es.stream.view());
-    }
+    sink.add(dict_id, es.stream.view());
+    sink.add_values(idx_id, es.u64);
   };
-  string_dict(kColNameDict, kColNameIdx, prev != nullptr ? &prev->name_dict : nullptr,
-              prev != nullptr ? prev->name_crc : 0, 1,
+  string_dict(kColNameDict, kColNameIdx,
               [](const auto& r) { return std::string_view{r.server_name}; });
-  string_dict(kColCtDict, kColCtIdx, prev != nullptr ? &prev->ct_dict : nullptr,
-              prev != nullptr ? prev->ct_crc : 0, 2,
+  string_dict(kColCtDict, kColCtIdx,
               [](const auto& r) { return std::string_view{r.content_type}; });
 
-  // Assemble: prefix | zone map | service dict | [dict_link] | directory |
-  // payloads.
+  // Assemble: prefix | zone map | service dict | directory | payloads.
   out.u8(kColumnarTag);
-  out.u8(v2 ? kColumnarLayoutV2 : kColumnarLayoutV1);
+  out.u8(kColumnarLayout);
   put_zone_map(out, zone);
   out.u8(svc_count);
   for (std::size_t i = 0; i < svc_count; ++i) out.u8(svc_dict[i]);
-  if (v2) out.u8(dict_link);
   out.u8(static_cast<std::uint8_t>(es.directory.size()));
   for (const auto& [id, len] : es.directory) {
     out.u8(id);
@@ -624,14 +363,7 @@ struct SegmentTable {
   }
 };
 
-/// Scheme gate: layout 1 predates the value codecs, so a FOR/RLE envelope in
-/// a layout-1 block is corruption, not data.
-[[nodiscard]] bool scheme_allowed(std::span<const std::byte> payload, bool v2) noexcept {
-  return !payload.empty() &&
-         (v2 || std::to_integer<std::uint8_t>(payload[0]) < kSchemeForBitpack);
-}
-
-[[nodiscard]] bool decode_u8_column(std::span<const std::byte> payload, bool v2,
+[[nodiscard]] bool decode_u8_column(std::span<const std::byte> payload,
                                     std::vector<std::byte>& scratch, std::size_t n,
                                     std::vector<std::uint8_t>& out) {
   const auto stream = decompress_block_view(payload, scratch);
@@ -643,7 +375,7 @@ struct SegmentTable {
     out.assign(n, std::to_integer<std::uint8_t>((*stream)[1]));
     return true;
   }
-  if (v2 && enc == kU8Rle) {
+  if (enc == kU8Rle) {
     out.resize(n);
     VarintCursor c(stream->subspan(1));
     std::size_t i = 0;
@@ -664,54 +396,33 @@ struct SegmentTable {
   return true;
 }
 
-template <typename T, typename Out>
-[[nodiscard]] bool decode_fixed_column(std::span<const std::byte> payload,
-                                       std::vector<std::byte>& scratch, std::size_t n,
-                                       std::vector<Out>& out) {
-  static_assert(sizeof(T) == sizeof(Out));
-  const auto stream = decompress_block_view(payload, scratch);
-  if (!stream || stream->size() != n * sizeof(T)) return false;
-  out.resize(n);
-  if (n != 0) std::memcpy(out.data(), stream->data(), n * sizeof(T));
-  return true;
-}
-
-/// Value segments (both layouts — a layout-1 varint stream is exactly the
-/// scheme-0/1 arm of the segment codec).
-[[nodiscard]] bool decode_value_column(std::span<const std::byte> payload, bool v2,
+[[nodiscard]] bool decode_value_column(std::span<const std::byte> payload,
                                        std::vector<std::byte>& scratch, std::size_t n,
                                        std::vector<std::uint64_t>& out) {
-  if (!scheme_allowed(payload, v2)) return false;
   out.resize(n);
   return decompress_u64_segment(payload, n, out.data(), scratch);
 }
 
-[[nodiscard]] bool decode_signed_column(std::span<const std::byte> payload, bool v2,
-                                        std::vector<std::byte>& scratch, std::size_t n,
-                                        std::int64_t* out) {
-  if (!scheme_allowed(payload, v2)) return false;
-  return decompress_zigzag_segment(payload, n, out, scratch);
-}
-
-/// Narrowing value column (layout 2's client_port/client_ip/server_ip): any
-/// value above the column's natural width is corruption.
+/// Narrowing value column (ports, IPs, dictionary indexes): any value at or
+/// above `limit` is corruption.
 template <typename Out>
 [[nodiscard]] bool decode_value_narrow(std::span<const std::byte> payload,
                                        std::vector<std::byte>& scratch,
                                        std::vector<std::uint64_t>& staging, std::size_t n,
-                                       std::vector<Out>& out) {
-  staging.resize(n);
-  if (!decompress_u64_segment(payload, n, staging.data(), scratch)) return false;
+                                       std::vector<Out>& out,
+                                       std::uint64_t limit = std::uint64_t{
+                                           std::numeric_limits<Out>::max()} + 1) {
+  if (!decode_value_column(payload, scratch, n, staging)) return false;
   out.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (staging[i] > std::numeric_limits<Out>::max()) return false;
+    if (staging[i] >= limit) return false;
     out[i] = static_cast<Out>(staging[i]);
   }
   return true;
 }
 
-/// Parse a string dictionary blob into views over `blob` (which receives
-/// the decompressed bytes and must outlive the views). Layout-1 path.
+/// Parse a string dictionary segment into views over `blob` (which receives
+/// the decompressed bytes and must outlive the views).
 [[nodiscard]] bool decode_string_dict(std::span<const std::byte> payload,
                                       std::vector<std::byte>& blob, std::size_t max_entries,
                                       std::size_t max_len, std::vector<std::string_view>& dict) {
@@ -735,67 +446,6 @@ template <typename Out>
   return r.remaining() == 0;
 }
 
-/// Layout-2 dictionary decode: resolve the (possibly delta-coded) dictionary
-/// into the scratch's double-buffered chain cache and point `views` at it.
-/// Delta links resolve against the cache when its CRC matches, else through
-/// the caller's resolver; neither path available → corrupt.
-[[nodiscard]] bool decode_dict_v2(std::span<const std::byte> payload, bool delta,
-                                  std::size_t max_entries, std::size_t max_len,
-                                  std::uint8_t dict_col, ColumnScratch& s,
-                                  std::array<std::vector<std::string>, 2>& bufs, unsigned& cur,
-                                  std::uint32_t& crc, bool& valid,
-                                  const PrevBlockResolver* resolver,
-                                  std::vector<std::string_view>& views) {
-  auto& next = bufs[1 - cur];
-  const auto stream = decompress_block_view(payload, s.chain_seg);
-  if (!stream) return false;
-  if (!delta) {
-    if (!parse_full_dict(*stream, max_entries, max_len, next)) return false;
-  } else {
-    core::ByteReader hdr(*stream);
-    const std::uint32_t prev_crc = hdr.u32le();
-    if (!hdr.ok()) return false;
-    if (valid && crc == prev_crc) {
-      if (!apply_dict_delta(*stream, bufs[cur], prev_crc, max_entries, max_len, next)) {
-        return false;
-      }
-    } else {
-      if (resolver == nullptr) return false;
-      // The walk reuses no scratch that `stream` may alias: it decompresses
-      // into its own local buffers.
-      std::vector<std::string> prev_dict;
-      if (!resolve_prev_dict_via_walk(dict_col, prev_crc, max_len, *resolver, prev_dict)) {
-        return false;
-      }
-      if (!apply_dict_delta(*stream, prev_dict, prev_crc, max_entries, max_len, next)) {
-        return false;
-      }
-    }
-  }
-  crc = canonical_dict_crc(next);
-  valid = true;
-  cur = 1 - cur;
-  views.clear();
-  views.reserve(next.size());
-  for (const auto& e : next) views.emplace_back(e);
-  return true;
-}
-
-[[nodiscard]] bool decode_index_column(std::span<const std::byte> payload, bool v2,
-                                       std::vector<std::byte>& scratch,
-                                       std::vector<std::uint64_t>& staging, std::size_t n,
-                                       std::size_t dict_size, std::vector<std::uint32_t>& out) {
-  if (!scheme_allowed(payload, v2)) return false;
-  staging.resize(n);
-  if (!decompress_u64_segment(payload, n, staging.data(), scratch)) return false;
-  out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (staging[i] >= dict_size) return false;
-    out[i] = static_cast<std::uint32_t>(staging[i]);
-  }
-  return true;
-}
-
 }  // namespace
 
 bool ScanPredicate::matches(const flow::FlowRecord& record) const {
@@ -814,75 +464,33 @@ unsigned segments_for_fields(std::uint32_t fields) noexcept {
   return segments_for_fields_impl(fields);
 }
 
-bool is_columnar_block(std::span<const std::byte> body) noexcept {
-  return !body.empty() && std::to_integer<std::uint8_t>(body[0]) == kColumnarTag;
-}
-
 std::optional<ZoneMap> peek_zone_map(std::span<const std::byte> body) noexcept {
   core::ByteReader r(body);
-  if (r.u8() != kColumnarTag) return std::nullopt;
-  const std::uint8_t layout = r.u8();
-  if (layout != kColumnarLayoutV1 && layout != kColumnarLayoutV2) return std::nullopt;
+  if (r.u8() != kColumnarTag || r.u8() != kColumnarLayout) return std::nullopt;
   const ZoneMap z = get_zone_map(r);
   if (!r.ok() || z.record_count > kMaxColumnarRecords) return std::nullopt;
   return z;
 }
 
-void build_dict_chain_state(std::span<const flow::FlowRecord> prev_records, DictChainState& out) {
-  const auto build = [&](std::vector<std::string>& dict, std::uint32_t& crc, auto&& get) {
-    core::FlatHashMap<std::string_view, std::uint32_t, core::StringHash> codes;
-    std::size_t count = 0;
-    for (const auto& r : prev_records) {
-      const std::string_view sv = get(r);
-      const auto [it, inserted] = codes.try_emplace(sv, static_cast<std::uint32_t>(count));
-      if (!inserted) continue;
-      if (count < dict.size()) {
-        dict[count].assign(sv);
-      } else {
-        dict.emplace_back(sv);
-      }
-      ++count;
-    }
-    dict.resize(count);
-    crc = canonical_dict_crc(dict);
-  };
-  build(out.name_dict, out.name_crc,
-        [](const auto& r) { return std::string_view{r.server_name}; });
-  build(out.ct_dict, out.ct_crc, [](const auto& r) { return std::string_view{r.content_type}; });
+void encode_columnar_block(std::span<const flow::FlowRecord> records,
+                           const services::ServiceCatalog& catalog, core::ByteWriter& out,
+                           EncodeScratch& scratch) {
+  encode_columnar_block_impl(records, catalog, out, scratch);
 }
 
 void encode_columnar_block(std::span<const flow::FlowRecord> records,
                            const services::ServiceCatalog& catalog, core::ByteWriter& out) {
   EncodeScratch scratch;
-  encode_columnar_block_impl(records, catalog, out, scratch, nullptr, /*v2=*/true);
-}
-
-void encode_columnar_block(std::span<const flow::FlowRecord> records,
-                           const services::ServiceCatalog& catalog, core::ByteWriter& out,
-                           EncodeScratch& scratch, const DictChainState* prev) {
-  encode_columnar_block_impl(records, catalog, out, scratch, prev, /*v2=*/true);
-}
-
-void encode_columnar_block_layout1(std::span<const flow::FlowRecord> records,
-                                   const services::ServiceCatalog& catalog,
-                                   core::ByteWriter& out) {
-  EncodeScratch scratch;
-  encode_columnar_block_impl(records, catalog, out, scratch, nullptr, /*v2=*/false);
+  encode_columnar_block_impl(records, catalog, out, scratch);
 }
 
 BlockDecodeStatus decode_columnar_batch(std::span<const std::byte> body, ColumnScratch& s,
                                         const ScanPredicate* predicate,
                                         exec::RecordBatch& batch,
-                                        std::uint32_t expected_records,
-                                        const PrevBlockResolver* prev_blocks) {
+                                        std::uint32_t expected_records) {
   batch = exec::RecordBatch{};  // empty until the decode proves the block
   core::ByteReader r(body);
-  if (r.u8() != kColumnarTag) return BlockDecodeStatus::kCorrupt;
-  const std::uint8_t layout = r.u8();
-  if (layout != kColumnarLayoutV1 && layout != kColumnarLayoutV2) {
-    return BlockDecodeStatus::kCorrupt;
-  }
-  const bool v2 = layout == kColumnarLayoutV2;
+  if (r.u8() != kColumnarTag || r.u8() != kColumnarLayout) return BlockDecodeStatus::kCorrupt;
   const ZoneMap zone = get_zone_map(r);
   if (!r.ok() || zone.record_count > kMaxColumnarRecords) return BlockDecodeStatus::kCorrupt;
   if (expected_records != kAnyRecordCount && zone.record_count != expected_records) {
@@ -901,15 +509,7 @@ BlockDecodeStatus decode_columnar_batch(std::span<const std::byte> body, ColumnS
     dict[i] = sid;
   }
 
-  // Layout 2: the dictionary-chain link byte. Undefined bits must be zero so
-  // they stay available to future layouts.
-  std::uint8_t dict_link = 0;
-  if (v2) {
-    dict_link = r.u8();
-    if (!r.ok() || (dict_link & 0xfc) != 0) return BlockDecodeStatus::kCorrupt;
-  }
-
-  // Segment directory: each column exactly once, both layouts.
+  // Segment directory: each column exactly once.
   SegmentTable segs;
   const std::uint8_t seg_count = r.u8();
   if (!r.ok() || seg_count != kColumnCount) return BlockDecodeStatus::kCorrupt;
@@ -936,11 +536,11 @@ BlockDecodeStatus decode_columnar_batch(std::span<const std::byte> body, ColumnS
   // Filter columns first: timestamps, service, proto. When a predicate
   // selects nothing, the remaining 29 segments are never decompressed.
   s.ts.resize(n);
-  if (!decode_signed_column(segs.seg[kColTs], v2, s.seg, n, s.ts.data())) {
+  if (!decompress_zigzag_segment(segs.seg[kColTs], n, s.ts.data(), s.seg)) {
     return BlockDecodeStatus::kCorrupt;
   }
-  if (!decode_u8_column(segs.seg[kColService], v2, s.seg, n, s.service) ||
-      !decode_u8_column(segs.seg[kColProto], v2, s.seg, n, s.proto)) {
+  if (!decode_u8_column(segs.seg[kColService], s.seg, n, s.service) ||
+      !decode_u8_column(segs.seg[kColProto], s.seg, n, s.proto)) {
     return BlockDecodeStatus::kCorrupt;
   }
 
@@ -999,54 +599,32 @@ BlockDecodeStatus decode_columnar_batch(std::span<const std::byte> body, ColumnS
   const auto want = [fields](std::uint32_t bit) noexcept { return (fields & bit) != 0; };
   const bool want_rtt = want(scan_fields::kRttMin | scan_fields::kRttSpread);
   const auto vcol = [&](Column id, std::vector<std::uint64_t>& out) {
-    return decode_value_column(segs.seg[id], v2, s.seg, n, out);
+    return decode_value_column(segs.seg[id], s.seg, n, out);
   };
   if (want(scan_fields::kLastPacket)) {
     s.dur.resize(n);
-    if (!decode_signed_column(segs.seg[kColDur], v2, s.seg, n, s.dur.data())) {
+    if (!decompress_zigzag_segment(segs.seg[kColDur], n, s.dur.data(), s.seg)) {
       return BlockDecodeStatus::kCorrupt;
     }
   }
   if ((want(scan_fields::kAccess) &&
-       !decode_u8_column(segs.seg[kColAccess], v2, s.seg, n, s.access)) ||
+       !decode_u8_column(segs.seg[kColAccess], s.seg, n, s.access)) ||
       (want(scan_fields::kCloseState) &&
-       !decode_u8_column(segs.seg[kColFlags], v2, s.seg, n, s.flags)) ||
-      (want(scan_fields::kL7) && !decode_u8_column(segs.seg[kColL7], v2, s.seg, n, s.l7)) ||
-      (want(scan_fields::kWeb) && !decode_u8_column(segs.seg[kColWeb], v2, s.seg, n, s.web)) ||
+       !decode_u8_column(segs.seg[kColFlags], s.seg, n, s.flags)) ||
+      (want(scan_fields::kL7) && !decode_u8_column(segs.seg[kColL7], s.seg, n, s.l7)) ||
+      (want(scan_fields::kWeb) && !decode_u8_column(segs.seg[kColWeb], s.seg, n, s.web)) ||
       (want(scan_fields::kNameSource) &&
-       !decode_u8_column(segs.seg[kColNameSource], v2, s.seg, n, s.name_source))) {
+       !decode_u8_column(segs.seg[kColNameSource], s.seg, n, s.name_source))) {
     return BlockDecodeStatus::kCorrupt;
   }
-  if (v2) {
-    if ((want(scan_fields::kClientPort) &&
-         !decode_value_narrow(segs.seg[kColClientPort], s.seg, s.u64_tmp, n, s.cport)) ||
-        (want(scan_fields::kClientIp) &&
-         !decode_value_narrow(segs.seg[kColClientIp], s.seg, s.u64_tmp, n, s.cip)) ||
-        !decode_value_narrow(segs.seg[kColServerIp], s.seg, s.u64_tmp, n, s.sip)) {
-      return BlockDecodeStatus::kCorrupt;
-    }
-  } else {
-    if ((want(scan_fields::kClientPort) &&
-         !decode_fixed_column<std::uint16_t>(segs.seg[kColClientPort], s.seg, n, s.cport)) ||
-        (want(scan_fields::kClientIp) &&
-         !decode_fixed_column<std::uint32_t>(segs.seg[kColClientIp], s.seg, n, s.cip)) ||
-        !decode_fixed_column<std::uint32_t>(segs.seg[kColServerIp], s.seg, n, s.sip)) {
-      return BlockDecodeStatus::kCorrupt;
-    }
-    // Layout-1 fixed-width columns are little-endian on the wire and
-    // memcpy'd in; normalize on big-endian hosts. (Layout 2 decodes them as
-    // value segments, which are endian-neutral.)
-    if constexpr (std::endian::native == std::endian::big) {
-      for (auto& v : s.cport) v = static_cast<std::uint16_t>((v >> 8) | (v << 8));
-      for (auto* col : {&s.cip, &s.sip}) {
-        for (auto& v : *col) v = __builtin_bswap32(v);
-      }
-    }
-  }
-  if (want(scan_fields::kServerPort)) {
-    if (!vcol(kColServerPort, s.u64_tmp)) return BlockDecodeStatus::kCorrupt;
-    s.sport.resize(n);
-    for (std::size_t i = 0; i < n; ++i) s.sport[i] = static_cast<std::uint16_t>(s.u64_tmp[i]);
+  if ((want(scan_fields::kClientPort) &&
+       !decode_value_narrow(segs.seg[kColClientPort], s.seg, s.u64_tmp, n, s.cport)) ||
+      (want(scan_fields::kServerPort) &&
+       !decode_value_narrow(segs.seg[kColServerPort], s.seg, s.u64_tmp, n, s.sport)) ||
+      (want(scan_fields::kClientIp) &&
+       !decode_value_narrow(segs.seg[kColClientIp], s.seg, s.u64_tmp, n, s.cip)) ||
+      !decode_value_narrow(segs.seg[kColServerIp], s.seg, s.u64_tmp, n, s.sip)) {
+    return BlockDecodeStatus::kCorrupt;
   }
   if ((want(scan_fields::kUpPackets) && !vcol(kColUpPkts, s.up_pkts)) ||
       (want(scan_fields::kUpBytes) && !vcol(kColUpBytes, s.up_bytes)) ||
@@ -1070,7 +648,7 @@ BlockDecodeStatus decode_columnar_batch(std::span<const std::byte> body, ColumnS
     const auto dense_zigzag = [&](Column id, std::vector<std::int64_t>& col) {
       s.u64_tmp.resize(rtt_rows);
       auto* dense = reinterpret_cast<std::int64_t*>(s.u64_tmp.data());
-      if (!decode_signed_column(segs.seg[id], v2, s.seg, rtt_rows, dense)) return false;
+      if (!decompress_zigzag_segment(segs.seg[id], rtt_rows, dense, s.seg)) return false;
       col.resize(n);
       std::size_t k = 0;
       for (std::size_t i = 0; i < n; ++i) col[i] = s.rtt_samples[i] > 0 ? dense[k++] : 0;
@@ -1083,8 +661,7 @@ BlockDecodeStatus decode_columnar_batch(std::span<const std::byte> body, ColumnS
         return BlockDecodeStatus::kCorrupt;
       }
       // Resolve the deltas here so the batch contract exposes values, not
-      // the storage coding. avg stays the writer's integer quantization —
-      // exactly what the row path has always delivered for v3 days.
+      // the storage coding. avg stays the writer's integer quantization.
       s.rtt_max.resize(n);
       s.rtt_avg.resize(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -1098,27 +675,17 @@ BlockDecodeStatus decode_columnar_batch(std::span<const std::byte> body, ColumnS
       }
     }
   }
-  if (want(scan_fields::kServerName)) {
-    const bool dict_ok =
-        v2 ? decode_dict_v2(segs.seg[kColNameDict], (dict_link & 1) != 0, n, kMaxNameLen,
-                            kColNameDict, s, s.chain_name_bufs, s.chain_name_cur,
-                            s.chain_name_crc, s.chain_name_valid, prev_blocks, s.name_dict)
-           : decode_string_dict(segs.seg[kColNameDict], s.name_blob, n, kMaxNameLen, s.name_dict);
-    if (!dict_ok || !decode_index_column(segs.seg[kColNameIdx], v2, s.seg, s.u64_tmp, n,
-                                         s.name_dict.size(), s.name_idx)) {
-      return BlockDecodeStatus::kCorrupt;
-    }
+  if (want(scan_fields::kServerName) &&
+      (!decode_string_dict(segs.seg[kColNameDict], s.name_blob, n, kMaxNameLen, s.name_dict) ||
+       !decode_value_narrow(segs.seg[kColNameIdx], s.seg, s.u64_tmp, n, s.name_idx,
+                            s.name_dict.size()))) {
+    return BlockDecodeStatus::kCorrupt;
   }
-  if (want(scan_fields::kContentType)) {
-    const bool dict_ok =
-        v2 ? decode_dict_v2(segs.seg[kColCtDict], (dict_link & 2) != 0, n, kMaxCtLen, kColCtDict,
-                            s, s.chain_ct_bufs, s.chain_ct_cur, s.chain_ct_crc, s.chain_ct_valid,
-                            prev_blocks, s.ct_dict)
-           : decode_string_dict(segs.seg[kColCtDict], s.ct_blob, n, kMaxCtLen, s.ct_dict);
-    if (!dict_ok || !decode_index_column(segs.seg[kColCtIdx], v2, s.seg, s.u64_tmp, n,
-                                         s.ct_dict.size(), s.ct_idx)) {
-      return BlockDecodeStatus::kCorrupt;
-    }
+  if (want(scan_fields::kContentType) &&
+      (!decode_string_dict(segs.seg[kColCtDict], s.ct_blob, n, kMaxCtLen, s.ct_dict) ||
+       !decode_value_narrow(segs.seg[kColCtIdx], s.seg, s.u64_tmp, n, s.ct_idx,
+                            s.ct_dict.size()))) {
+    return BlockDecodeStatus::kCorrupt;
   }
 
   // Server-IP zone check needs the decoded column; done here so a filtered
@@ -1134,9 +701,7 @@ BlockDecodeStatus decode_columnar_batch(std::span<const std::byte> body, ColumnS
 
   // Point the batch at the decoded columns. Spans are set exactly for the
   // columns the gates above filled — an unprojected span stays empty, never
-  // stale. From here on the block's rows move as one SoA unit; the old
-  // per-row FlowRecord emission lives on only as the exec::materialize_rows
-  // shim behind decode_columnar_block.
+  // stale. From here on the block's rows move as one SoA unit.
   batch.rows = n;
   if (filtered) batch.sel = s.sel;
   batch.ts = s.ts;
@@ -1184,20 +749,6 @@ BlockDecodeStatus decode_columnar_batch(std::span<const std::byte> body, ColumnS
     batch.ct_dict = s.ct_dict;
   }
   return zone_lied ? BlockDecodeStatus::kZoneMapLied : BlockDecodeStatus::kOk;
-}
-
-BlockDecodeStatus decode_columnar_block(std::span<const std::byte> body, ColumnScratch& s,
-                                        const ScanPredicate* predicate,
-                                        std::uint64_t& records_delivered,
-                                        core::FunctionRef<void(const flow::FlowRecord&)> fn,
-                                        std::uint32_t expected_records,
-                                        const PrevBlockResolver* prev_blocks) {
-  exec::RecordBatch batch;
-  const auto status =
-      decode_columnar_batch(body, s, predicate, batch, expected_records, prev_blocks);
-  if (status == BlockDecodeStatus::kCorrupt) return status;
-  exec::materialize_rows(batch, s.rec, fn, records_delivered);
-  return status;
 }
 
 }  // namespace edgewatch::storage

@@ -1,10 +1,10 @@
-// Columnar `.ewl` v3 block bodies: the read-optimized counterpart of the
-// row-oriented v2 stream (paper §2.2 — the analytics side re-scans years of
-// day logs, so the scan path must be able to *skip* and to decode in batch).
+// Columnar `.ewl` block bodies, the lake's one body format (paper §2.2 —
+// the analytics side re-scans years of day logs, so the scan path must be
+// able to *skip* and to decode in batch).
 //
 // Within one CRC-framed lake block, records are transposed into per-field
-// column segments, each with its own varint/fixed-width stream and its own
-// compression envelope (similar bytes sit together, so the LZ pass bites
+// column segments, each with its own value stream and its own compression
+// envelope (similar bytes sit together, so the LZ pass bites
 // harder and a stored fallback costs nothing). The body is prefixed by a
 // fixed-width **zone map** — per-block min/max timestamp, service-id bitmap,
 // transport-protocol bitmap, server-IP range, record count — that a
@@ -19,38 +19,25 @@
 // this; DESIGN.md §12 states the contract).
 //
 // Body layout (all integers little-endian; the body sits verbatim inside a
-// v2-style CRC frame, so every byte below is checksummed):
+// CRC frame of the day file, so every byte below is checksummed):
 //
-//   u8  tag = 0xC3            distinguishes columnar bodies from the v1/v2
-//                             compression envelope (scheme bytes 0x00/0x01)
-//   u8  layout = 1 | 2
+//   u8  tag = 0xC3
+//   u8  layout = 3            any other value is corruption
 //   zone map (36 bytes):      i64 ts_min_us | i64 ts_max_us
 //                             | u32 service_bitmap | u32 proto_bitmap
 //                             | u32 server_ip_min | u32 server_ip_max
 //                             | u32 record_count
 //   u8  dict_size, then dict_size × u8 global ServiceId  (service dictionary)
-//   [layout 2 only] u8 dict_link — bit0: name dict delta-coded against the
-//                             previous block, bit1: content-type dict ditto,
-//                             higher bits must be zero
 //   u8  segment_count, then per segment: u8 column_id | varint payload_len
 //   segment payloads, each a compress.hpp envelope of the column stream
 //
-// Layout 2 (codec v2, the write default) differs from layout 1 only in how
-// segment payloads are packed, never in which columns exist:
-//
-//  * Numeric columns use the adaptive value-segment codec
-//    (compress_u64_segment): per segment the smallest of {stored varint,
-//    LZ varint, frame-of-reference bitpack, run-length} wins. A layout-1
-//    numeric segment is exactly the "stored/LZ varint" arm, so one decoder
-//    serves both layouts.
-//  * u8 columns add a run-length stream variant next to constant/plain.
-//  * The server-name and content-type dictionaries may be delta-coded
-//    against the previous block of the same day file (dict_link bits):
-//    repeated entries cost one varint back-reference instead of the string
-//    bytes. Delta chains restart at least every kDictChainInterval blocks
-//    and never cross an append boundary; each link carries the CRC of the
-//    predecessor's canonical full dictionary, so resolving against the
-//    wrong block fails loudly instead of mis-resolving.
+// Every block is self-contained: its server-name and content-type
+// dictionaries are stored in full, so any block decodes on its own — a
+// pruned, damaged or parallel-scanned neighbour never matters. Numeric
+// columns use the adaptive value-segment codec (compress_u64_segment: per
+// segment the smallest of {stored varint, LZ varint, frame-of-reference
+// bitpack, run-length} wins); u8 columns pick constant, plain or
+// run-length per block.
 #pragma once
 
 #include <array>
@@ -64,7 +51,6 @@
 
 #include "core/bytes.hpp"
 #include "core/flat_hash_map.hpp"
-#include "core/function_ref.hpp"
 #include "core/hash.hpp"
 #include "core/types.hpp"
 #include "exec/record_batch.hpp"
@@ -75,15 +61,11 @@
 namespace edgewatch::storage {
 
 inline constexpr std::uint8_t kColumnarTag = 0xC3;
-inline constexpr std::uint8_t kColumnarLayoutV1 = 1;
-inline constexpr std::uint8_t kColumnarLayoutV2 = 2;
+/// The one body layout this code reads and writes. Layouts 1 and 2 (older
+/// files) are rejected at the file header before any body is read.
+inline constexpr std::uint8_t kColumnarLayout = 3;
 /// Sanity ceiling on the per-block record count a zone map may declare.
 inline constexpr std::uint32_t kMaxColumnarRecords = 1u << 20;
-/// A layout-2 dictionary delta chain restarts (full dictionaries are
-/// re-emitted) at least every this many blocks within one append, and
-/// always at the first block of an append. Bounds how far a random-access
-/// decode may have to walk back to resolve a chain.
-inline constexpr std::size_t kDictChainInterval = 8;
 
 /// Compact bit index for the transport-protocol bitmaps: TransportProto
 /// values are IANA numbers (6/17/255), too sparse for a direct bitmap.
@@ -121,13 +103,13 @@ struct ScanPredicate {
   std::uint32_t service_mask = 0;
   /// Bit per proto_bit(TransportProto); 0 = any transport.
   std::uint32_t proto_mask = 0;
-  /// Classifier for row-format (v1/v2) record filtering when service_mask
-  /// is set; nullptr = services::ServiceCatalog::standard(). v3 blocks
-  /// filter on their materialized service column instead (written with the
-  /// lake's write catalog — the same standard catalog by default).
+  /// Classifier matches() uses when service_mask is set; nullptr =
+  /// services::ServiceCatalog::standard(). Lake scans filter on the blocks'
+  /// materialized service column instead (written with the standard
+  /// catalog).
   const services::ServiceCatalog* catalog = nullptr;
   /// Projection (scan_fields bits): which record fields the consumer will
-  /// read. kAll decodes everything; a narrower mask lets v3 blocks skip the
+  /// read. kAll decodes everything; a narrower mask lets blocks skip the
   /// unreferenced column segments entirely. Orthogonal to the row filters
   /// above — a fields-only predicate is still an unrestricted (full) scan.
   std::uint32_t fields = scan_fields::kAll;
@@ -148,8 +130,8 @@ struct ScanPredicate {
     return true;
   }
 
-  /// Row-level match for already-materialized records (the v1/v2 path and
-  /// the post-decode oracle the golden tests compare against).
+  /// Row-level match for already-materialized records: the post-decode
+  /// oracle the golden tests compare pushdown against.
   [[nodiscard]] bool matches(const flow::FlowRecord& record) const;
 
   /// Convenience: restrict to one service.
@@ -195,7 +177,8 @@ struct ColumnScratch {
   std::vector<std::int64_t> rtt_max;
   std::vector<double> rtt_avg;
   std::vector<std::uint32_t> name_idx, ct_idx;
-  // String dictionaries: views into the two persistent blob buffers below.
+  // String dictionaries: views into the two blob buffers below, which hold
+  // the block's decompressed dictionary segments.
   std::vector<std::string_view> name_dict, ct_dict;
   std::vector<std::byte> name_blob, ct_blob;
   /// Per-segment decompression scratch (reused; stored segments decode
@@ -205,28 +188,6 @@ struct ColumnScratch {
   std::vector<std::uint64_t> u64_tmp;
   /// Selected row indexes of a filtered decode.
   std::vector<std::uint32_t> sel;
-  /// The one FlowRecord object rows are emitted through: string capacity is
-  /// reused across rows and blocks, so a full-day scan performs no
-  /// per-record allocation once the dictionaries warmed the buffers.
-  flow::FlowRecord rec;
-  // Layout-2 dictionary chain cache: the owned, fully-resolved name and
-  // content-type dictionaries of the block this scratch decoded last, keyed
-  // by the CRC of their canonical full serialization. A sequential scan
-  // resolves each delta link against this cache (one CRC compare); on a
-  // miss — random-access entry mid-chain, or a damaged predecessor — the
-  // decoder walks back through the caller's PrevBlockResolver instead.
-  // Double-buffered: block b+1's dictionary is built into the idle buffer
-  // while back-referencing block b's, then the buffers flip; string capacity
-  // is reused across blocks (resize + assign), so the steady-state scan of a
-  // delta chain allocates nothing. name_dict/ct_dict above view into the
-  // active buffer for layout-2 blocks.
-  std::array<std::vector<std::string>, 2> chain_name_bufs, chain_ct_bufs;
-  unsigned chain_name_cur = 0, chain_ct_cur = 0;
-  std::uint32_t chain_name_crc = 0, chain_ct_crc = 0;
-  bool chain_name_valid = false, chain_ct_valid = false;
-  /// Decompression scratch for predecessor bodies during a chain walk
-  /// (s.seg holds the current block's segment at that point).
-  std::vector<std::byte> chain_seg;
 };
 
 /// Encode-side scratch mirroring ScanScratch: column staging arrays, the
@@ -241,10 +202,9 @@ struct EncodeScratch {
   std::vector<std::uint8_t> service_code;  ///< pass-1 per-row dict codes
   core::ByteWriter stream;                 ///< byte-stream staging (fixed cols, dicts)
   /// String-dictionary staging: first-appearance entries (views into the
-  /// records being encoded) and the interning / predecessor-lookup maps.
+  /// records being encoded) and the interning map.
   std::vector<std::string_view> dict_entries;
   core::FlatHashMap<std::string_view, std::uint32_t, core::StringHash> dict_codes;
-  core::FlatHashMap<std::string_view, std::uint32_t, core::StringHash> prev_codes;
   std::vector<std::byte> payloads;
   std::vector<std::pair<std::uint8_t, std::uint32_t>> directory;  // id → len
   /// Per-codec envelope byte tallies for this scratch, indexed by
@@ -254,28 +214,12 @@ struct EncodeScratch {
   std::array<std::uint64_t, 4> codec_bytes_out{};
 };
 
-/// Encoder-side dictionary chain state: the name/content-type dictionaries
-/// a block's predecessor would decode to, plus the CRCs of their canonical
-/// full serializations. Derived deterministically from the predecessor's
-/// records via build_dict_chain_state — both the serial and the parallel
-/// writer recompute it the same way, which is what keeps their outputs
-/// byte-identical without threading state through the pipeline.
-struct DictChainState {
-  std::vector<std::string> name_dict, ct_dict;
-  std::uint32_t name_crc = 0, ct_crc = 0;
-};
-
-/// Compute the chain state a block whose predecessor holds `prev_records`
-/// encodes against (first-appearance dictionary order, same as the block
-/// encoder itself). `out` is cleared and refilled, reusing capacity.
-void build_dict_chain_state(std::span<const flow::FlowRecord> prev_records, DictChainState& out);
-
 /// Outcome of decoding one columnar body.
 enum class BlockDecodeStatus : std::uint8_t {
   kOk = 0,
   /// Structural damage (bad tag/dictionary/segment, torn column, count
-  /// mismatch). No record of the block is delivered — columnar blocks
-  /// decode atomically, unlike the v2 row stream's valid-prefix delivery.
+  /// mismatch). No record of the block is delivered — blocks decode
+  /// atomically.
   kCorrupt,
   /// Every record decoded and was delivered, but at least one contradicts
   /// the zone map (a record outside the claimed time/service/proto/IP
@@ -286,15 +230,11 @@ enum class BlockDecodeStatus : std::uint8_t {
 
 /// Number of column segments a full decode under this projection mask must
 /// touch (out of the fixed per-block segment count — the always-decoded
-/// filter/zone columns included). Mirrors decode_columnar_block's gates;
+/// filter/zone columns included). Mirrors decode_columnar_batch's gates;
 /// observability uses it to count segments *skipped* by a projection.
 [[nodiscard]] unsigned segments_for_fields(std::uint32_t fields) noexcept;
-/// Segments per columnar block (layout v1); segments_for_fields(kAll).
+/// Segments per columnar block; segments_for_fields(kAll).
 inline constexpr unsigned kColumnSegmentCount = 32;
-
-/// True when `body` carries the columnar tag (v3); false for the v1/v2
-/// compression envelope.
-[[nodiscard]] bool is_columnar_block(std::span<const std::byte> body) noexcept;
 
 /// Read just the fixed-width zone map — no decompression, no column decode.
 /// nullopt on a malformed prefix.
@@ -302,62 +242,32 @@ inline constexpr unsigned kColumnSegmentCount = 32;
 
 /// Transpose `records` into a columnar body appended to `out`. `catalog`
 /// materializes the per-record service ids (dictionary-coded) and the zone
-/// map's service bitmap. This convenience overload emits a layout-2 chain
-/// head (fresh dictionaries) with its own scratch.
+/// map's service bitmap. `scratch` is reused across calls, so a writer that
+/// keeps one per encode context allocates nothing in the steady state.
+void encode_columnar_block(std::span<const flow::FlowRecord> records,
+                           const services::ServiceCatalog& catalog, core::ByteWriter& out,
+                           EncodeScratch& scratch);
+/// Convenience overload with its own scratch.
 void encode_columnar_block(std::span<const flow::FlowRecord> records,
                            const services::ServiceCatalog& catalog, core::ByteWriter& out);
 
-/// Full layout-2 encoder. `prev` is the dictionary chain state of the
-/// block's predecessor within the same append, or nullptr for a chain head
-/// (first block of an append, and every kDictChainInterval-th after it).
-/// Even with `prev` set, a dictionary is only delta-coded when the delta is
-/// actually smaller — the dict_link bits record the per-block choice.
-void encode_columnar_block(std::span<const flow::FlowRecord> records,
-                           const services::ServiceCatalog& catalog, core::ByteWriter& out,
-                           EncodeScratch& scratch, const DictChainState* prev);
-
-/// Layout-1 encoder, byte-identical to the pre-codec-v2 writer. Kept so
-/// read-compat tests can fabricate historical blocks; production writes go
-/// through the layout-2 overloads above.
-void encode_columnar_block_layout1(std::span<const flow::FlowRecord> records,
-                                   const services::ServiceCatalog& catalog,
-                                   core::ByteWriter& out);
-
-/// Resolves the body of the block `back` positions (1 = immediate
-/// predecessor) before the one being decoded, in the parse order of the
-/// same day file. Returns an empty span when unavailable. Only consulted to
-/// resolve layout-2 dictionary delta chains on random access — sequential
-/// scans hit the ColumnScratch chain cache instead.
-using PrevBlockResolver = core::FunctionRef<std::span<const std::byte>(std::size_t back)>;
-
-/// Decode a columnar body (either layout), delivering records (in row
-/// order) to `fn`. With a predicate, only matching records are delivered —
-/// the filter columns (timestamp, service, proto) decode first and, when
-/// nothing matches, the remaining segments are never touched.
-/// `expected_records` cross-checks the frame header's count (pass
-/// kAnyRecordCount to skip). records_delivered counts what `fn` saw.
-/// `prev_blocks`, when non-null, resolves dictionary delta chains that the
-/// scratch's cache cannot; a delta block that resolves through neither is
-/// kCorrupt — never silently mis-resolved.
+/// Frame-header count placeholder for decode_columnar_batch: skip the
+/// cross-check.
 inline constexpr std::uint32_t kAnyRecordCount = 0xffffffffu;
-[[nodiscard]] BlockDecodeStatus decode_columnar_block(
-    std::span<const std::byte> body, ColumnScratch& scratch, const ScanPredicate* predicate,
-    std::uint64_t& records_delivered, core::FunctionRef<void(const flow::FlowRecord&)> fn,
-    std::uint32_t expected_records = kAnyRecordCount,
-    const PrevBlockResolver* prev_blocks = nullptr);
 
-/// Native batch decode — the primary columnar read path since the batch
-/// refactor (decode_columnar_block is this plus the exec::materialize_rows
-/// row shim). Decodes the body into `scratch` and points `batch` at the
-/// resulting columns: same filter-first segment gating, predicate pushdown,
-/// projection skipping and zone cross-checks as the row path, but the
-/// dictionary-coded name/content-type columns pass through as dict codes —
-/// no per-row string traffic. On kCorrupt the batch is left empty; on
-/// kZoneMapLied the rows are still delivered (advisory-never-authoritative).
-/// The batch views `scratch` and stays valid until its next decode.
+/// Decode a columnar body into `scratch` and point `batch` at the resulting
+/// columns. With a predicate, the filter columns (timestamp, service,
+/// proto) decode first and, when nothing matches, the remaining segments
+/// are never touched; surviving rows are named by the batch's selection
+/// vector. Segments backing no projected field (predicate->fields) are
+/// skipped, and the name/content-type columns pass through as dictionary
+/// codes — no per-row string traffic. `expected_records` cross-checks the
+/// frame header's count (kAnyRecordCount skips it). On kCorrupt the batch is
+/// left empty; on kZoneMapLied the rows are still delivered
+/// (advisory-never-authoritative). The batch views `scratch` and stays
+/// valid until its next decode.
 [[nodiscard]] BlockDecodeStatus decode_columnar_batch(
     std::span<const std::byte> body, ColumnScratch& scratch, const ScanPredicate* predicate,
-    exec::RecordBatch& batch, std::uint32_t expected_records = kAnyRecordCount,
-    const PrevBlockResolver* prev_blocks = nullptr);
+    exec::RecordBatch& batch, std::uint32_t expected_records = kAnyRecordCount);
 
 }  // namespace edgewatch::storage

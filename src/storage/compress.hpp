@@ -9,7 +9,7 @@
 //    incompressible path falls back to a stored block so compress() never
 //    expands by more than the 5-byte header.
 //
-//  * Value-segment codecs (schemes 2/3, columnar layout v2): integer
+//  * Value-segment codecs (schemes 2/3, the lake's columnar blocks): integer
 //    columns skip byte-stream compression entirely and are packed by shape
 //    instead — frame-of-reference bitpacking for clustered values
 //    (timestamps, counters) and run-length encoding for constant/sorted
@@ -34,8 +34,7 @@ namespace edgewatch::storage {
 /// block-size ceiling.
 inline constexpr std::size_t kMaxDecompressedSize = std::size_t{1} << 26;
 
-/// Envelope scheme tags: the first byte of every compressed payload (row
-/// block bodies and columnar segment envelopes alike).
+/// Envelope scheme tags: the first byte of every compressed payload.
 ///
 ///   stored : u8 0 | u32le byte_count  | raw bytes
 ///   lz     : u8 1 | u32le byte_count  | (literal-run, match) token stream
@@ -44,11 +43,10 @@ inline constexpr std::size_t kMaxDecompressedSize = std::size_t{1} << 26;
 ///
 /// Schemes 0/1 describe bytes and are produced/consumed by the
 /// compress_block family; schemes 2/3 describe u64 value sequences and only
-/// appear inside compress_u64_segment envelopes (columnar layout v2). A
-/// scheme-2/3 payload handed to decompress_block* is rejected as malformed,
-/// and vice versa the segment decoder accepts all four (a varint stream in
-/// a scheme-0/1 envelope is exactly the legacy layout-v1 numeric segment,
-/// so one decoder serves both columnar layouts).
+/// appear inside compress_u64_segment envelopes. A scheme-2/3 payload
+/// handed to decompress_block* is rejected as malformed, and vice versa the
+/// segment decoder accepts all four (a varint stream in a scheme-0/1
+/// envelope is a numeric segment whose varint candidate won).
 inline constexpr std::uint8_t kSchemeStored = 0;
 inline constexpr std::uint8_t kSchemeLz = 1;
 inline constexpr std::uint8_t kSchemeForBitpack = 2;
@@ -65,8 +63,8 @@ struct CompressScratch {
 };
 
 /// What compress_u64_segment appended: the winning scheme, the size the
-/// values would have occupied as a plain varint stream (the layout-v1
-/// baseline — what the per-codec obs counters report as bytes-in), and the
+/// values would have occupied as a plain varint stream (what the per-codec
+/// obs counters report as bytes-in), and the
 /// envelope bytes actually written.
 struct SegmentEncodeResult {
   std::uint8_t scheme = kSchemeStored;

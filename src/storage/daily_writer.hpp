@@ -2,14 +2,12 @@
 // paper's probes buffer flow logs locally and ship them to long-term
 // storage daily (§2.2); this writer buffers finished FlowRecords, assigns
 // each to the civil day its flow *started*, and appends day batches to the
-// lake whenever a buffer fills or the day rolls over. The on-disk block
-// format is the lake's choice (DataLake::set_write_format — columnar v3 by
-// default, row v2 for compatibility); the writer itself is format-blind
-// and preserves arrival order, never sorting a batch.
+// lake whenever a buffer fills or the day rolls over. The writer preserves
+// arrival order, never sorting a batch.
 //
 // Throughput: a flush hands the whole batch to DataLake::append, which —
 // when the lake was given an encode pool (DataLake::set_encode_pool) —
-// pipelines the per-block serialize/transpose/compress work across the
+// pipelines the per-block transpose/compress work across the
 // pool and commits frames in order, producing a byte-identical file to the
 // serial writer. The writer needs no changes to benefit; keep its buffer a
 // multiple of DataLake::kBlockRecords so flushes cut full blocks.

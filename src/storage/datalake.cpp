@@ -10,7 +10,6 @@
 #include "core/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "storage/codec.hpp"
-#include "storage/compress.hpp"
 
 namespace edgewatch::storage {
 
@@ -39,7 +38,6 @@ struct LakeObs {
   // their ratio is the live compression ratio per scheme).
   obs::Gauge* encode_inflight;
   obs::SpanSite* encode_block_span;
-  obs::SpanSite* block_compress_span;
   obs::SpanSite* fsync_span;
   std::array<obs::Counter*, 4> codec_in;
   std::array<obs::Counter*, 4> codec_out;
@@ -65,7 +63,6 @@ LakeObs& lake_obs() {
         &reg.gauge("lake_health_records_lost"),
         &reg.gauge("lake_encode_inflight_blocks"),
         &reg.span_site("lake_encode_block"),
-        &reg.span_site("lake_block_compress"),
         &reg.span_site("lake_append_fsync"),
         {&reg.counter("lake_codec_stored_bytes_in_total"),
          &reg.counter("lake_codec_lz_bytes_in_total"),
@@ -81,16 +78,17 @@ LakeObs& lake_obs() {
 }
 
 constexpr char kMagic[4] = {'E', 'W', 'L', 'K'};
-constexpr std::uint8_t kVersion1 = 1;
-constexpr std::uint8_t kVersion2 = 2;
-constexpr std::uint8_t kVersion3 = 3;  // v2 framing, columnar block bodies
+// The one file version this code reads and writes: self-contained columnar
+// block bodies. Versions 1-3 (row bodies, dictionary-chained bodies) are
+// rejected with kBadVersion at the header.
+constexpr std::uint8_t kVersion = 4;
 constexpr std::size_t kHeaderSize = 5;
 
-// v2 block frame: body_len | seq | record_count | crc32c | body. The CRC
+// Block frame: body_len | seq | record_count | crc32c | body. The CRC
 // covers the three header fields and the body, so a flipped bit anywhere —
 // including in the length that frames the stream — fails validation.
-constexpr std::size_t kBlockHeaderSize = 16;
-// v2 seal: sentinel | magic | cumulative_records | cumulative_blocks | crc.
+constexpr std::size_t kBlockHeaderSize = DayBlockIndex::kFrameHeaderSize;
+// Seal: sentinel | magic | cumulative_records | cumulative_blocks | crc.
 constexpr std::uint32_t kSealSentinel = 0xffffffffu;
 constexpr std::uint32_t kSealMagic = 0x324c5745u;  // "EWL2"
 constexpr std::size_t kSealSize = 24;
@@ -116,8 +114,7 @@ std::uint64_t rd64(std::span<const std::byte> d, std::size_t pos) noexcept {
 
 /// One validated element of a day file, by reference into the raw bytes.
 struct BlockRef {
-  std::size_t offset = 0;       ///< Frame start.
-  std::size_t header_size = 0;  ///< 16 (v2) or 8 (v1).
+  std::size_t offset = 0;  ///< Frame start.
   std::uint32_t body_len = 0;
   std::uint32_t seq = 0;
   std::uint32_t record_count = 0;
@@ -142,25 +139,12 @@ struct FileModel {
   std::vector<BlockRef> blocks;       ///< Valid blocks, stream order.
   std::optional<SealRef> last_seal;
   std::vector<BadRange> bad;
-  /// Dictionary-salvage candidates carved out of `bad`: frames whose header
-  /// fields still frame a body inside the damaged range even though the CRC
-  /// failed. Never delivered — only offered to dictionary chain walks, which
-  /// verify every candidate against the link's dictionary CRC. This keeps a
-  /// body bit-flip's blast radius at one block: delta-coded successors
-  /// recover the damaged predecessor's (intact) dictionary bytes instead of
-  /// cascading into quarantine with it.
-  std::vector<BlockRef> salvage;
-  /// Filled by deep_verify_columnar: indices into the (post-verify) blocks
-  /// vector whose dictionary chain leaned on an element that will not
-  /// survive repair. Repair must transcode these into chain heads — a
-  /// verbatim copy would orphan their delta links.
-  std::vector<std::size_t> transcode;
   std::size_t valid_end = 0;   ///< Offset past the last valid element.
   bool ends_sealed = false;    ///< Last element is a seal at exactly EOF.
   std::size_t file_size = 0;
 };
 
-void parse_v2(std::span<const std::byte> data, FileModel& m) {
+void parse_elements(std::span<const std::byte> data, FileModel& m) {
   const std::size_t size = data.size();
   std::size_t pos = kHeaderSize;
   std::uint32_t expected_seq = 0;
@@ -182,7 +166,7 @@ void parse_v2(std::span<const std::byte> data, FileModel& m) {
     std::uint32_t crc = core::crc32c(data.subspan(p, 12));
     crc = core::crc32c(data.subspan(p + kBlockHeaderSize, body_len), crc);
     if (crc != rd32(data, p + 12)) return std::nullopt;
-    return BlockRef{p, kBlockHeaderSize, body_len, seq, nrec};
+    return BlockRef{p, body_len, seq, nrec};
   };
   const auto try_seal = [&](std::size_t p) -> std::optional<SealRef> {
     if (p + kSealSize > size) return std::nullopt;
@@ -215,57 +199,8 @@ void parse_v2(std::span<const std::byte> data, FileModel& m) {
     ++pos;
     while (pos < size && !try_block(pos, true) && !try_seal(pos)) ++pos;
     m.bad.push_back({bad_begin, pos});
-    // Carve dictionary-salvage candidates from the damaged range: a body
-    // bit-flip leaves the frame header intact, so its length fields still
-    // delimit the (mostly intact) body. Walk the claimed frame sizes as far
-    // as they stay inside the range; a damaged header stops the carving —
-    // candidates are best-effort and individually CRC-verified at use.
-    std::size_t c = bad_begin;
-    while (c + kBlockHeaderSize <= pos) {
-      const std::uint32_t body_len = rd32(data, c);
-      if (body_len == kSealSentinel || body_len > kMaxBlockBody) break;
-      if (c + kBlockHeaderSize + body_len > pos) break;
-      m.salvage.push_back(
-          {c, kBlockHeaderSize, body_len, rd32(data, c + 4), rd32(data, c + 8)});
-      c += kBlockHeaderSize + body_len;
-    }
   }
   m.ends_sealed = last_was_seal && m.valid_end == size;
-}
-
-void parse_v1(std::span<const std::byte> data, FileModel& m) {
-  const std::size_t size = data.size();
-  std::size_t pos = kHeaderSize;
-  std::uint32_t index = 0;
-  while (pos < size) {
-    if (pos + 8 > size) break;  // torn length/checksum pair
-    const std::uint32_t len = rd32(data, pos);
-    const std::uint32_t checksum = rd32(data, pos + 4);
-    if (len > kMaxBlockBody || pos + 8 + len > size) break;
-    const auto body = data.subspan(pos + 8, len);
-    const auto block = decompress_block(body);
-    if (!block || static_cast<std::uint32_t>(core::fnv1a64(*block)) != checksum) break;
-    // v1 frames carry no record count; derive it (and catch codec-level
-    // damage the weak 32-bit checksum missed) by decoding.
-    core::ByteReader r{*block};
-    std::uint32_t nrec = 0;
-    bool clean = true;
-    while (true) {
-      const auto rec = decode_record(r);
-      if (!rec) {
-        clean = rec.error() == core::Errc::kEndOfStream;
-        break;
-      }
-      ++nrec;
-    }
-    if (!clean) break;
-    m.blocks.push_back({pos, 8, len, index++, nrec});
-    pos += 8 + len;
-    m.valid_end = pos;
-  }
-  // v1 has no sequence numbers to resync on: everything past the first
-  // damaged byte is unreachable.
-  if (m.valid_end < size) m.bad.push_back({m.valid_end, size});
 }
 
 FileModel parse_file(std::span<const std::byte> data) {
@@ -281,106 +216,37 @@ FileModel parse_file(std::span<const std::byte> data) {
     return m;
   }
   m.version = std::to_integer<std::uint8_t>(data[4]);
-  switch (m.version) {
-    case kVersion1: parse_v1(data, m); break;
-    // v3 shares v2's element framing (frames, seals, resync); only the
-    // block bodies differ and those are opaque at this level.
-    case kVersion2:
-    case kVersion3: parse_v2(data, m); break;
-    default: m.errc = core::Errc::kBadVersion; break;
+  if (m.version != kVersion) {
+    m.errc = core::Errc::kBadVersion;
+    return m;
   }
+  parse_elements(data, m);
   return m;
 }
 
-/// fsck/repair pre-scan for v3 files: CRC-valid frames can still hold
-/// structurally damaged columnar bodies (a bit-flip that was re-CRC'd, a
-/// writer bug, a deliberately patched zone map). Decode every block fully
-/// — including the zone-map truthfulness cross-check — and demote failures
-/// to damaged ranges so repair quarantines them.
-/// File-order merge of CRC-valid blocks and salvage candidates — the
-/// resolution adjacency a dictionary chain walk must see (`back` in a delta
-/// link counts *original stream* positions; both inputs are offset-sorted).
-std::vector<BlockRef> chain_order(const std::vector<BlockRef>& valid,
-                                  const std::vector<BlockRef>& salvage) {
-  std::vector<BlockRef> out;
-  out.reserve(valid.size() + salvage.size());
-  std::size_t vi = 0, si = 0;
-  while (vi < valid.size() || si < salvage.size()) {
-    const bool take_valid =
-        si >= salvage.size() || (vi < valid.size() && valid[vi].offset < salvage[si].offset);
-    out.push_back(take_valid ? valid[vi++] : salvage[si++]);
-  }
-  return out;
-}
-
-void deep_verify_columnar(std::span<const std::byte> data, FileModel& m) {
-  if (m.version != kVersion3) return;
-  // Resolution adjacency: every framed element in original stream order —
-  // CRC-valid blocks plus salvage candidates carved from damaged ranges.
-  // `survives` tracks which elements repair will copy verbatim; candidates
-  // never survive, valid blocks are demoted as they fail below. Elements
-  // are verified in stream order, so by the time a block resolves its chain
-  // every predecessor's fate is already final.
-  struct Element {
-    BlockRef b;
-    bool survives;
-  };
-  std::vector<Element> els;
-  els.reserve(m.blocks.size() + m.salvage.size());
-  {
-    std::size_t vi = 0, si = 0;
-    while (vi < m.blocks.size() || si < m.salvage.size()) {
-      const bool take_valid = si >= m.salvage.size() ||
-                              (vi < m.blocks.size() &&
-                               m.blocks[vi].offset < m.salvage[si].offset);
-      els.push_back(take_valid ? Element{m.blocks[vi++], true}
-                               : Element{m.salvage[si++], false});
-    }
-  }
+/// fsck/repair pre-scan: CRC-valid frames can still hold structurally
+/// damaged columnar bodies (a bit-flip that was re-CRC'd, a writer bug, a
+/// deliberately patched zone map). Decode every block fully — including the
+/// zone-map truthfulness cross-check — and demote failures to damaged
+/// ranges so repair quarantines them. Blocks are self-contained, so each
+/// verdict concerns its own block only.
+void deep_verify(std::span<const std::byte> data, FileModel& m) {
   ColumnScratch scratch;
+  exec::RecordBatch probe;
   std::vector<BlockRef> good;
   good.reserve(m.blocks.size());
-  std::vector<std::size_t> transcode;
-  exec::RecordBatch probe;
-  for (std::size_t e = 0; e < els.size(); ++e) {
-    if (!els[e].survives) continue;  // salvage candidate: resolver fodder only
-    const BlockRef& b = els[e].b;
-    const auto body = data.subspan(b.offset + b.header_size, b.body_len);
-    // Resolve dictionary delta chains over the original adjacency,
-    // including elements that will not survive repair: the walk CRC-gates
-    // every candidate, so a damaged predecessor with intact dictionary
-    // bytes still resolves (single-block blast radius) while real
-    // dictionary damage fails the hash and quarantines the dependents. A
-    // block whose chain leaned on a non-survivor decodes today but would be
-    // orphaned by repair's compaction — record it for transcoding.
-    bool leaned_on_casualty = false;
-    const auto resolve = [&](std::size_t back) -> std::span<const std::byte> {
-      if (back == 0 || back > e) return {};
-      const Element& p = els[e - back];
-      if (!p.survives) leaned_on_casualty = true;
-      return data.subspan(p.b.offset + p.b.header_size, p.b.body_len);
-    };
-    const PrevBlockResolver resolver{resolve};
-    // Full-projection *batch* decode: deep verification needs every column
-    // structurally checked, but no FlowRecord ever read — the batch path
-    // proves integrity without materializing a single row.
-    const auto status =
-        decode_columnar_batch(body, scratch, nullptr, probe, b.record_count, &resolver);
-    if (status == BlockDecodeStatus::kOk) {
-      if (leaned_on_casualty) transcode.push_back(good.size());
+  for (const BlockRef& b : m.blocks) {
+    const auto body = data.subspan(b.offset + kBlockHeaderSize, b.body_len);
+    // Full-projection batch decode: every column is structurally checked,
+    // no FlowRecord is ever built.
+    if (decode_columnar_batch(body, scratch, nullptr, probe, b.record_count) ==
+        BlockDecodeStatus::kOk) {
       good.push_back(b);
     } else {
-      els[e].survives = false;
-      m.bad.push_back({b.offset, b.offset + b.header_size + b.body_len});
-      // The chain cache now describes a quarantined predecessor: drop it so
-      // the next delta block proves its chain through the resolver (and the
-      // CRC gate) instead of silently chaining across the quarantine.
-      scratch.chain_name_valid = false;
-      scratch.chain_ct_valid = false;
+      m.bad.push_back({b.offset, b.offset + kBlockHeaderSize + b.body_len});
     }
   }
   m.blocks = std::move(good);
-  m.transcode = std::move(transcode);
 }
 
 std::optional<std::vector<std::byte>> read_file(const std::filesystem::path& path) {
@@ -419,13 +285,6 @@ void put_seal(core::ByteWriter& out, std::uint64_t cum_records, std::uint32_t cu
   out.u32le(core::crc32c(seal.view()));
 }
 
-void put_v1_frame(core::ByteWriter& out, std::span<const std::byte> uncompressed,
-                  std::span<const std::byte> compressed) {
-  out.u32le(static_cast<std::uint32_t>(compressed.size()));
-  out.u32le(static_cast<std::uint32_t>(core::fnv1a64(uncompressed)));
-  out.bytes(compressed);
-}
-
 /// DayHealth as found on disk (shared by fsck and the repair pre-scan).
 DayHealth assess(const FileModel& m, core::CivilDate day) {
   DayHealth h;
@@ -441,7 +300,7 @@ DayHealth assess(const FileModel& m, core::CivilDate day) {
   h.blocks_quarantined = static_cast<std::uint32_t>(m.bad.size());
   for (const auto& r : m.bad) h.bytes_quarantined += r.end - r.begin;
   h.sealed = m.ends_sealed;
-  h.torn_tail = m.version >= kVersion2 ? !m.ends_sealed : !m.bad.empty();
+  h.torn_tail = !m.ends_sealed;
   if (m.last_seal) {
     // The seal is a durability receipt: cum_records were acknowledged as
     // stored. Valid blocks before the seal account for part of them; the
@@ -456,7 +315,7 @@ DayHealth assess(const FileModel& m, core::CivilDate day) {
   }
   if (!m.bad.empty()) {
     h.errc = core::Errc::kCorrupt;
-  } else if (m.version >= kVersion2 && !m.ends_sealed) {
+  } else if (!m.ends_sealed) {
     h.errc = core::Errc::kTruncated;
   }
   return h;
@@ -476,7 +335,7 @@ FileIdentity file_identity(const std::filesystem::path& path) {
                       mtime.time_since_epoch())
                       .count();
   }
-  // A clean v2 file ends in a seal; its cumulative block count is the
+  // A clean file ends in a seal; its cumulative block count is the
   // logical "version" of the day's contents (appends bump it, byte-level
   // damage invalidates its CRC). Read just the trailing kSealSize bytes.
   if (size >= kHeaderSize + kSealSize) {
@@ -513,123 +372,84 @@ std::filesystem::path DataLake::quarantine_dir() const { return root_ / "quarant
 
 void DataLake::encode_day_elements(core::ByteWriter& out,
                                    std::span<const flow::FlowRecord> records,
-                                   std::uint8_t version, std::uint32_t next_seq,
-                                   std::uint64_t cum_records) {
+                                   std::uint32_t next_seq, std::uint64_t cum_records) {
   auto& m = lake_obs();
-  const auto& catalog = effective_catalog();
+  const auto& catalog = services::ServiceCatalog::standard();
   const std::size_t nblocks = (records.size() + kBlockRecords - 1) / kBlockRecords;
   const auto chunk_of = [&](std::size_t i) {
     const std::size_t first = i * kBlockRecords;
     return records.subspan(first, std::min(kBlockRecords, records.size() - first));
   };
 
-  if (version == kVersion3) {
-    // Columnar bodies carry per-segment compression envelopes already; the
-    // frame wraps them uncompressed so zone maps stay peekable.
-    //
-    // With an encode pool, blocks are encoded out-of-line in a bounded ring
-    // and their frames committed strictly in order. Byte identity with the
-    // serial writer holds by construction: each block's encode is a pure
-    // function of its records and its predecessor's records (the dictionary
-    // chain state is *recomputed* per block, never threaded through the
-    // pipeline), and both the frame stream and the sequence numbers are
-    // produced by this thread in chunk order.
-    const bool pooled = encode_pool_ != nullptr && nblocks > 1;
-    std::size_t window = 1;
-    if (pooled) {
-      window = encode_max_inflight_ != 0 ? encode_max_inflight_ : 2 * encode_pool_->size();
-      window = std::clamp<std::size_t>(window, 1, nblocks);
-    }
-    if (encode_slots_.size() < window) encode_slots_.resize(window);
+  // Columnar bodies carry per-segment compression envelopes already; the
+  // frame wraps them uncompressed so zone maps stay peekable.
+  //
+  // With an encode pool, blocks are encoded out-of-line in a bounded ring
+  // and their frames committed strictly in order. Byte identity with the
+  // serial writer holds by construction: each block's encode is a pure
+  // function of its own records, and both the frame stream and the
+  // sequence numbers are produced by this thread in chunk order.
+  const bool pooled = encode_pool_ != nullptr && nblocks > 1;
+  const std::size_t window =
+      pooled ? std::clamp<std::size_t>(2 * encode_pool_->size(), 1, nblocks) : 1;
+  if (encode_slots_.size() < window) encode_slots_.resize(window);
 
-    const auto encode_into = [&](EncodeSlot& slot, std::size_t i) {
-      obs::Span span(*m.encode_block_span);
-      slot.body.clear();
-      const DictChainState* prev = nullptr;
-      if (i % kDictChainInterval != 0) {
-        build_dict_chain_state(chunk_of(i - 1), slot.chain);
-        prev = &slot.chain;
-      }
-      encode_columnar_block(chunk_of(i), catalog, slot.body, slot.scratch, prev);
-    };
-    std::size_t committed = 0;
-    const auto commit_through = [&](std::size_t upto) {
-      for (; committed < upto; ++committed) {
-        EncodeSlot& slot = encode_slots_[committed % window];
-        if (slot.done.valid()) {
-          slot.done.get();
-          if constexpr (obs::kEnabled) m.encode_inflight->add(-1);
-        }
-        const auto n = static_cast<std::uint32_t>(chunk_of(committed).size());
-        put_block_frame(out, next_seq++, n, slot.body.view());
-        cum_records += n;
-        if constexpr (obs::kEnabled) {
-          for (std::size_t k = 0; k < 4; ++k) {
-            if (slot.scratch.codec_bytes_in[k] != 0) m.codec_in[k]->add(slot.scratch.codec_bytes_in[k]);
-            if (slot.scratch.codec_bytes_out[k] != 0) m.codec_out[k]->add(slot.scratch.codec_bytes_out[k]);
-          }
-        }
-        slot.scratch.codec_bytes_in.fill(0);
-        slot.scratch.codec_bytes_out.fill(0);
-      }
-    };
-    try {
-      for (std::size_t i = 0; i < nblocks; ++i) {
-        if (i >= window) commit_through(i - window + 1);
-        EncodeSlot& slot = encode_slots_[i % window];
-        if (pooled) {
-          if constexpr (obs::kEnabled) m.encode_inflight->add(1);
-          slot.done = encode_pool_->submit([&encode_into, &slot, i] { encode_into(slot, i); });
-        } else {
-          encode_into(slot, i);
-        }
-      }
-      commit_through(nblocks);
-    } catch (...) {
-      // A failed submit (pool shutdown) or a throwing encode (bad_alloc)
-      // must not unwind past tasks still referencing this frame's locals.
-      for (auto& slot : encode_slots_) {
-        if (!slot.done.valid()) continue;
-        try {
-          slot.done.get();
-        } catch (...) {  // NOLINT(bugprone-empty-catch): first error wins
-        }
+  const auto encode_into = [&](EncodeSlot& slot, std::size_t i) {
+    obs::Span span(*m.encode_block_span);
+    slot.body.clear();
+    encode_columnar_block(chunk_of(i), catalog, slot.body, slot.scratch);
+  };
+  std::size_t committed = 0;
+  const auto commit_through = [&](std::size_t upto) {
+    for (; committed < upto; ++committed) {
+      EncodeSlot& slot = encode_slots_[committed % window];
+      if (slot.done.valid()) {
+        slot.done.get();
         if constexpr (obs::kEnabled) m.encode_inflight->add(-1);
       }
-      throw;
+      const auto n = static_cast<std::uint32_t>(chunk_of(committed).size());
+      put_block_frame(out, next_seq++, n, slot.body.view());
+      cum_records += n;
+      if constexpr (obs::kEnabled) {
+        for (std::size_t k = 0; k < 4; ++k) {
+          if (slot.scratch.codec_bytes_in[k] != 0) {
+            m.codec_in[k]->add(slot.scratch.codec_bytes_in[k]);
+          }
+          if (slot.scratch.codec_bytes_out[k] != 0) {
+            m.codec_out[k]->add(slot.scratch.codec_bytes_out[k]);
+          }
+        }
+      }
+      slot.scratch.codec_bytes_in.fill(0);
+      slot.scratch.codec_bytes_out.fill(0);
     }
-    put_seal(out, cum_records, next_seq);
-    return;
+  };
+  try {
+    for (std::size_t i = 0; i < nblocks; ++i) {
+      if (i >= window) commit_through(i - window + 1);
+      EncodeSlot& slot = encode_slots_[i % window];
+      if (pooled) {
+        if constexpr (obs::kEnabled) m.encode_inflight->add(1);
+        slot.done = encode_pool_->submit([&encode_into, &slot, i] { encode_into(slot, i); });
+      } else {
+        encode_into(slot, i);
+      }
+    }
+    commit_through(nblocks);
+  } catch (...) {
+    // A failed submit (pool shutdown) or a throwing encode (bad_alloc)
+    // must not unwind past tasks still referencing this frame's locals.
+    for (auto& slot : encode_slots_) {
+      if (!slot.done.valid()) continue;
+      try {
+        slot.done.get();
+      } catch (...) {  // NOLINT(bugprone-empty-catch): first error wins
+      }
+      if constexpr (obs::kEnabled) m.encode_inflight->add(-1);
+    }
+    throw;
   }
-
-  for (std::size_t i = 0; i < nblocks; ++i) {
-    const auto chunk = chunk_of(i);
-    core::ByteWriter block;
-    for (const auto& record : chunk) encode_record(record, block);
-    std::vector<std::byte> compressed;
-    {
-      obs::Span span(*m.block_compress_span);
-      compressed = compress_block(block.view());
-    }
-    if constexpr (obs::kEnabled) {
-      // Row blocks use the byte-stream schemes (0/1); fold them into the
-      // same per-codec tallies the columnar segments feed.
-      const auto scheme = std::to_integer<std::uint8_t>(compressed.front()) & 3u;
-      m.codec_in[scheme]->add(block.size());
-      m.codec_out[scheme]->add(compressed.size());
-    }
-    if (version == kVersion2) {
-      put_block_frame(out, next_seq++, static_cast<std::uint32_t>(chunk.size()), compressed);
-      cum_records += chunk.size();
-    } else {
-      put_v1_frame(out, block.view(), compressed);
-    }
-  }
-  if (version >= kVersion2) put_seal(out, cum_records, next_seq);
-}
-
-const services::ServiceCatalog& DataLake::effective_catalog() const noexcept {
-  return write_catalog_ != nullptr ? *write_catalog_ : services::ServiceCatalog::standard();
+  put_seal(out, cum_records, next_seq);
 }
 
 core::Result<std::uint64_t> DataLake::append(core::CivilDate day,
@@ -678,22 +498,18 @@ core::Result<std::uint64_t> DataLake::append_impl(core::CivilDate day,
   std::uint64_t start = 0;
   std::uint32_t next_seq = 0;
   std::uint64_t cum_records = 0;
-  std::uint8_t version = static_cast<std::uint8_t>(write_format_);
   bool fresh = true;
   bool from_cache = false;
-  if (append_cursor_cache_) {
-    if (const auto it = append_cursors_.find(day); it != append_cursors_.end()) {
-      const auto st = stat_size_mtime(path);
-      if (st && st->first == it->second.file_size && st->second == it->second.mtime_ns) {
-        fresh = false;
-        from_cache = true;
-        version = it->second.version;
-        start = it->second.file_size;  // a cached day ends sealed at EOF
-        next_seq = it->second.next_seq;
-        cum_records = it->second.cum_records;
-      } else {
-        append_cursors_.erase(it);  // rewritten behind our back: reparse
-      }
+  if (const auto it = append_cursors_.find(day); it != append_cursors_.end()) {
+    const auto st = stat_size_mtime(path);
+    if (st && st->first == it->second.file_size && st->second == it->second.mtime_ns) {
+      fresh = false;
+      from_cache = true;
+      start = it->second.file_size;  // a cached day ends sealed at EOF
+      next_seq = it->second.next_seq;
+      cum_records = it->second.cum_records;
+    } else {
+      append_cursors_.erase(it);  // rewritten behind our back: reparse
     }
   }
   if (!from_cache && std::filesystem::exists(path)) {
@@ -706,7 +522,6 @@ core::Result<std::uint64_t> DataLake::append_impl(core::CivilDate day,
       }
       if (m.errc == core::Errc::kOk) {
         fresh = false;
-        version = m.version;  // appends continue the file's format
         start = m.valid_end;
         if (!m.blocks.empty()) next_seq = m.blocks.back().seq + 1;
         for (const auto& b : m.blocks) cum_records += b.record_count;
@@ -718,10 +533,10 @@ core::Result<std::uint64_t> DataLake::append_impl(core::CivilDate day,
   core::ByteWriter out;
   if (fresh) {
     for (char c : kMagic) out.u8(static_cast<std::uint8_t>(c));
-    out.u8(version);
+    out.u8(kVersion);
   }
   const std::size_t nblocks = (records.size() + kBlockRecords - 1) / kBlockRecords;
-  encode_day_elements(out, records, version, next_seq, cum_records);
+  encode_day_elements(out, records, next_seq, cum_records);
 
   auto file = file_factory_();
   if (auto r = file->open_at(path, start); !r) return r.error();
@@ -749,19 +564,16 @@ core::Result<std::uint64_t> DataLake::append_impl(core::CivilDate day,
     append_cursors_.erase(day);
     return r.error();
   }
-  if (append_cursor_cache_ && version >= kVersion2) {
-    // The file now provably ends in a seal at exactly start + out.size();
-    // remember the cursor the next append would otherwise re-derive from a
-    // full parse. Keyed to the post-append stat so any out-of-band change
-    // invalidates it.
-    if (const auto st = stat_size_mtime(path);
-        st && st->first == start + out.size()) {
-      append_cursors_[day] = AppendCursor{start + out.size(), st->second,
-                                          next_seq + static_cast<std::uint32_t>(nblocks),
-                                          cum_records + records.size(), version};
-    } else {
-      append_cursors_.erase(day);
-    }
+  // The file now provably ends in a seal at exactly start + out.size();
+  // remember the cursor the next append would otherwise re-derive from a
+  // full parse. Keyed to the post-append stat so any out-of-band change
+  // invalidates it.
+  if (const auto st = stat_size_mtime(path); st && st->first == start + out.size()) {
+    append_cursors_[day] = AppendCursor{start + out.size(), st->second,
+                                        next_seq + static_cast<std::uint32_t>(nblocks),
+                                        cum_records + records.size()};
+  } else {
+    append_cursors_.erase(day);
   }
   return static_cast<std::uint64_t>(out.size());
 }
@@ -784,245 +596,92 @@ DayBlockIndex DataLake::load_day_blocks(core::CivilDate day) const {
     return idx;
   }
   idx.blocks_.reserve(m.blocks.size());
-  for (const auto& b : m.blocks) {
-    idx.blocks_.push_back({b.offset, b.header_size, b.body_len, b.record_count});
-  }
-  // Stream-order resolution adjacency: valid blocks interleaved with
-  // dictionary-salvage candidates (see DayBlockIndex::chain()).
-  idx.chain_.reserve(m.blocks.size() + m.salvage.size());
-  idx.chain_pos_.reserve(m.blocks.size());
-  {
-    std::size_t vi = 0, si = 0;
-    while (vi < m.blocks.size() || si < m.salvage.size()) {
-      const bool take_valid = si >= m.salvage.size() ||
-                              (vi < m.blocks.size() &&
-                               m.blocks[vi].offset < m.salvage[si].offset);
-      const BlockRef& b = take_valid ? m.blocks[vi] : m.salvage[si];
-      if (take_valid) {
-        idx.chain_pos_.push_back(static_cast<std::uint32_t>(idx.chain_.size()));
-        ++vi;
-      } else {
-        ++si;
-      }
-      idx.chain_.push_back({b.offset, b.header_size, b.body_len, b.record_count});
-    }
-  }
+  for (const auto& b : m.blocks) idx.blocks_.push_back({b.offset, b.body_len, b.record_count});
   idx.damaged_ranges_ = static_cast<std::uint32_t>(m.bad.size());
   idx.baseline_ = !m.bad.empty() ? core::Errc::kCorrupt
-                  : (m.version == kVersion2 && !m.ends_sealed) ? core::Errc::kTruncated
-                                                               : core::Errc::kOk;
+                  : !m.ends_sealed ? core::Errc::kTruncated
+                                   : core::Errc::kOk;
   idx.data_ = std::make_shared<const std::vector<std::byte>>(std::move(*data));
   return idx;
 }
 
-void DataLake::scan_block(std::span<const std::byte> body, std::uint32_t record_count,
-                          const ScanPredicate* predicate, ScanScratch& scratch, ScanResult& res,
-                          core::FunctionRef<void(const flow::FlowRecord&)> fn,
-                          const PrevBlockResolver* prev_blocks) {
+namespace {
+
+/// The one per-block scan: zone-map pruning, atomic decode, skip and
+/// zone-lie accounting. `native` says the sink consumes the batch as such
+/// (counted as dictionary pass-through rows); the row shim counts its own
+/// materialized rows instead.
+void scan_block_impl(std::span<const std::byte> body, std::uint32_t record_count,
+                     const ScanPredicate* predicate, ScanScratch& scratch, ScanResult& res,
+                     DataLake::BatchSink fn, bool native) {
   auto& m = lake_obs();
-  // Every exit path folds this block's deliveries into the global scan
-  // counter (one add per block, never per record).
-  struct DeliveredGuard {
-    LakeObs& m;
-    const ScanResult& res;
-    std::uint64_t before;
-    ~DeliveredGuard() {
-      if (res.records_delivered > before) m.scan_records->add(res.records_delivered - before);
-    }
-  } delivered_guard{m, res, res.records_delivered};
-
-  if (is_columnar_block(body)) {
-    if (predicate != nullptr && !predicate->unrestricted()) {
-      const auto zone = peek_zone_map(body);
-      if (!zone ||
-          (record_count != kAnyRecordCount && zone->record_count != record_count)) {
-        ++res.blocks_skipped;
-        m.blocks_skipped->add(1);
-        res.errc = core::Errc::kCorrupt;
-        return;
-      }
-      if (!predicate->admits(*zone)) {
-        // Zone-map proof of absence: skip the block without touching a
-        // single column segment. This is the selective-scan fast path.
-        ++res.blocks_pruned;
-        m.blocks_pruned->add(1);
-        return;
-      }
-    }
-    const auto status = decode_columnar_block(body, scratch.columns, predicate,
-                                              res.records_delivered, fn, record_count,
-                                              prev_blocks);
-    if (status == BlockDecodeStatus::kCorrupt) {
-      ++res.blocks_skipped;
-      m.blocks_skipped->add(1);
-      res.errc = core::Errc::kCorrupt;
-      return;
-    }
-    const std::uint32_t fields = predicate != nullptr ? predicate->fields : scan_fields::kAll;
-    if (fields != scan_fields::kAll) {
-      m.segments_skipped->add(kColumnSegmentCount - segments_for_fields(fields));
-    }
-    if (status == BlockDecodeStatus::kZoneMapLied) {
-      // Records were delivered in full, but the block's skip index is
-      // untrustworthy: surface corruption so fsck/repair quarantines it.
-      m.zone_map_lies->add(1);
-      res.errc = core::Errc::kCorrupt;
-    }
-    return;
-  }
-
-  // Row-oriented (v1/v2) body: decompress, then decode-and-filter.
-  if (!decompress_block_into(body, scratch.decompressed)) {
-    ++res.blocks_skipped;  // CRC-valid yet undecompressable: writer-level damage
-    m.blocks_skipped->add(1);
-    res.errc = core::Errc::kCorrupt;
-    return;
-  }
-  const bool filtered = predicate != nullptr && !predicate->unrestricted();
-  core::ByteReader r{scratch.decompressed};
-  while (true) {
-    const auto record = decode_record(r);
-    if (!record) {
-      if (record.error() != core::Errc::kEndOfStream) {
-        ++res.blocks_skipped;
-        m.blocks_skipped->add(1);
-        res.errc = core::Errc::kCorrupt;
-      }
-      return;
-    }
-    if (filtered && !predicate->matches(*record)) continue;
-    fn(*record);
-    ++res.records_delivered;
-  }
-}
-
-void DataLake::scan_block_batches(std::span<const std::byte> body, std::uint32_t record_count,
-                                  const ScanPredicate* predicate, ScanScratch& scratch,
-                                  ScanResult& res, BatchSink fn,
-                                  const PrevBlockResolver* prev_blocks) {
-  auto& m = lake_obs();
-  if (is_columnar_block(body)) {
-    if (predicate != nullptr && !predicate->unrestricted()) {
-      const auto zone = peek_zone_map(body);
-      if (!zone ||
-          (record_count != kAnyRecordCount && zone->record_count != record_count)) {
-        ++res.blocks_skipped;
-        m.blocks_skipped->add(1);
-        res.errc = core::Errc::kCorrupt;
-        return;
-      }
-      if (!predicate->admits(*zone)) {
-        ++res.blocks_pruned;
-        m.blocks_pruned->add(1);
-        return;
-      }
-    }
-    exec::RecordBatch batch;
-    const auto status = decode_columnar_batch(body, scratch.columns, predicate, batch,
-                                              record_count, prev_blocks);
-    if (status == BlockDecodeStatus::kCorrupt) {
-      ++res.blocks_skipped;
-      m.blocks_skipped->add(1);
-      res.errc = core::Errc::kCorrupt;
-      return;
-    }
-    const std::uint32_t fields = predicate != nullptr ? predicate->fields : scan_fields::kAll;
-    if (fields != scan_fields::kAll) {
-      m.segments_skipped->add(kColumnSegmentCount - segments_for_fields(fields));
-    }
-    if (status == BlockDecodeStatus::kZoneMapLied) {
-      m.zone_map_lies->add(1);
-      res.errc = core::Errc::kCorrupt;
-    }
-    if (!batch.empty()) {
-      const auto delivered = static_cast<std::uint64_t>(batch.delivered_rows());
-      res.records_delivered += delivered;
-      m.scan_records->add(delivered);
-      exec::note_batch_delivered(batch);
-      fn(batch);
-    }
-    return;
-  }
-
-  // Row-oriented (v1/v2) body: decompress, decode-and-filter into the
-  // staging transposer, deliver the block's post-filter rows as one batch.
-  // A torn row stream still delivers its valid prefix — the staged rows
-  // precede the damage marker, matching scan_block's semantics.
-  if (!decompress_block_into(body, scratch.decompressed)) {
-    ++res.blocks_skipped;  // CRC-valid yet undecompressable: writer-level damage
-    m.blocks_skipped->add(1);
-    res.errc = core::Errc::kCorrupt;
-    return;
-  }
-  const bool filtered = predicate != nullptr && !predicate->unrestricted();
-  auto& staging = scratch.staging;
-  staging.clear();
-  bool torn = false;
-  {
-    core::ByteReader r{scratch.decompressed};
-    while (true) {
-      const auto record = decode_record(r);
-      if (!record) {
-        torn = record.error() != core::Errc::kEndOfStream;
-        break;
-      }
-      if (filtered && !predicate->matches(*record)) continue;
-      staging.add(*record);
-    }
-  }
-  if (staging.size() > 0) {
-    const exec::RecordBatch batch = staging.finish(scan_fields::kAll);
-    res.records_delivered += batch.rows;
-    m.scan_records->add(batch.rows);
-    exec::note_batch_delivered(batch);
-    fn(batch);
-  }
-  if (torn) {
+  const auto skip_corrupt = [&] {
     ++res.blocks_skipped;
     m.blocks_skipped->add(1);
     res.errc = core::Errc::kCorrupt;
+  };
+  if (predicate != nullptr && !predicate->unrestricted()) {
+    const auto zone = peek_zone_map(body);
+    if (!zone || (record_count != kAnyRecordCount && zone->record_count != record_count)) {
+      skip_corrupt();
+      return;
+    }
+    if (!predicate->admits(*zone)) {
+      // Zone-map proof of absence: skip the block without touching a
+      // single column segment. This is the selective-scan fast path.
+      ++res.blocks_pruned;
+      m.blocks_pruned->add(1);
+      return;
+    }
+  }
+  exec::RecordBatch batch;
+  const auto status = decode_columnar_batch(body, scratch, predicate, batch, record_count);
+  if (status == BlockDecodeStatus::kCorrupt) {
+    skip_corrupt();
+    return;
+  }
+  const std::uint32_t fields = predicate != nullptr ? predicate->fields : scan_fields::kAll;
+  if (fields != scan_fields::kAll) {
+    m.segments_skipped->add(kColumnSegmentCount - segments_for_fields(fields));
+  }
+  if (status == BlockDecodeStatus::kZoneMapLied) {
+    // Records are delivered in full, but the block's skip index is
+    // untrustworthy: surface corruption so fsck/repair quarantines it.
+    m.zone_map_lies->add(1);
+    res.errc = core::Errc::kCorrupt;
+  }
+  if (!batch.empty()) {
+    const auto delivered = static_cast<std::uint64_t>(batch.delivered_rows());
+    res.records_delivered += delivered;
+    m.scan_records->add(delivered);
+    if (native) exec::note_batch_delivered(batch);
+    fn(batch);
   }
 }
 
-bool DataLake::decode_block(std::span<const std::byte> body, ScanScratch& scratch,
-                            std::uint64_t& records_delivered,
-                            core::FunctionRef<void(const flow::FlowRecord&)> fn,
-                            const PrevBlockResolver* prev_blocks) {
-  ScanResult res;
-  scan_block(body, kAnyRecordCount, nullptr, scratch, res, fn, prev_blocks);
-  records_delivered += res.records_delivered;
-  return res.errc == core::Errc::kOk;
+}  // namespace
+
+void DataLake::scan_block_batches(std::span<const std::byte> body, std::uint32_t record_count,
+                                  const ScanPredicate* predicate, ScanScratch& scratch,
+                                  ScanResult& res, BatchSink fn) {
+  scan_block_impl(body, record_count, predicate, scratch, res, fn, /*native=*/true);
 }
 
 namespace {
 
-/// The shared day-walk skeleton of the row and batch scans: index the day,
-/// visit every CRC-valid block with a stream-order chain resolver, fold the
-/// damaged-range and baseline status. `visit(block, resolver)` does the
-/// per-block work.
-template <typename Visit>
-ScanResult scan_day_walk(const DataLake& lake, core::CivilDate day, Visit&& visit) {
+/// Index the day, scan every CRC-valid block in file order, fold the
+/// damaged-range and baseline status.
+ScanResult scan_day_walk(const DataLake& lake, core::CivilDate day,
+                         const ScanPredicate* predicate, DataLake::BatchSink fn, bool native) {
   ScanResult res;
   const DayBlockIndex idx = lake.load_day_blocks(day);
   if (idx.fatal() != core::Errc::kOk) {
     res.errc = idx.fatal();
     return res;
   }
-  const auto& blocks = idx.blocks();
-  const auto& chain = idx.chain();
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    // Chain resolver over the file's stream-order adjacency — including
-    // dictionary-salvage candidates, so a damaged predecessor with intact
-    // dictionary bytes costs only its own records. A sequential scan rarely
-    // uses it (the scratch's chain cache tracks the predecessor); it
-    // matters when a pruned or damaged block breaks the sequence.
-    const std::size_t ci = idx.chain_pos(i);
-    const auto resolve = [&, ci](std::size_t back) -> std::span<const std::byte> {
-      if (back == 0 || back > ci) return {};
-      return idx.body(chain[ci - back]);
-    };
-    const PrevBlockResolver resolver{resolve};
-    visit(blocks[i], idx.body(blocks[i]), res, &resolver);
+  ScanScratch scratch;
+  for (const auto& b : idx.blocks()) {
+    scan_block_impl(idx.body(b), b.record_count, predicate, scratch, res, fn, native);
   }
   res.blocks_skipped += idx.damaged_ranges();
   if (res.errc == core::Errc::kOk || idx.baseline() == core::Errc::kCorrupt) {
@@ -1035,22 +694,17 @@ ScanResult scan_day_walk(const DataLake& lake, core::CivilDate day, Visit&& visi
 
 ScanResult DataLake::scan_day_impl(core::CivilDate day, const ScanPredicate* predicate,
                                    RowSink fn) const {
-  ScanScratch scratch;
-  const auto visit = [&](const DayBlockIndex::Block& b, std::span<const std::byte> body,
-                         ScanResult& res, const PrevBlockResolver* resolver) {
-    scan_block(body, b.record_count, predicate, scratch, res, fn, resolver);
+  flow::FlowRecord rec;
+  std::uint64_t materialized = 0;
+  const auto rows = [&](const exec::RecordBatch& batch) {
+    exec::materialize_rows(batch, rec, fn, materialized);
   };
-  return scan_day_walk(*this, day, visit);
+  return scan_day_walk(*this, day, predicate, BatchSink{rows}, /*native=*/false);
 }
 
 ScanResult DataLake::scan_day_batches_impl(core::CivilDate day, const ScanPredicate* predicate,
                                            BatchSink fn) const {
-  ScanScratch scratch;
-  const auto visit = [&](const DayBlockIndex::Block& b, std::span<const std::byte> body,
-                         ScanResult& res, const PrevBlockResolver* resolver) {
-    scan_block_batches(body, b.record_count, predicate, scratch, res, fn, resolver);
-  };
-  return scan_day_walk(*this, day, visit);
+  return scan_day_walk(*this, day, predicate, fn, /*native=*/true);
 }
 
 std::vector<flow::FlowRecord> DataLake::read_day(core::CivilDate day) const {
@@ -1081,7 +735,7 @@ DayHealth DataLake::fsck_day(core::CivilDate day) const {
     return h;
   }
   FileModel m = parse_file(*data);
-  deep_verify_columnar(*data, m);
+  if (m.errc == core::Errc::kOk) deep_verify(*data, m);
   DayHealth h = assess(m, day);
   h.identity = file_identity(path);
   return h;
@@ -1102,68 +756,12 @@ LakeHealthReport DataLake::fsck() const {
   return report;
 }
 
-DayHealth DataLake::repair_day(core::CivilDate day) { return repair_day_impl(day, false); }
+
 
 LakeHealthReport DataLake::repair() {
   LakeHealthReport report;
-  for (const auto day : days()) report.days.push_back(repair_day_impl(day, false));
+  for (const auto day : days()) report.days.push_back(repair_day(day));
   return report;
-}
-
-core::Result<void> DataLake::migrate_to_v2(core::CivilDate day) {
-  const auto before = fsck_day(day);
-  if (before.errc == core::Errc::kNotFound) return core::Errc::kNotFound;
-  if (before.version == kVersion2 && before.healthy()) return {};
-  if (before.version == kVersion3) {
-    // A v3 body is columnar; repair's verbatim body copy would mislabel it
-    // inside a v2 file. Transcode record-by-record instead.
-    return rewrite_day(day, LakeFormat::kV2);
-  }
-  const auto after = repair_day_impl(day, true);
-  if (!after.repaired) return after.errc == core::Errc::kOk ? core::Errc::kIoError : after.errc;
-  return {};
-}
-
-core::Result<void> DataLake::rewrite_day(core::CivilDate day, LakeFormat format) {
-  const auto path = day_path(day);
-  if (!std::filesystem::exists(path)) return core::Errc::kNotFound;
-  // Quarantine damage before transcoding so corrupt bytes are preserved
-  // for forensics and never silently dropped by the rewrite.
-  if (const auto before = fsck_day(day); !before.healthy()) {
-    const auto repaired = repair_day_impl(day, false);
-    if (repaired.errc != core::Errc::kOk) return repaired.errc;
-  }
-  ScanResult status;
-  const auto records = read_day(day, status);
-  if (status.errc != core::Errc::kOk) return status.errc;
-
-  core::ByteWriter out;
-  for (char c : kMagic) out.u8(static_cast<std::uint8_t>(c));
-  out.u8(static_cast<std::uint8_t>(format));
-  encode_day_elements(out, records, static_cast<std::uint8_t>(format), 0, 0);
-
-  append_cursors_.erase(day);
-  const auto temp = path.string() + ".rewrite.tmp";
-  auto file = file_factory_();
-  const auto fail = [&](core::Errc err) -> core::Result<void> {
-    std::error_code rm_ec;
-    std::filesystem::remove(temp, rm_ec);
-    return err;
-  };
-  if (auto r = file->open_at(temp, 0); !r) return fail(r.error());
-  if (auto r = file->write(out.view()); !r) {
-    (void)file->close();
-    return fail(r.error());
-  }
-  if (auto r = file->sync(); !r) {
-    (void)file->close();
-    return fail(r.error());
-  }
-  if (auto r = file->close(); !r) return fail(r.error());
-  std::error_code ec;
-  std::filesystem::rename(temp, path, ec);
-  if (ec) return fail(core::Errc::kIoError);
-  return {};
 }
 
 core::Result<void> DataLake::truncate_day(core::CivilDate day, std::uint64_t size) {
@@ -1184,7 +782,7 @@ core::Result<void> DataLake::remove_day(core::CivilDate day) {
   return {};
 }
 
-DayHealth DataLake::repair_day_impl(core::CivilDate day, bool force_rewrite) {
+DayHealth DataLake::repair_day(core::CivilDate day) {
   const auto path = day_path(day);
   append_cursors_.erase(day);
   if (!std::filesystem::exists(path)) {
@@ -1201,11 +799,7 @@ DayHealth DataLake::repair_day_impl(core::CivilDate day, bool force_rewrite) {
     return h;
   }
   FileModel m = parse_file(*data);
-  // The original stream adjacency (pre-verify blocks + salvage candidates)
-  // is what delta links were encoded against; transcoding below re-decodes
-  // through it.
-  const std::vector<BlockRef> parsed_blocks = m.blocks;
-  deep_verify_columnar(*data, m);
+  if (m.errc == core::Errc::kOk) deep_verify(*data, m);
   DayHealth h = assess(m, day);
 
   std::error_code ec;
@@ -1224,69 +818,21 @@ DayHealth DataLake::repair_day_impl(core::CivilDate day, bool force_rewrite) {
     h.bytes_quarantined = data->size();
     return h;
   }
-  if (h.healthy() && m.version >= kVersion2 && !force_rewrite) return h;  // nothing to do
+  if (h.healthy()) return h;  // nothing to do
 
-  // Rebuild: surviving blocks (bodies copied verbatim), renumbered and
-  // resealed. v2/v3 files keep their format — the body layout must match
-  // the header version; v1 is upgraded to v2. The new file is written
-  // next to the old one and swapped in by rename, so a failure at any
-  // point leaves the original untouched.
-  const std::uint8_t out_version = m.version == kVersion3 ? kVersion3 : kVersion2;
+  // Rebuild: the surviving block frames, bodies copied verbatim (every
+  // block is self-contained), renumbered and resealed. The new file is
+  // written next to the old one and swapped in by rename, so a failure at
+  // any point leaves the original untouched.
   core::ByteWriter out;
   for (char c : kMagic) out.u8(static_cast<std::uint8_t>(c));
-  out.u8(out_version);
+  out.u8(kVersion);
   std::uint32_t new_seq = 0;
   std::uint64_t cum_records = 0;
-  // Blocks whose dictionary chain leaned on a quarantined or salvaged
-  // predecessor survive the rebuild only as chain heads: decode them
-  // through the original adjacency and re-encode with full dictionaries.
-  // The block's own dictionary (entries, first-appearance order) is
-  // identical either way, so later blocks that delta-link to IT keep
-  // resolving — their link CRC hashes the resolved entries, not the wire
-  // encoding.
-  const std::vector<BlockRef> chain = chain_order(parsed_blocks, m.salvage);
-  std::size_t next_transcode = 0;
-  for (std::size_t i = 0; i < m.blocks.size(); ++i) {
-    const BlockRef& b = m.blocks[i];
-    const auto body = std::span<const std::byte>{*data}.subspan(b.offset + b.header_size,
-                                                                b.body_len);
-    const bool transcode =
-        next_transcode < m.transcode.size() && m.transcode[next_transcode] == i;
-    if (!transcode) {
-      put_block_frame(out, new_seq++, b.record_count, body);
-      cum_records += b.record_count;
-      continue;
-    }
-    ++next_transcode;
-    std::size_t ci = 0;
-    while (ci < chain.size() && chain[ci].offset != b.offset) ++ci;
-    const auto resolve = [&, ci](std::size_t back) -> std::span<const std::byte> {
-      if (back == 0 || back > ci) return {};
-      const BlockRef& p = chain[ci - back];
-      return std::span<const std::byte>{*data}.subspan(p.offset + p.header_size, p.body_len);
-    };
-    const PrevBlockResolver resolver{resolve};
-    std::vector<flow::FlowRecord> recs;
-    recs.reserve(b.record_count);
-    ColumnScratch cs;
-    std::uint64_t n = 0;
-    const auto collect = [&recs](const flow::FlowRecord& r) { recs.push_back(r); };
-    const auto status =
-        decode_columnar_block(body, cs, nullptr, n, collect, b.record_count, &resolver);
-    if (status != BlockDecodeStatus::kOk) {
-      // deep_verify proved this decode moments ago; treat a failure here as
-      // fresh damage and quarantine the block rather than abort the repair.
-      m.bad.push_back({b.offset, b.offset + b.header_size + b.body_len});
-      h.blocks_ok -= 1;
-      h.records_ok -= b.record_count;
-      h.blocks_quarantined += 1;
-      h.bytes_quarantined += b.header_size + b.body_len;
-      h.records_lost += b.record_count;
-      continue;
-    }
-    core::ByteWriter head;
-    encode_columnar_block(recs, effective_catalog(), head);
-    put_block_frame(out, new_seq++, b.record_count, head.view());
+  for (const BlockRef& b : m.blocks) {
+    put_block_frame(out, new_seq++, b.record_count,
+                    std::span<const std::byte>{*data}.subspan(b.offset + kBlockHeaderSize,
+                                                              b.body_len));
     cum_records += b.record_count;
   }
   put_seal(out, cum_records, new_seq);

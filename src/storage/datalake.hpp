@@ -3,30 +3,31 @@
 // analytics methodology aggregates per day).
 //
 // Layout: one file per civil day under the lake root,
-//   flows_YYYY-MM-DD.ewl = magic "EWLK" | version | element*
+//   flows_YYYY-MM-DD.ewl = magic "EWLK" | version (4) | element*
 //
-// Format v2 (written by this code) is a stream of self-checking elements:
+// A day file is a stream of self-checking elements:
 //
 //   block:  u32le body_len | u32le seq | u32le record_count | u32le crc32c
 //           | body                      (crc covers header fields + body)
 //   seal:   u32le 0xffffffff | u32le seal_magic | u64le cumulative_records
 //           | u32le cumulative_blocks | u32le crc32c
 //
+// Every block body is a self-contained columnar block (storage/columnar.hpp):
+// per-field column segments behind a zone map, with the block's own
+// dictionaries, so predicate-pushdown scans skip whole blocks and
+// unreferenced columns, and any block decodes without its neighbours.
+//
 // Every append writes its blocks followed by a seal, fsyncs, and — if any
 // write fails while the process survives — rolls the file back to its
 // pre-append length, making appends atomic. A crash mid-append leaves a
 // torn tail after the last seal; scan/fsck detect it via CRCs and block
 // sequence numbers, and repair() truncates/quarantines so that no
-// corrupted byte is ever delivered as a record. Format v1 files
-// (u32le len | u32le fnv checksum | body, no seals) remain fully readable
-// and can be upgraded in place with migrate_to_v2().
+// corrupted byte is ever delivered as a record.
 //
-// Format v3 (the default write format) keeps the v2 file framing —
-// identical block frames, seals, crash semantics — but each block body is
-// columnar (storage/columnar.hpp): per-field column segments behind a
-// zone map, enabling predicate-pushdown scans that skip whole blocks and
-// unreferenced columns. v1/v2/v3 files coexist in one lake; every reader
-// dispatches per block on the self-describing body.
+// This is the only format. A file with any other version byte — including
+// the row-oriented v1/v2 and the dictionary-chained v3 files of earlier
+// releases — is rejected with kBadVersion at the header and never
+// half-read; the lake is synthetic and is regenerated instead.
 #pragma once
 
 #include <cstdint>
@@ -54,13 +55,6 @@ class ThreadPool;
 
 namespace edgewatch::storage {
 
-/// On-disk format a lake writes. Reads auto-detect per file; appends to an
-/// existing day continue that file's format regardless of this setting.
-enum class LakeFormat : std::uint8_t {
-  kV2 = 2,  ///< row-oriented varint stream per block
-  kV3 = 3,  ///< columnar segments + zone map per block (storage/columnar.hpp)
-};
-
 /// Outcome of a day scan. Partial delivery is explicit: records_delivered
 /// counts what the callback saw, blocks_skipped counts damaged regions
 /// that were detected and stepped over, blocks_pruned counts healthy blocks
@@ -87,15 +81,8 @@ struct ScanResult {
 };
 
 /// Scratch buffers reused across block decodes. One per scanning thread:
-/// the decompressor and the columnar decoder fill the same allocations
-/// block after block instead of paying fresh allocations each time.
-struct ScanScratch {
-  std::vector<std::byte> decompressed;  ///< row-format (v1/v2) block bodies
-  ColumnScratch columns;                ///< columnar (v3) block bodies
-  /// Row→batch transposition for v1/v2 bodies on the batch scan path, so
-  /// every consumer sees one SoA shape regardless of the on-disk format.
-  exec::BatchStaging staging;
-};
+/// the columnar decoder fills the same allocations block after block.
+using ScanScratch = ColumnScratch;
 
 /// Random-access view of one day file for parallel scanning: the raw file
 /// bytes (shared, immutable) plus the location of every CRC-valid block.
@@ -103,9 +90,11 @@ struct ScanScratch {
 /// block list — share the index, give each worker its own ScanScratch.
 class DayBlockIndex {
  public:
+  /// Bytes of a block frame's header (body_len, seq, record_count, crc).
+  static constexpr std::size_t kFrameHeaderSize = 16;
+
   struct Block {
-    std::size_t offset = 0;       ///< Frame start within the file.
-    std::size_t header_size = 0;  ///< 16 (v2) or 8 (v1).
+    std::size_t offset = 0;  ///< Frame start within the file.
     std::uint32_t body_len = 0;
     std::uint32_t record_count = 0;
   };
@@ -115,42 +104,28 @@ class DayBlockIndex {
   [[nodiscard]] core::Errc fatal() const noexcept { return fatal_; }
   /// Day status before any block is decoded: kOk for a clean sealed file,
   /// kCorrupt when damaged ranges were skipped during indexing,
-  /// kTruncated for an unsealed v2 tail.
+  /// kTruncated for an unsealed tail.
   [[nodiscard]] core::Errc baseline() const noexcept { return baseline_; }
   [[nodiscard]] const std::vector<Block>& blocks() const noexcept { return blocks_; }
-  /// Every framed element of the file in stream order: the CRC-valid blocks
-  /// of blocks() interleaved with dictionary-salvage candidates carved from
-  /// damaged ranges (frames whose header still parses but whose CRC failed).
-  /// Dictionary chain resolvers must walk THIS order — `back` steps in a
-  /// delta link count original stream positions, so skipping a damaged
-  /// predecessor would mis-align every link behind it. Serving unverified
-  /// candidate bodies is safe: the chain walk re-derives the predecessor
-  /// dictionary and accepts it only when it hashes to the link's recorded
-  /// CRC, so a corrupt candidate fails cleanly instead of mis-resolving.
-  [[nodiscard]] const std::vector<Block>& chain() const noexcept { return chain_; }
-  /// Position of blocks()[i] within chain().
-  [[nodiscard]] std::size_t chain_pos(std::size_t i) const noexcept { return chain_pos_[i]; }
   /// Damaged byte ranges stepped over while indexing (counts toward
   /// ScanResult::blocks_skipped, exactly as in the serial scan).
   [[nodiscard]] std::uint32_t damaged_ranges() const noexcept { return damaged_ranges_; }
   /// The compressed body of an indexed block.
   [[nodiscard]] std::span<const std::byte> body(const Block& b) const noexcept {
-    return std::span<const std::byte>{*data_}.subspan(b.offset + b.header_size, b.body_len);
+    return std::span<const std::byte>{*data_}.subspan(b.offset + kFrameHeaderSize, b.body_len);
   }
 
  private:
   friend class DataLake;
   std::shared_ptr<const std::vector<std::byte>> data_;
   std::vector<Block> blocks_;
-  std::vector<Block> chain_;
-  std::vector<std::uint32_t> chain_pos_;
   std::uint32_t damaged_ranges_ = 0;
   core::Errc fatal_ = core::Errc::kOk;
   core::Errc baseline_ = core::Errc::kOk;
 };
 
 /// Cheap identity of one on-disk day file: stat facts plus the cumulative
-/// block count of the trailing seal (v2's durability receipt). Two reads of
+/// block count of the trailing seal (the file's durability receipt). Two reads of
 /// the same path compare equal iff the file was not rewritten in between —
 /// the staleness test shared by fsck reporting and the rollup store
 /// (query::RollupStore rebuilds a day's rollups only when the lake file's
@@ -158,13 +133,13 @@ class DayBlockIndex {
 struct FileIdentity {
   std::uint64_t size = 0;
   std::int64_t mtime_ns = 0;    ///< last_write_time, ns since filesystem epoch.
-  std::uint32_t seal_seq = 0;   ///< cumulative_blocks of a trailing v2 seal; 0 otherwise.
+  std::uint32_t seal_seq = 0;   ///< cumulative_blocks of a trailing seal; 0 otherwise.
 
   [[nodiscard]] bool exists() const noexcept { return size != 0 || mtime_ns != 0; }
   bool operator==(const FileIdentity&) const noexcept = default;
 };
 
-/// The one place that stats a lake-format file for identity purposes
+/// The one place that stats a lake day file for identity purposes
 /// (size + mtime + trailing-seal sequence). Missing/unreadable files yield
 /// a default identity (exists() == false).
 [[nodiscard]] FileIdentity file_identity(const std::filesystem::path& path);
@@ -174,7 +149,7 @@ struct DayHealth {
   core::CivilDate day{};
   FileIdentity identity{};  ///< As stat'ed by the same helper the rollup store uses.
   std::uint8_t version = 0;
-  bool sealed = false;       ///< v2: last valid element is a seal.
+  bool sealed = false;       ///< Last valid element is a seal.
   bool torn_tail = false;    ///< Unparseable bytes at (or to) the end.
   bool repaired = false;     ///< repair() rewrote the file.
   std::uint64_t blocks_ok = 0;
@@ -233,16 +208,14 @@ class DataLake {
   using RowSink = core::FunctionRef<void(const flow::FlowRecord&)>;
   using BatchSink = core::FunctionRef<void(const exec::RecordBatch&)>;
 
-  /// Stream every recoverable record of a day. Damaged v2/v3 blocks are
-  /// skipped (the reader resynchronizes on block sequence numbers) and
-  /// reported; a corrupt v1 file delivers its valid prefix. No record from
-  /// a block that failed its checksum is ever delivered.
+  /// Stream every recoverable record of a day. Damaged blocks are skipped
+  /// (the reader resynchronizes on block sequence numbers) and reported. No
+  /// record from a block that failed its checksum is ever delivered.
   ///
   /// Templated only to bind the callable to a RowSink through a named
   /// lvalue (FunctionRef rejects temporaries by design); dispatch is
-  /// non-virtual, the body is the out-of-line scan_day_impl. This is the
-  /// compatibility shim over the batch path: v3 blocks decode as batches
-  /// and replay through exec::materialize_rows.
+  /// non-virtual. The body is a thin loop over scan_day_batches that replays
+  /// each batch through exec::materialize_rows.
   template <typename Fn,
             typename = std::enable_if_t<std::is_invocable_v<Fn&, const flow::FlowRecord&>>>
   ScanResult scan_day(core::CivilDate day, Fn&& fn) const {
@@ -250,12 +223,10 @@ class DataLake {
     return scan_day_impl(day, nullptr, sink);
   }
 
-  /// Selective scan with predicate pushdown: v3 blocks whose zone map
-  /// cannot match are skipped without decompressing anything (counted in
-  /// ScanResult::blocks_pruned), surviving v3 blocks decode only the
-  /// column segments the filter and the callback need, and v1/v2 blocks
-  /// fall back to decode-then-filter — the delivered record set is
-  /// identical across formats.
+  /// Selective scan with predicate pushdown: blocks whose zone map cannot
+  /// match are skipped without decompressing anything (counted in
+  /// ScanResult::blocks_pruned), and surviving blocks decode only the
+  /// column segments the filter and the callback need.
   template <typename Fn,
             typename = std::enable_if_t<std::is_invocable_v<Fn&, const flow::FlowRecord&>>>
   ScanResult scan_day(core::CivilDate day, const ScanPredicate& predicate, Fn&& fn) const {
@@ -264,12 +235,10 @@ class DataLake {
   }
 
   /// Native batch delivery — the primary scan path: one RecordBatch per
-  /// surviving block, filled straight from the decode scratch. Columnar
-  /// blocks pass dictionary codes through without materializing a single
-  /// string; v1/v2 blocks are staged row→batch so consumers see one shape.
-  /// Same pruning/skip accounting and damage semantics as the row scan; a
-  /// filtered batch carries its selection vector instead of re-copying the
-  /// surviving rows.
+  /// surviving block, filled straight from the decode scratch, with
+  /// dictionary codes passed through without materializing a single
+  /// string. A filtered batch carries its selection vector instead of
+  /// re-copying the surviving rows.
   template <typename Fn,
             typename = std::enable_if_t<std::is_invocable_v<Fn&, const exec::RecordBatch&>>>
   ScanResult scan_day_batches(core::CivilDate day, Fn&& fn) const {
@@ -286,46 +255,21 @@ class DataLake {
   }
 
   /// Load the raw bytes and validated block index of one day for
-  /// random-access (parallel) decoding. scan_day is this plus a serial
-  /// walk over the blocks.
+  /// random-access (parallel) decoding. scan_day_batches is this plus a
+  /// serial walk over the blocks.
   [[nodiscard]] DayBlockIndex load_day_blocks(core::CivilDate day) const;
 
-  /// Decode every record of one indexed block body into `fn`, reusing
-  /// `scratch` instead of allocating per block. Returns false on
-  /// codec-level damage — records decoded before the damaged byte are
-  /// still delivered for row-format bodies (columnar bodies decode
-  /// atomically), matching scan_day's skip semantics.
-  static bool decode_block(std::span<const std::byte> body, ScanScratch& scratch,
-                           std::uint64_t& records_delivered,
-                           core::FunctionRef<void(const flow::FlowRecord&)> fn,
-                           const PrevBlockResolver* prev_blocks = nullptr);
-
-  /// Scan one indexed block body with optional predicate pushdown,
-  /// folding delivery/skip/prune accounting into `res`. The workhorse
-  /// behind scan_day and the parallel day aggregators: format dispatch is
-  /// per block (the body self-describes as columnar or row-stream), so one
-  /// scan loop serves v1/v2/v3 files alike. `record_count` is the frame
-  /// header's count (cross-checked against a v3 zone map; pass
-  /// kAnyRecordCount when unknown). `prev_blocks`, when given, resolves
-  /// layout-2 dictionary delta chains on random access (pass a resolver
-  /// over the day's block adjacency — see PrevBlockResolver); without it a
-  /// delta block only decodes when the scratch's chain cache holds its
-  /// predecessor, i.e. when blocks are scanned in file order.
-  static void scan_block(std::span<const std::byte> body, std::uint32_t record_count,
-                         const ScanPredicate* predicate, ScanScratch& scratch, ScanResult& res,
-                         core::FunctionRef<void(const flow::FlowRecord&)> fn,
-                         const PrevBlockResolver* prev_blocks = nullptr);
-
-  /// Batch counterpart of scan_block: the block's surviving rows are
-  /// delivered as one RecordBatch (columnar bodies view the decode scratch
-  /// directly; row bodies stage through scratch.staging). Accounting is
-  /// identical to scan_block — prune/skip/zone-lie handling, delivered-row
-  /// counts, valid-prefix delivery for damaged row-format bodies. An empty
-  /// post-filter block invokes no sink call.
+  /// Scan one indexed block body with optional predicate pushdown, folding
+  /// delivery/skip/prune accounting into `res`: the block's surviving rows
+  /// are delivered as one RecordBatch viewing `scratch`. The workhorse
+  /// behind scan_day_batches and the parallel day aggregators — blocks are
+  /// self-contained, so any subset decodes in any order. `record_count` is
+  /// the frame header's count (cross-checked against the zone map; pass
+  /// kAnyRecordCount when unknown). A lying zone map delivers its rows and
+  /// flags kCorrupt; an empty post-filter block invokes no sink call.
   static void scan_block_batches(std::span<const std::byte> body, std::uint32_t record_count,
                                  const ScanPredicate* predicate, ScanScratch& scratch,
-                                 ScanResult& res, BatchSink fn,
-                                 const PrevBlockResolver* prev_blocks = nullptr);
+                                 ScanResult& res, BatchSink fn);
 
   /// Convenience: materialize a day (recoverable records only).
   [[nodiscard]] std::vector<flow::FlowRecord> read_day(core::CivilDate day) const;
@@ -338,25 +282,15 @@ class DataLake {
   [[nodiscard]] LakeHealthReport fsck() const;
 
   /// Repair one day / every day: quarantine damaged regions into
-  /// `quarantine/` under the lake root, drop torn tails, renumber and
-  /// reseal the surviving blocks, atomically replacing the file via
-  /// write-temp + fsync + rename. A v2/v3 file keeps its format; a v1 file
-  /// is upgraded to v2. For v3 files the pre-scan deep-verifies every
+  /// `quarantine/` under the lake root, drop torn tails, copy the surviving
+  /// block frames, renumber and reseal them, atomically replacing the file
+  /// via write-temp + fsync + rename. The pre-scan deep-verifies every
   /// block (column structure, dictionaries, zone-map truthfulness), so a
   /// lying zone map or torn column segment is quarantined even though its
-  /// CRC frame is intact.
+  /// CRC frame is intact. A file that is not a current-version lake file
+  /// is quarantined whole.
   DayHealth repair_day(core::CivilDate day);
   LakeHealthReport repair();
-
-  /// Rewrite a v1/v3 day file as v2 (no-op on a file already at v2).
-  /// v3 input is transcoded record-by-record via rewrite_day.
-  core::Result<void> migrate_to_v2(core::CivilDate day);
-
-  /// Transcode one day to the target format: decode every recoverable
-  /// record, re-encode at `format`, swap in atomically (temp + fsync +
-  /// rename). Unhealthy days are repaired (damage quarantined) first so
-  /// the rewrite never launders corrupt bytes into a clean-looking file.
-  core::Result<void> rewrite_day(core::CivilDate day, LakeFormat format);
 
   /// Cut a day file back to exactly `size` bytes. Crash-recovery resume
   /// (runtime::Supervisor): the pipeline checkpoint records each day's
@@ -392,98 +326,61 @@ class DataLake {
     file_factory_ = factory ? std::move(factory) : FileFactory{make_posix_file};
   }
 
-  /// Format for freshly created day files (appends to an existing day
-  /// always continue its on-disk format). Defaults to kV3.
-  void set_write_format(LakeFormat format) noexcept { write_format_ = format; }
-  [[nodiscard]] LakeFormat write_format() const noexcept { return write_format_; }
-
-  /// Catalog the v3 writer uses to materialize per-record service ids
-  /// (zone maps + service column). nullptr = ServiceCatalog::standard().
-  void set_write_catalog(const services::ServiceCatalog* catalog) noexcept {
-    write_catalog_ = catalog;
-  }
-
-  /// Pipeline the v3 encode over `pool`: an append hands each full block
-  /// (serialize → columnar transpose → per-segment compress) to the pool
-  /// and commits the frames in order, so the sealed file is byte-identical
-  /// to the serial writer's — only the ingest thread's wall time changes.
-  /// `max_inflight` bounds the encoded-but-uncommitted blocks (0 = twice
-  /// the pool size); each in-flight block owns one EncodeScratch slot, so
-  /// the bound is also the steady-state memory ceiling. nullptr restores
-  /// the serial encoder. The pool must outlive the lake (or a trailing
-  /// set_encode_pool(nullptr)); appends themselves stay single-caller —
-  /// the pipeline parallelizes one append internally, it does not make
-  /// append() reentrant.
-  void set_encode_pool(core::ThreadPool* pool, std::size_t max_inflight = 0) noexcept {
-    encode_pool_ = pool;
-    encode_max_inflight_ = max_inflight;
-  }
-
-  /// Cache each day's append cursor (resume offset, next sequence number,
-  /// cumulative record count) keyed by the file's stat identity, replacing
-  /// the whole-file read-and-reparse that otherwise precedes every append
-  /// — O(appends · file size) for a day written in many batches. The cache
-  /// is validated against size+mtime before use and dropped on any failed
-  /// or out-of-band mutation (truncate, remove, repair, rewrite), so an
-  /// externally modified file simply falls back to the full parse. On by
-  /// default; disable to force the seed behaviour.
-  void set_append_cursor_cache(bool enabled) {
-    append_cursor_cache_ = enabled;
-    if (!enabled) append_cursors_.clear();
-  }
+  /// Pipeline the block encode over `pool`: an append hands each full
+  /// block (columnar transpose → per-segment compress) to the pool and
+  /// commits the frames in order, so the sealed file is byte-identical to
+  /// the serial writer's — only the ingest thread's wall time changes. At
+  /// most twice the pool size blocks are encoded but uncommitted; each owns
+  /// one EncodeScratch slot, so that window is also the steady-state memory
+  /// ceiling. nullptr restores the serial encoder. The pool must outlive
+  /// the lake (or a trailing set_encode_pool(nullptr)); appends themselves
+  /// stay single-caller — the pipeline parallelizes one append internally,
+  /// it does not make append() reentrant.
+  void set_encode_pool(core::ThreadPool* pool) noexcept { encode_pool_ = pool; }
 
   /// Records per compressed block.
   static constexpr std::size_t kBlockRecords = 4096;
 
  private:
   /// One slot of the pipelined-encode ring: the reusable per-task scratch
-  /// (satellite of the write-path overhaul — scratch survives across
-  /// flushes, so the steady state allocates nothing), the recomputed
-  /// dictionary chain state of the block's predecessor, the encoded body,
-  /// and the in-flight handle.
+  /// (it survives across flushes, so the steady state allocates nothing),
+  /// the encoded body, and the in-flight handle.
   struct EncodeSlot {
     EncodeScratch scratch;
-    DictChainState chain;
     core::ByteWriter body;
     std::future<void> done;
   };
 
-  /// Cached resume point of one day file; valid only while the file still
-  /// stats to exactly {file_size, mtime_ns}.
+  /// Cached resume point of one day file (next sequence number, cumulative
+  /// record count), so appending batch after batch to a day this lake
+  /// sealed itself costs one stat instead of a whole-file reparse. Valid
+  /// only while the file still stats to exactly {file_size, mtime_ns};
+  /// dropped on any failed or out-of-band mutation (truncate, remove,
+  /// repair), so an externally modified file falls back to the full parse.
   struct AppendCursor {
     std::uint64_t file_size = 0;
     std::int64_t mtime_ns = 0;
     std::uint32_t next_seq = 0;
     std::uint64_t cum_records = 0;
-    std::uint8_t version = 0;
   };
 
   [[nodiscard]] std::filesystem::path day_path(core::CivilDate day) const;
   /// append() minus the observability envelope (span + outcome counters).
   core::Result<std::uint64_t> append_impl(core::CivilDate day,
                                           std::span<const flow::FlowRecord> records);
-  DayHealth repair_day_impl(core::CivilDate day, bool force_rewrite);
   ScanResult scan_day_impl(core::CivilDate day, const ScanPredicate* predicate,
                            RowSink fn) const;
   ScanResult scan_day_batches_impl(core::CivilDate day, const ScanPredicate* predicate,
                                    BatchSink fn) const;
-  [[nodiscard]] const services::ServiceCatalog& effective_catalog() const noexcept;
-  /// Chunk `records` into block frames of the requested on-disk version
-  /// (plus, for v2/v3, a trailing seal), appending to `out`. Shared by
-  /// append() and rewrite_day(); v3 blocks go through the encode pipeline
-  /// when one is configured.
+  /// Chunk `records` into block frames plus a trailing seal, appending to
+  /// `out`; blocks go through the encode pipeline when one is configured.
   void encode_day_elements(core::ByteWriter& out, std::span<const flow::FlowRecord> records,
-                           std::uint8_t version, std::uint32_t next_seq,
-                           std::uint64_t cum_records);
+                           std::uint32_t next_seq, std::uint64_t cum_records);
 
   std::filesystem::path root_;
   FileFactory file_factory_;
-  LakeFormat write_format_ = LakeFormat::kV3;
-  const services::ServiceCatalog* write_catalog_ = nullptr;
   core::ThreadPool* encode_pool_ = nullptr;
-  std::size_t encode_max_inflight_ = 0;
   std::vector<EncodeSlot> encode_slots_;
-  bool append_cursor_cache_ = true;
   std::map<core::CivilDate, AppendCursor> append_cursors_;
 };
 

@@ -1,10 +1,10 @@
-// v2 ↔ v3 golden equivalence: the columnar rewrite must be invisible to
-// every consumer. The same record stream stored row-wise (v2) and
-// columnar (v3) has to produce byte-identical day aggregates and rollups,
-// predicate pushdown has to deliver exactly what post-decode filtering
-// delivers, the parallel scanner has to reproduce the serial one, and the
-// query engine's raw-lake fallback has to be indistinguishable from a
-// rollup-answered day.
+// Columnar lake goldens against the in-memory reference: the lake must be
+// invisible to every consumer. A day stored in the lake has to produce the
+// same day aggregates and byte-identical rollups as DayAggregator::add over
+// the very records that were appended, predicate pushdown has to deliver
+// exactly what ScanPredicate::matches selects from them, the parallel
+// scanner has to reproduce the serial one, and the query engine's raw-lake
+// fallback has to be indistinguishable from a rollup-answered day.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,26 +20,16 @@
 #include "storage/columnar.hpp"
 #include "storage/datalake.hpp"
 #include "synth/generator.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 namespace fs = std::filesystem;
 using ew::core::CivilDate;
 using ew::core::ThreadPool;
 using ew::flow::FlowRecord;
+using ew::testing::TempDir;
 
 namespace {
-
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    path = fs::path(::testing::TempDir()) /
-           ("ew_colgold_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
 
 void expect_aggregates_equal(const ew::analytics::DayAggregate& a,
                              const ew::analytics::DayAggregate& b) {
@@ -80,61 +70,47 @@ std::vector<FlowRecord> paper_day(CivilDate day) {
   return gen.day_records(day);
 }
 
-/// Two lakes over the same records, one per format.
-struct FormatPair {
-  TempDir v2_dir, v3_dir;
-  ew::storage::DataLake v2, v3;
-  FormatPair(CivilDate day, const std::vector<FlowRecord>& records)
-      : v2(v2_dir.path), v3(v3_dir.path) {
-    v2.set_write_format(ew::storage::LakeFormat::kV2);
-    EXPECT_TRUE(v2.append(day, records).has_value());
-    EXPECT_TRUE(v3.append(day, records).has_value());
-    EXPECT_EQ(v2.fsck_day(day).version, 2);
-    EXPECT_EQ(v3.fsck_day(day).version, 3);
+/// The reference model: DayAggregator::add over in-memory records, no lake.
+ew::analytics::DayAggregate reference_aggregate(CivilDate day,
+                                                const std::vector<FlowRecord>& records,
+                                                const ew::storage::ScanPredicate* pred = nullptr) {
+  ew::analytics::DayAggregator agg(day);
+  for (const auto& r : records) {
+    if (pred == nullptr || pred->matches(r)) agg.add(r);
   }
-};
+  return std::move(agg).take();
+}
 
 }  // namespace
 
 TEST(ColumnarGolden, AggregatesAndRollupsAreByteIdenticalAcrossFormats) {
+  // Lake (serial and parallel batch scans) vs the in-memory reference over
+  // the records that were appended.
   const CivilDate day{2015, 6, 10};
-  const auto records = paper_day(day);
-  FormatPair lakes(day, records);
-
-  const auto from_v2 = ew::analytics::aggregate_day(lakes.v2, day);
-  const auto from_v3 = ew::analytics::aggregate_day(lakes.v3, day);
-  ASSERT_TRUE(from_v2.scan.ok());
-  ASSERT_TRUE(from_v3.scan.ok());
-  EXPECT_EQ(from_v2.scan.records_delivered, from_v3.scan.records_delivered);
-  expect_aggregates_equal(from_v2.aggregate, from_v3.aggregate);
-
-  // The figure-feeding rollups — counters, HLLs, quantile sketches — are
-  // byte-identical, so every downstream figure is too.
-  for (std::size_t d = 0; d < ew::query::kDimensionCount; ++d) {
-    const auto dim = static_cast<ew::query::Dimension>(d);
-    const auto r2 = ew::query::build_day_rollup(from_v2.aggregate, dim);
-    const auto r3 = ew::query::build_day_rollup(from_v3.aggregate, dim);
-    EXPECT_EQ(ew::query::encode_rollup(r2), ew::query::encode_rollup(r3))
-        << "dimension " << d;
-  }
-}
-
-TEST(ColumnarGolden, RewriteDayIsLossless) {
-  const CivilDate day{2015, 7, 1};
   const auto records = paper_day(day);
   TempDir dir;
   ew::storage::DataLake lake(dir.path);
-  lake.set_write_format(ew::storage::LakeFormat::kV2);
   ASSERT_TRUE(lake.append(day, records).has_value());
-  const auto before = ew::analytics::aggregate_day(lake, day);
+  ASSERT_GT(lake.load_day_blocks(day).blocks().size(), 1u);
+  const auto want = reference_aggregate(day, records);
 
-  ASSERT_TRUE(lake.rewrite_day(day, ew::storage::LakeFormat::kV3).has_value());
-  ASSERT_EQ(lake.fsck_day(day).version, 3);
-  ASSERT_TRUE(lake.fsck_day(day).healthy());
-  const auto after = ew::analytics::aggregate_day(lake, day);
+  ThreadPool pool(4);
+  const auto serial = ew::analytics::aggregate_day(lake, day);
+  const auto parallel = ew::analytics::aggregate_day_parallel(lake, day, pool);
+  for (const auto* got : {&serial, &parallel}) {
+    ASSERT_TRUE(got->scan.ok());
+    EXPECT_EQ(got->scan.records_delivered, records.size());
+    expect_aggregates_equal(want, got->aggregate);
 
-  EXPECT_EQ(encode_stream(lake.read_day(day)), encode_stream(records));
-  expect_aggregates_equal(before.aggregate, after.aggregate);
+    // The figure-feeding rollups — counters, HLLs, quantile sketches — are
+    // byte-identical, so every downstream figure is too.
+    for (std::size_t d = 0; d < ew::query::kDimensionCount; ++d) {
+      const auto dim = static_cast<ew::query::Dimension>(d);
+      EXPECT_EQ(ew::query::encode_rollup(ew::query::build_day_rollup(want, dim)),
+                ew::query::encode_rollup(ew::query::build_day_rollup(got->aggregate, dim)))
+          << "dimension " << d;
+    }
+  }
 }
 
 TEST(ColumnarGolden, PushdownDeliversExactlyThePostFilterSet) {
@@ -146,7 +122,9 @@ TEST(ColumnarGolden, PushdownDeliversExactlyThePostFilterSet) {
                    [](const FlowRecord& a, const FlowRecord& b) {
                      return a.first_packet < b.first_packet;
                    });
-  FormatPair lakes(day, records);
+  TempDir dir;
+  ew::storage::DataLake lake(dir.path);
+  ASSERT_TRUE(lake.append(day, records).has_value());
 
   ew::storage::ScanPredicate pred =
       ew::storage::ScanPredicate::for_service(ew::services::ServiceId::kYouTube);
@@ -161,22 +139,19 @@ TEST(ColumnarGolden, PushdownDeliversExactlyThePostFilterSet) {
   ASSERT_FALSE(oracle.empty());
   ASSERT_LT(oracle.size(), records.size());
 
-  for (auto* lake : {&lakes.v2, &lakes.v3}) {
-    std::vector<FlowRecord> got;
-    auto sink = [&](const FlowRecord& r) { got.push_back(r); };
-    const auto scan = lake->scan_day(day, pred, sink);
-    EXPECT_TRUE(scan.ok());
-    EXPECT_EQ(encode_stream(got), encode_stream(oracle));
-  }
+  std::vector<FlowRecord> got;
+  auto sink = [&](const FlowRecord& r) { got.push_back(r); };
+  const auto scan = lake.scan_day(day, pred, sink);
+  EXPECT_TRUE(scan.ok());
+  EXPECT_EQ(encode_stream(got), encode_stream(oracle));
 
-  // And the filtered aggregates agree across formats (v2 post-filters
-  // after decode, v3 pushes the predicate below the decoder).
-  ew::storage::ScanScratch s2, s3;
-  const auto agg2 = ew::analytics::aggregate_day(lakes.v2, day, s2, &pred);
-  const auto agg3 = ew::analytics::aggregate_day(lakes.v3, day, s3, &pred);
-  EXPECT_EQ(agg2.scan.records_delivered, agg3.scan.records_delivered);
-  EXPECT_GT(agg3.scan.blocks_pruned, 0u);
-  expect_aggregates_equal(agg2.aggregate, agg3.aggregate);
+  // And the filtered aggregate (predicate pushed below the decoder) equals
+  // the reference over the post-filter set.
+  ew::storage::ScanScratch scratch;
+  const auto agg = ew::analytics::aggregate_day(lake, day, scratch, &pred);
+  EXPECT_EQ(agg.scan.records_delivered, oracle.size());
+  EXPECT_GT(agg.scan.blocks_pruned, 0u);
+  expect_aggregates_equal(reference_aggregate(day, records, &pred), agg.aggregate);
 }
 
 TEST(ColumnarGolden, ParallelPredicateScanMatchesSerial) {

@@ -1,9 +1,8 @@
 // The batch execution core's golden identities: every consumer that moved
 // from the row callback to RecordBatch must be *indistinguishable* from the
 // row path — same aggregates bit for bit (fp accumulation order included),
-// same rollup bytes, same query answers, same delivery counts on damaged
-// days — across all three lake formats (v1 staged, v2 staged, v3 native
-// columnar with dict-code pass-through).
+// same rollup bytes, same delivery counts on damaged days — and the
+// batch→row shim must reproduce the stored records exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,36 +14,22 @@
 
 #include "analytics/parallel.hpp"
 #include "core/hash.hpp"
-#include "core/thread_pool.hpp"
 #include "exec/record_batch.hpp"
-#include "query/engine.hpp"
 #include "query/rollup.hpp"
-#include "query/store.hpp"
 #include "storage/codec.hpp"
 #include "storage/columnar.hpp"
 #include "storage/daily_writer.hpp"
 #include "storage/datalake.hpp"
 #include "synth/generator.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 namespace fs = std::filesystem;
 using ew::core::CivilDate;
-using ew::core::ThreadPool;
 using ew::flow::FlowRecord;
+using ew::testing::TempDir;
 
 namespace {
-
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    path = fs::path(::testing::TempDir()) /
-           ("ew_exec_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
 
 std::string slurp(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -67,28 +52,7 @@ std::vector<FlowRecord> paper_day(CivilDate day) {
   return gen.day_records(day);
 }
 
-/// Hand-rolled format-v1 writer (pre-seal: per block u32le len | u32le
-/// truncated-fnv1a64(uncompressed) | compressed body).
-void write_v1_file(const fs::path& path, std::span<const FlowRecord> records,
-                   std::size_t block_records = 512) {
-  ew::core::ByteWriter out;
-  out.string("EWLK");
-  out.u8(1);
-  for (std::size_t first = 0; first < records.size(); first += block_records) {
-    const std::size_t n = std::min(block_records, records.size() - first);
-    ew::core::ByteWriter block;
-    for (std::size_t i = 0; i < n; ++i) ew::storage::encode_record(records[first + i], block);
-    const auto compressed = ew::storage::compress_block(block.view());
-    out.u32le(static_cast<std::uint32_t>(compressed.size()));
-    out.u32le(static_cast<std::uint32_t>(ew::core::fnv1a64(block.view())));
-    out.bytes(compressed);
-  }
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f.write(reinterpret_cast<const char*>(out.view().data()),
-          static_cast<std::streamsize>(out.size()));
-}
-
-/// Overwrite bytes inside the first block's body of a v3 day file and
+/// Overwrite bytes inside the first block's body of a day file and
 /// recompute the frame CRC (simulates an encoder lie, not media damage).
 void patch_first_body(const fs::path& path, std::size_t offset,
                       std::span<const unsigned char> replacement) {
@@ -164,27 +128,30 @@ ew::analytics::DayAggregate row_oracle(const ew::storage::DataLake& lake, CivilD
 
 }  // namespace
 
-// Round-trip through BatchStaging + the batch→row shim reproduces the
-// original records byte for byte — the direct oracle for both halves of the
-// v1/v2 batch path.
-TEST(ExecBatch, StagingRoundTripsRecordsByteIdentical) {
+// Decoding a stored block and replaying it through the batch→row shim
+// reproduces the appended records byte for byte — the direct oracle for
+// the row-callback scan path.
+TEST(ExecBatch, MaterializedBatchRoundTripsRecordsByteIdentical) {
   const CivilDate day{2016, 3, 3};
   auto records = paper_day(day);
   records.resize(std::min<std::size_t>(records.size(), 5'000));
   ASSERT_FALSE(records.empty());
-
-  ew::exec::BatchStaging staging;
-  for (const auto& r : records) staging.add(r);
-  const ew::exec::RecordBatch batch = staging.finish();
-  EXPECT_EQ(batch.rows, records.size());
-  EXPECT_EQ(batch.delivered_rows(), records.size());
+  TempDir dir;
+  ew::storage::DataLake lake(dir.path);
+  ASSERT_TRUE(lake.append(day, records).has_value());
 
   std::vector<FlowRecord> got;
   FlowRecord rec;
   std::uint64_t delivered = 0;
   auto sink = [&](const FlowRecord& r) { got.push_back(r); };
-  ew::exec::materialize_rows(batch, rec, ew::core::FunctionRef<void(const FlowRecord&)>(sink),
-                             delivered);
+  std::size_t batches = 0;
+  const auto scan = lake.scan_day_batches(day, [&](const ew::exec::RecordBatch& batch) {
+    ++batches;
+    EXPECT_EQ(batch.delivered_rows(), batch.rows);
+    ew::exec::materialize_rows(batch, rec, sink, delivered);
+  });
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(batches, 2u);  // 4096 + 904 rows
   EXPECT_EQ(delivered, records.size());
   // ingest_seq is not stored in the lake; the shim zeroes it, so mirror
   // that on the expectation side before the byte compare.
@@ -194,41 +161,32 @@ TEST(ExecBatch, StagingRoundTripsRecordsByteIdentical) {
 }
 
 // The headline identity: batch-fed aggregation equals row-fed aggregation —
-// bit for bit — on the same day stored in all three formats, and the
-// figure-feeding rollups built from them are byte-identical.
-TEST(ExecBatch, BatchAggregateMatchesRowAcrossV1V2V3) {
+// bit for bit — on the same stored day, and the figure-feeding rollups
+// built from them are byte-identical.
+TEST(ExecBatch, BatchAggregateMatchesRow) {
   const CivilDate day{2016, 4, 12};
   const auto records = paper_day(day);
+  TempDir dir;
+  ew::storage::DataLake lake(dir.path);
+  ASSERT_TRUE(lake.append(day, records).has_value());
 
-  TempDir v1_dir, v2_dir, v3_dir;
-  ew::storage::DataLake v1(v1_dir.path);  // the lake creates its directory
-  write_v1_file(v1_dir.path / ew::storage::DataLake::day_filename(day), records);
-  ew::storage::DataLake v2(v2_dir.path);
-  v2.set_write_format(ew::storage::LakeFormat::kV2);
-  ASSERT_TRUE(v2.append(day, records).has_value());
-  ew::storage::DataLake v3(v3_dir.path);
-  ASSERT_TRUE(v3.append(day, records).has_value());
-  ASSERT_EQ(v3.fsck_day(day).version, 3);
+  ew::storage::ScanResult row_scan;
+  const auto want = row_oracle(lake, day, &row_scan);
+  const auto got = ew::analytics::aggregate_day(lake, day);  // batch path
+  ASSERT_TRUE(got.scan.ok());
+  EXPECT_EQ(got.scan.records_delivered, row_scan.records_delivered);
+  EXPECT_EQ(got.scan.records_delivered, records.size());
+  expect_aggregates_equal(want, got.aggregate);
 
-  for (const auto* lake : {&v1, &v2, &v3}) {
-    ew::storage::ScanResult row_scan;
-    const auto want = row_oracle(*lake, day, &row_scan);
-    const auto got = ew::analytics::aggregate_day(*lake, day);  // batch path
-    ASSERT_TRUE(got.scan.ok());
-    EXPECT_EQ(got.scan.records_delivered, row_scan.records_delivered);
-    EXPECT_EQ(got.scan.records_delivered, records.size());
-    expect_aggregates_equal(want, got.aggregate);
-
-    for (std::size_t d = 0; d < ew::query::kDimensionCount; ++d) {
-      const auto dim = static_cast<ew::query::Dimension>(d);
-      EXPECT_EQ(ew::query::encode_rollup(ew::query::build_day_rollup(want, dim)),
-                ew::query::encode_rollup(ew::query::build_day_rollup(got.aggregate, dim)))
-          << "dimension " << d;
-    }
+  for (std::size_t d = 0; d < ew::query::kDimensionCount; ++d) {
+    const auto dim = static_cast<ew::query::Dimension>(d);
+    EXPECT_EQ(ew::query::encode_rollup(ew::query::build_day_rollup(want, dim)),
+              ew::query::encode_rollup(ew::query::build_day_rollup(got.aggregate, dim)))
+        << "dimension " << d;
   }
 }
 
-// Dict-code pass-through oracle: under the kDayAggregate projection a v3
+// Dict-code pass-through oracle: under the kDayAggregate projection a
 // batch carries (name_idx, name_dict) instead of per-row strings. Resolving
 // each row through the dictionary must reproduce exactly the server_name
 // sequence the row path emits — and the dictionary must actually be shared
@@ -239,7 +197,6 @@ TEST(ExecBatch, ProjectionPassesDictCodesThrough) {
   TempDir dir;
   ew::storage::DataLake lake(dir.path);
   ASSERT_TRUE(lake.append(day, records).has_value());
-  ASSERT_EQ(lake.fsck_day(day).version, 3);
 
   const auto pred =
       ew::storage::ScanPredicate::project(ew::exec::scan_fields::kDayAggregate);
@@ -295,20 +252,19 @@ TEST(ExecBatch, ZoneMapLieFlagsButDeliversThroughBatches) {
   expect_aggregates_equal(want, got.aggregate);
 }
 
-// A torn row-format day (truncated mid-frame) delivers the valid prefix on
-// both paths: the staging batch is flushed before the torn marker, so batch
-// consumers see exactly the records the row path salvages.
-TEST(ExecBatch, TornRowFormatDayDeliversSamePrefixAsBatches) {
+// A torn day (truncated mid-frame) delivers the blocks before the tear on
+// both paths: the row shim and the batch consumers see exactly the same
+// records.
+TEST(ExecBatch, TornDayDeliversSamePrefixAsBatches) {
   const CivilDate day{2016, 7, 9};
   const auto records = paper_day(day);
   TempDir dir;
   ew::storage::DataLake lake(dir.path);
-  lake.set_write_format(ew::storage::LakeFormat::kV2);
   ASSERT_TRUE(lake.append(day, records).has_value());
+  ASSERT_GT(lake.load_day_blocks(day).blocks().size(), 2u);
 
   const auto path = dir.path / ew::storage::DataLake::day_filename(day);
   auto contents = slurp(path);
-  ASSERT_GT(contents.size(), 1000u);
   contents.resize(contents.size() - contents.size() / 3);  // tear the tail off
   spew(path, contents);
 
@@ -316,50 +272,12 @@ TEST(ExecBatch, TornRowFormatDayDeliversSamePrefixAsBatches) {
   const auto want = row_oracle(lake, day, &row_scan);
   ASSERT_GT(row_scan.records_delivered, 0u);
   ASSERT_LT(row_scan.records_delivered, records.size());
+  EXPECT_EQ(row_scan.records_delivered % ew::storage::DataLake::kBlockRecords, 0u);
 
   const auto got = ew::analytics::aggregate_day(lake, day);
   EXPECT_EQ(got.scan.records_delivered, row_scan.records_delivered);
   EXPECT_EQ(got.scan.errc, row_scan.errc);
   expect_aggregates_equal(want, got.aggregate);
-}
-
-// The query engine's raw fallback now scans batches with a narrowed
-// projection; over a *row-format* lake (the staging path) it must still be
-// indistinguishable from rollup-answered days.
-TEST(ExecBatch, QueryRawFallbackOverRowFormatLakeMatchesRollups) {
-  const CivilDate day1{2016, 8, 1}, day2{2016, 8, 2};
-  TempDir lake_dir, full_dir, partial_dir;
-  ew::storage::DataLake lake(lake_dir.path);
-  lake.set_write_format(ew::storage::LakeFormat::kV2);
-  ASSERT_TRUE(lake.append(day1, paper_day(day1)).has_value());
-  ASSERT_TRUE(lake.append(day2, paper_day(day2)).has_value());
-
-  ThreadPool pool(4);
-  ew::query::RollupStore full(full_dir.path, lake);
-  ASSERT_TRUE(full.build(pool).errors.empty());
-  ew::query::RollupStore partial(partial_dir.path, lake);
-  const std::vector<CivilDate> only_day1 = {day1};
-  ASSERT_TRUE(partial.build(only_day1, pool).errors.empty());
-
-  for (const auto metric : {ew::query::Metric::kBytes, ew::query::Metric::kFlows}) {
-    for (const auto dim : {ew::query::Dimension::kService, ew::query::Dimension::kProtocol}) {
-      ew::query::QuerySpec spec;
-      spec.metric = metric;
-      spec.dimension = dim;
-      spec.from = day1;
-      spec.to = day2;
-      spec.raw_fallback = true;
-      const auto want = ew::query::run_query(full, spec);
-      const auto got = ew::query::run_query(partial, spec);
-      ASSERT_TRUE(got.ok());
-      EXPECT_EQ(got.days_scanned_raw, 1u);
-      ASSERT_EQ(got.rows.size(), want.rows.size());
-      for (std::size_t i = 0; i < got.rows.size(); ++i) {
-        EXPECT_EQ(got.rows[i].key, want.rows[i].key);
-        EXPECT_EQ(got.rows[i].value, want.rows[i].value);
-      }
-    }
-  }
 }
 
 // The writer's one-entry MRU day cache is pure mechanism: interleaved days,

@@ -17,6 +17,7 @@
 #include "storage/columnar.hpp"
 #include "storage/compress.hpp"
 #include "storage/datalake.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 
@@ -227,11 +228,10 @@ TEST(Fuzz, MutatedValidInputsSurviveParsers) {
 // ------------------------------------------------ lake truncation sweep
 
 TEST(Fuzz, TruncatedLakeFileSurvivesFsckAndRepairAtEveryOffset) {
-  // A sealed day file — row v2 AND columnar v3 — cut at EVERY byte offset:
-  // fsck and repair must never crash, and at most the final block can be
-  // damaged by the cut — everything sealed before it stays recoverable.
-  const auto root = std::filesystem::temp_directory_path() / "ew_fuzz_trunc";
-  std::filesystem::remove_all(root);
+  // A sealed day file cut at EVERY byte offset: fsck and repair must never
+  // crash, and at most the final block can be damaged by the cut —
+  // everything sealed before it stays recoverable.
+  const ew::testing::TempDir root;
 
   // Build a small sealed file via two appends (two seal points).
   const ew::core::CivilDate day{2016, 5, 4};
@@ -247,58 +247,48 @@ TEST(Fuzz, TruncatedLakeFileSurvivesFsckAndRepairAtEveryOffset) {
     r.server_name = "fuzz.example.com";
     batch.push_back(std::move(r));
   }
-  for (const auto format : {ew::storage::LakeFormat::kV2, ew::storage::LakeFormat::kV3}) {
-    SCOPED_TRACE(static_cast<int>(format));
-    std::vector<std::byte> sealed;
-    {
-      ew::storage::DataLake lake{root / "master"};
-      lake.set_write_format(format);
-      ASSERT_TRUE(lake.append(day, batch));
-      ASSERT_TRUE(lake.append(day, batch));  // second block group + reseal
-      const auto path = lake.root() / ew::storage::DataLake::day_filename(day);
-      std::ifstream in(path, std::ios::binary | std::ios::ate);
-      sealed.resize(static_cast<std::size_t>(in.tellg()));
-      in.seekg(0);
-      in.read(reinterpret_cast<char*>(sealed.data()),
-              static_cast<std::streamsize>(sealed.size()));
-    }
-    ASSERT_GT(sealed.size(), 32u);
-
-    for (std::size_t cut = 0; cut <= sealed.size(); ++cut) {
-      const auto dir = root / "sweep";
-      std::filesystem::remove_all(dir);
-      ew::storage::DataLake lake{dir};
-      // Materialize the truncated file where the lake expects the day.
-      std::filesystem::create_directories(dir);
-      {
-        std::ofstream out(dir / ew::storage::DataLake::day_filename(day),
-                          std::ios::binary | std::ios::trunc);
-        out.write(reinterpret_cast<const char*>(sealed.data()),
-                  static_cast<std::streamsize>(cut));
-      }
-
-      const auto before = lake.fsck_day(day);  // must not crash
-      const auto health = lake.repair_day(day);
-      EXPECT_LE(health.blocks_quarantined, 1u) << "cut=" << cut;
-      // Whatever repair left behind must now scan clean end to end.
-      const auto after = lake.fsck_day(day);
-      if (std::filesystem::exists(dir / ew::storage::DataLake::day_filename(day))) {
-        EXPECT_TRUE(after.healthy()) << "cut=" << cut << " errc="
-                                     << static_cast<int>(after.errc);
-        EXPECT_LE(after.records_ok, 12u);
-        (void)lake.read_day(day);  // decoding the survivors must not crash
-      }
-      (void)before;
-    }
-    std::filesystem::remove_all(root / "master");
+  std::vector<std::byte> sealed;
+  {
+    ew::storage::DataLake lake{root.path / "master"};
+    ASSERT_TRUE(lake.append(day, batch));
+    ASSERT_TRUE(lake.append(day, batch));  // second block group + reseal
+    const auto path = lake.root() / ew::storage::DataLake::day_filename(day);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    sealed.resize(static_cast<std::size_t>(in.tellg()));
+    in.seekg(0);
+    in.read(reinterpret_cast<char*>(sealed.data()), static_cast<std::streamsize>(sealed.size()));
   }
-  std::filesystem::remove_all(root);
+  ASSERT_GT(sealed.size(), 32u);
+
+  for (std::size_t cut = 0; cut <= sealed.size(); ++cut) {
+    const auto dir = root.path / "sweep";
+    std::filesystem::remove_all(dir);
+    ew::storage::DataLake lake{dir};
+    // Materialize the truncated file where the lake expects the day.
+    std::filesystem::create_directories(dir);
+    {
+      std::ofstream out(dir / ew::storage::DataLake::day_filename(day),
+                        std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(sealed.data()), static_cast<std::streamsize>(cut));
+    }
+
+    (void)lake.fsck_day(day);  // must not crash
+    const auto health = lake.repair_day(day);
+    EXPECT_LE(health.blocks_quarantined, 1u) << "cut=" << cut;
+    // Whatever repair left behind must now scan clean end to end.
+    const auto after = lake.fsck_day(day);
+    if (std::filesystem::exists(dir / ew::storage::DataLake::day_filename(day))) {
+      EXPECT_TRUE(after.healthy()) << "cut=" << cut << " errc=" << static_cast<int>(after.errc);
+      EXPECT_LE(after.records_ok, 12u);
+      (void)lake.read_day(day);  // decoding the survivors must not crash
+    }
+  }
 }
 
 // ------------------------------------------------ columnar body mutations
 
 TEST(Fuzz, MutatedColumnarBodiesNeverCrashOrLeakPartialBlocks) {
-  // Start from a valid columnar v3 body, then throw bit flips, truncations
+  // Start from a valid columnar body, then throw bit flips, truncations
   // and fully random 0xC3-prefixed bytes at the decoder. It must never
   // crash or read out of bounds (ASan/UBSan in CI), and a body it calls
   // corrupt must have delivered nothing — columnar decode is atomic.
@@ -328,11 +318,12 @@ TEST(Fuzz, MutatedColumnarBodiesNeverCrashOrLeakPartialBlocks) {
 
   ew::core::Xoshiro256 rng{0xC3F0};
   ew::storage::ColumnScratch scratch;
+  ew::exec::RecordBatch batch;
   const auto pred = ew::storage::ScanPredicate::for_proto(ew::core::TransportProto::kUdp);
   std::vector<std::byte> mut;
   for (int i = 0; i < 20'000; ++i) {
     if (i % 4 == 3) {
-      mut = seeded_bytes(rng, 512, {0xC3, 1});  // wholly random, right tag
+      mut = seeded_bytes(rng, 512, {0xC3, ew::storage::kColumnarLayout});  // random, right prefix
     } else {
       mut.assign(valid.begin(), valid.end());
       const std::size_t flips = 1 + ew::core::uniform_below(rng, 8);
@@ -342,13 +333,11 @@ TEST(Fuzz, MutatedColumnarBodiesNeverCrashOrLeakPartialBlocks) {
       }
       if (i % 4 == 2) mut.resize(ew::core::uniform_below(rng, mut.size() + 1));
     }
-    std::uint64_t delivered = 0;
-    auto sink = [](const ew::flow::FlowRecord&) {};
-    const auto status = ew::storage::decode_columnar_block(
-        mut, scratch, i % 2 ? &pred : nullptr, delivered, sink,
+    const auto status = ew::storage::decode_columnar_batch(
+        mut, scratch, i % 2 ? &pred : nullptr, batch,
         i % 3 ? ew::storage::kAnyRecordCount : static_cast<std::uint32_t>(records.size()));
     if (status == ew::storage::BlockDecodeStatus::kCorrupt) {
-      EXPECT_EQ(delivered, 0u) << "iteration " << i;
+      EXPECT_TRUE(batch.empty()) << "iteration " << i;
     }
   }
 }

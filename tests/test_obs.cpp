@@ -26,6 +26,7 @@
 #include "obs/obs.hpp"
 #include "probe/probe.hpp"
 #include "storage/columnar.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 namespace obs = ew::obs;
@@ -364,14 +365,13 @@ TEST(ObsSnapshot, FileWriteRoundTrip) {
   g_fake_now = 777;
   reg.counter("written_total").add(9);
   const obs::Snapshot snap = reg.scrape();
-  const fs::path path = fs::temp_directory_path() / "ew_obs_roundtrip.json";
+  const ew::testing::TempDir dir{"ew_obs"};
+  const fs::path path = dir.path / "roundtrip.json";
   ASSERT_TRUE(obs::write_snapshot(snap, path, obs::ExportFormat::kJson));
   EXPECT_EQ(slurp(path), obs::to_json(snap));
-  const fs::path prom = fs::temp_directory_path() / "ew_obs_roundtrip.prom";
+  const fs::path prom = dir.path / "roundtrip.prom";
   ASSERT_TRUE(obs::write_snapshot(snap, prom, obs::ExportFormat::kPrometheus));
   EXPECT_EQ(slurp(prom), obs::to_prometheus(snap));
-  fs::remove(path);
-  fs::remove(prom);
 }
 
 // The probe flushes its plain counters into the global registry as deltas

@@ -27,6 +27,7 @@
 #include "storage/datalake.hpp"
 #include "synth/generator.hpp"
 #include "synth/packets.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 using ew::core::IPv4Address;
@@ -440,17 +441,7 @@ TEST(ShardedProbe, OutageWindowMatchesSerialProbe) {
 
 namespace {
 
-struct TempLakeDir {
-  std::filesystem::path path;
-  TempLakeDir() {
-    path = std::filesystem::path(::testing::TempDir()) /
-           ("ew_parallel_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-  }
-  ~TempLakeDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-};
+using TempLakeDir = ew::testing::TempDir;
 
 void expect_aggregates_equal(const ew::analytics::DayAggregate& a,
                              const ew::analytics::DayAggregate& b) {
@@ -566,7 +557,7 @@ TEST(ParallelAnalytics, DamagedDayReportsSameStatusAsSerialScan) {
 }
 
 TEST(ParallelAnalytics, ProjectedScanReproducesFullDecodeAggregate) {
-  // aggregate_day pushes kDayAggregateScanFields down to the v3 decoder by
+  // aggregate_day pushes kDayAggregateScanFields down to the block decoder by
   // default; this is the check parallel.hpp promises keeps that mask
   // honest — the projected aggregate must be bit-identical to one built
   // from fully-materialized records, or add() grew a field read the
@@ -595,15 +586,14 @@ TEST(ParallelScan, DecompressIntoReusesScratchBuffer) {
     input.push_back(static_cast<std::byte>(i % 7));  // compressible
   }
   const auto compressed = ew::storage::compress_block(input);
-  ew::storage::ScanScratch scratch;
-  ASSERT_TRUE(ew::storage::decompress_block_into(compressed, scratch.decompressed));
-  EXPECT_EQ(scratch.decompressed, input);
-  const auto* before = scratch.decompressed.data();
-  ASSERT_TRUE(ew::storage::decompress_block_into(compressed, scratch.decompressed));
-  EXPECT_EQ(scratch.decompressed, input);
-  EXPECT_EQ(scratch.decompressed.data(), before);  // capacity reused, no realloc
+  std::vector<std::byte> scratch;
+  ASSERT_TRUE(ew::storage::decompress_block_into(compressed, scratch));
+  EXPECT_EQ(scratch, input);
+  const auto* before = scratch.data();
+  ASSERT_TRUE(ew::storage::decompress_block_into(compressed, scratch));
+  EXPECT_EQ(scratch, input);
+  EXPECT_EQ(scratch.data(), before);  // capacity reused, no realloc
 
-  ASSERT_FALSE(
-      ew::storage::decompress_block_into(std::span<const std::byte>{}, scratch.decompressed));
-  EXPECT_TRUE(scratch.decompressed.empty());  // failure leaves it cleared
+  ASSERT_FALSE(ew::storage::decompress_block_into(std::span<const std::byte>{}, scratch));
+  EXPECT_TRUE(scratch.empty());  // failure leaves it cleared
 }

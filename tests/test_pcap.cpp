@@ -7,22 +7,17 @@
 #include "net/pcap.hpp"
 #include "probe/probe.hpp"
 #include "synth/packets.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 namespace fs = std::filesystem;
 
 namespace {
 
+/// A capture path inside a per-test scratch directory.
 struct TempFile {
-  fs::path path;
-  TempFile()
-      : path(fs::temp_directory_path() /
-             ("ewpcap_" + std::to_string(::getpid()) + "_" + std::to_string(counter()++))) {}
-  ~TempFile() { fs::remove(path); }
-  static int& counter() {
-    static int c = 0;
-    return c;
-  }
+  ew::testing::TempDir dir{"ewpcap"};
+  fs::path path = dir.path / "trace.pcap";
 };
 
 ew::net::Trace sample_trace() {

@@ -12,6 +12,7 @@
 #include "dpi/parsers.hpp"
 #include "net/packet.hpp"
 #include "probe/probe.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 using ew::core::IPv4Address;
@@ -275,16 +276,10 @@ TEST(Probe, RttMeasuredThroughProbe) {
 
 namespace {
 
+/// A checkpoint path inside a per-test scratch directory.
 struct TempCheckpoint {
-  std::filesystem::path path;
-  TempCheckpoint()
-      : path(std::filesystem::temp_directory_path() /
-             ("ewckpt_" + std::to_string(::getpid()) + "_" + std::to_string(counter()++))) {}
-  ~TempCheckpoint() { std::filesystem::remove(path); }
-  static int& counter() {
-    static int c = 0;
-    return c;
-  }
+  ew::testing::TempDir dir{"ewckpt"};
+  std::filesystem::path path = dir.path / "probe.ckpt";
 };
 
 }  // namespace

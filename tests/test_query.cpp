@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -25,6 +26,7 @@
 #include "storage/datalake.hpp"
 #include "synth/generator.hpp"
 #include "synth/scenario.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 using ew::core::CivilDate;
@@ -39,28 +41,22 @@ namespace {
 /// a lake, the exact full-scan aggregates, and a fully built rollup store.
 /// Built once — scenario generation dominates the suite's runtime.
 struct Corpus {
-  std::filesystem::path root;
+  /// Per-process: ctest runs each test case as its own process, so a
+  /// shared name would let one process wipe another's lake mid-build.
+  ew::testing::TempDir dir{"ew_query_corpus"};
   ew::synth::Scenario scenario;
   std::unique_ptr<ew::storage::DataLake> lake;
   std::unique_ptr<RollupStore> store;
   std::vector<CivilDate> days;
   std::vector<ew::analytics::DayAggregate> aggregates;  ///< full-scan truth
   ew::query::BuildReport first_build;
-
-  ~Corpus() {
-    std::error_code ec;
-    std::filesystem::remove_all(root, ec);
-  }
 };
 
 Corpus& corpus() {
   static Corpus* c = [] {
     auto* corpus = new Corpus;
-    corpus->root = std::filesystem::path(::testing::TempDir()) / "ew_query_corpus";
-    std::error_code ec;
-    std::filesystem::remove_all(corpus->root, ec);
     corpus->scenario = ew::synth::build_paper_scenario(11, 0.1);
-    corpus->lake = std::make_unique<ew::storage::DataLake>(corpus->root / "lake");
+    corpus->lake = std::make_unique<ew::storage::DataLake>(corpus->dir.path / "lake");
     const ew::synth::WorkloadGenerator gen{corpus->scenario};
     // 2015-06-22 is a Monday: two full ISO weeks straddling a month edge,
     // so week and month bucketing are both non-trivial.
@@ -75,11 +71,18 @@ Corpus& corpus() {
       corpus->aggregates.push_back(ew::analytics::aggregate_day(*corpus->lake, day).aggregate);
     }
     corpus->store = std::make_unique<RollupStore>(
-        corpus->root / "rollups", *corpus->lake, ew::services::ServiceCatalog::standard(),
+        corpus->dir.path / "rollups", *corpus->lake, ew::services::ServiceCatalog::standard(),
         corpus->scenario.rib.get());
     corpus->first_build = corpus->store->build(pool);
     return corpus;
   }();
+  // The corpus is deliberately leaked (it outlives every test); only its
+  // directory is removed at exit.
+  static const bool cleanup_registered = std::atexit([] {
+    std::error_code ec;
+    std::filesystem::remove_all(c->dir.path, ec);
+  }) == 0;
+  (void)cleanup_registered;
   return *c;
 }
 
@@ -221,7 +224,7 @@ TEST(RollupStore, FsckAndStoreShareOneIdentity) {
   EXPECT_EQ(via_lake, via_fsck);
   EXPECT_EQ(via_lake, direct);
   EXPECT_TRUE(via_lake.exists());
-  EXPECT_GT(via_lake.seal_seq, 0u);  // sealed v2 file carries its receipt
+  EXPECT_GT(via_lake.seal_seq, 0u);  // a sealed file carries its receipt
 
   EXPECT_FALSE(ew::storage::file_identity(c.lake->root() / "nope.ewl").exists());
 }

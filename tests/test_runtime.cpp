@@ -26,6 +26,7 @@
 #include "storage/datalake.hpp"
 #include "storage/fault_injection.hpp"
 #include "synth/packets.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 using ew::core::IPv4Address;
@@ -37,8 +38,11 @@ using ew::runtime::OverloadPolicy;
 
 namespace {
 
+/// A fresh directory under this process's own scratch root (removed at
+/// exit), so concurrent test processes never share a path.
 std::filesystem::path fresh_dir(const std::string& name) {
-  const auto dir = std::filesystem::temp_directory_path() / ("ew_runtime_" + name);
+  static const ew::testing::TempDir root{"ew_runtime"};
+  const auto dir = root.path / name;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;

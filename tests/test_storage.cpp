@@ -4,14 +4,17 @@
 #include <filesystem>
 #include <fstream>
 
+#include "analytics/parallel.hpp"
 #include "core/hash.hpp"
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
 #include "storage/codec.hpp"
 #include "storage/columnar.hpp"
 #include "storage/compress.hpp"
 #include "storage/daily_writer.hpp"
 #include "storage/datalake.hpp"
 #include "storage/fault_injection.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 namespace fs = std::filesystem;
@@ -20,6 +23,7 @@ using ew::core::ByteWriter;
 using ew::core::CivilDate;
 using ew::core::IPv4Address;
 using ew::flow::FlowRecord;
+using ew::testing::TempDir;
 
 namespace {
 
@@ -85,18 +89,6 @@ void expect_equal(const FlowRecord& a, const FlowRecord& b) {
   EXPECT_EQ(a.content_type, b.content_type);
 }
 
-struct TempDir {
-  fs::path path;
-  TempDir() : path(fs::temp_directory_path() /
-                   ("ewlake_" + std::to_string(::getpid()) + "_" +
-                    std::to_string(counter()++))) {}
-  ~TempDir() { fs::remove_all(path); }
-  static int& counter() {
-    static int c = 0;
-    return c;
-  }
-};
-
 std::vector<FlowRecord> sample_batch(std::uint64_t seed, std::size_t n) {
   std::vector<FlowRecord> out;
   out.reserve(n);
@@ -112,27 +104,6 @@ std::string slurp(const fs::path& path) {
 void spew(const fs::path& path, const std::string& contents) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << contents;
-}
-
-/// Hand-rolled format-v1 writer (the pre-seal format: per block
-/// u32le len | u32le truncated-fnv1a64(uncompressed) | compressed body).
-void write_v1_file(const fs::path& path, std::span<const FlowRecord> records,
-                   std::size_t block_records = 512) {
-  ByteWriter out;
-  out.string("EWLK");
-  out.u8(1);
-  for (std::size_t first = 0; first < records.size(); first += block_records) {
-    const std::size_t n = std::min(block_records, records.size() - first);
-    ByteWriter block;
-    for (std::size_t i = 0; i < n; ++i) ew::storage::encode_record(records[first + i], block);
-    const auto compressed = ew::storage::compress_block(block.view());
-    out.u32le(static_cast<std::uint32_t>(compressed.size()));
-    out.u32le(static_cast<std::uint32_t>(ew::core::fnv1a64(block.view())));
-    out.bytes(compressed);
-  }
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f.write(reinterpret_cast<const char*>(out.view().data()),
-          static_cast<std::streamsize>(out.size()));
 }
 
 /// Every delivered record must be byte-identical to some prefix-preserving
@@ -469,7 +440,7 @@ TEST(DataLake, CsvExportWritesHeaderAndRows) {
   EXPECT_EQ(rows, 3);
 }
 
-// ------------------------------------------------------- durability (v2)
+// ------------------------------------------------------------ durability
 
 TEST(DataLakeV2, CleanDayIsSealedAndHealthy) {
   TempDir dir;
@@ -485,7 +456,7 @@ TEST(DataLakeV2, CleanDayIsSealedAndHealthy) {
 
   const auto health = lake.fsck_day(day);
   EXPECT_TRUE(health.healthy());
-  EXPECT_EQ(health.version, 3);  // columnar v3 is the default write format
+  EXPECT_EQ(health.version, 4);  // the one current format
   EXPECT_TRUE(health.sealed);
   EXPECT_FALSE(health.torn_tail);
   EXPECT_EQ(health.records_ok, records.size());
@@ -549,25 +520,48 @@ TEST(DataLakeV2, MidFileCorruptionSkipsOnlyTheDamagedBlock) {
   ASSERT_TRUE(lake.append(day, records).has_value());
   const auto path = dir.path / ew::storage::DataLake::day_filename(day);
 
-  // Flip one byte inside the first block's body.
+  // Flip one byte inside the middle block's body. Blocks are
+  // self-contained, so the damage must cost exactly that block's records
+  // on every read path — never its neighbours'.
+  const auto idx = lake.load_day_blocks(day);
+  ASSERT_EQ(idx.blocks().size(), 3u);
+  const auto& hit = idx.blocks()[1];
   auto contents = slurp(path);
-  contents[200] ^= 0x10;
+  contents[hit.offset + ew::storage::DayBlockIndex::kFrameHeaderSize + hit.body_len / 2] ^= 0x10;
   spew(path, contents);
+  std::vector<FlowRecord> survivors(records.begin(), records.begin() + 4096);
+  survivors.insert(survivors.end(), records.begin() + 8192, records.end());
 
+  // Serial scan: blocks 0 and 2 resynchronize via sequence numbers + CRC.
   ew::storage::ScanResult status;
   const auto delivered = lake.read_day(day, status);
-  EXPECT_FALSE(status.ok());
-  EXPECT_GE(status.blocks_skipped, 1u);
-  // Blocks 1 and 2 resynchronize via sequence numbers + CRC.
-  EXPECT_EQ(delivered.size(), records.size() - 4096);
-  expect_subsequence(delivered, records);
+  EXPECT_EQ(status.errc, ew::core::Errc::kCorrupt);
+  EXPECT_EQ(status.blocks_skipped, 1u);
+  ASSERT_EQ(delivered.size(), survivors.size());
+  for (std::size_t i = 0; i < survivors.size(); ++i) expect_equal(delivered[i], survivors[i]);
+
+  // Parallel aggregate: every worker range loses only the damaged block.
+  ew::core::ThreadPool pool(3);
+  const auto parallel = ew::analytics::aggregate_day_parallel(lake, day, pool);
+  EXPECT_EQ(parallel.scan.errc, ew::core::Errc::kCorrupt);
+  EXPECT_EQ(parallel.scan.records_delivered, survivors.size());
 
   // fsck: exact loss accounting against the seal.
   const auto health = lake.fsck_day(day);
   EXPECT_FALSE(health.healthy());
   EXPECT_TRUE(health.sealed);  // seal itself survived
   EXPECT_EQ(health.records_lost, 4096u);
-  EXPECT_GE(health.blocks_quarantined, 1u);
+  EXPECT_EQ(health.blocks_quarantined, 1u);
+
+  // Repair quarantines that block alone and keeps every other record.
+  const auto repaired = lake.repair_day(day);
+  EXPECT_TRUE(repaired.repaired);
+  EXPECT_EQ(repaired.blocks_quarantined, 1u);
+  EXPECT_TRUE(lake.fsck_day(day).healthy());
+  const auto after = lake.read_day(day, status);
+  EXPECT_TRUE(status.ok());
+  ASSERT_EQ(after.size(), survivors.size());
+  for (std::size_t i = 0; i < survivors.size(); ++i) expect_equal(after[i], survivors[i]);
 }
 
 TEST(DataLakeV2, RepairQuarantinesAndReseals) {
@@ -591,7 +585,7 @@ TEST(DataLakeV2, RepairQuarantinesAndReseals) {
   EXPECT_TRUE(fs::exists(dir.path / "quarantine"));
   EXPECT_FALSE(fs::is_empty(dir.path / "quarantine"));
 
-  // The repaired file is a pristine sealed v2 day.
+  // The repaired file is a pristine sealed day.
   const auto health = lake.fsck_day(day);
   EXPECT_TRUE(health.healthy());
   EXPECT_TRUE(health.sealed);
@@ -738,82 +732,98 @@ TEST(FaultMatrix, EveryInjectedFaultIsRecoveredOrQuarantined) {
   }
 }
 
-// ------------------------------------------------- v1 compat & migration
+// ------------------------------------------------- one format, no compat
 
-TEST(DataLakeV1, V1FilesRemainReadable) {
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  const CivilDate day{2014, 1, 1};
-  const auto records = sample_batch(7, 1500);
-  write_v1_file(dir.path / ew::storage::DataLake::day_filename(day), records);
+// Files written by earlier releases carry version 1 (row bodies, no seals),
+// 2 (row bodies) or 3 (dictionary-chained columnar bodies). None is
+// half-read: every entry point stops at the header.
+namespace {
 
-  ew::storage::ScanResult status;
-  const auto delivered = lake.read_day(day, status);
-  EXPECT_TRUE(status.ok());
-  ASSERT_EQ(delivered.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) expect_equal(delivered[i], records[i]);
-  EXPECT_EQ(lake.fsck_day(day).version, 1);
+constexpr char kOlderVersions[] = {'\x01', '\x02', '\x03'};
+
+// Writes a healthy day, then patches its header to `version`. Returns the
+// patched file's bytes.
+std::string write_day_with_version(const fs::path& root, const CivilDate& day, char version) {
+  ew::storage::DataLake lake{root};
+  EXPECT_TRUE(lake.append(day, sample_batch(7, 1500)).has_value());
+  const auto path = root / ew::storage::DataLake::day_filename(day);
+  auto contents = slurp(path);
+  contents[4] = version;  // "EWLK" | version
+  spew(path, contents);
+  return contents;
 }
 
-TEST(DataLakeV1, AppendToV1FileStaysV1) {
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  const CivilDate day{2014, 1, 2};
-  const auto batch1 = sample_batch(7, 400);
-  write_v1_file(dir.path / ew::storage::DataLake::day_filename(day), batch1);
-  const auto batch2 = sample_batch(8, 400);
-  ASSERT_TRUE(lake.append(day, batch2).has_value());
-  EXPECT_EQ(lake.fsck_day(day).version, 1);  // no silent format change
-  EXPECT_EQ(lake.read_day(day).size(), batch1.size() + batch2.size());
+}  // namespace
+
+TEST(DataLakeVersion, OlderVersionHeadersAreRejectedByScanAndFsck) {
+  for (const char version : kOlderVersions) {
+    SCOPED_TRACE(static_cast<int>(version));
+    TempDir dir;
+    const CivilDate day{2014, 1, 1};
+    write_day_with_version(dir.path, day, version);
+
+    ew::storage::DataLake lake{dir.path};
+    std::size_t delivered = 0;
+    const auto status = lake.scan_day(day, [&](const FlowRecord&) { ++delivered; });
+    EXPECT_EQ(status.errc, ew::core::Errc::kBadVersion);
+    EXPECT_EQ(delivered, 0u);
+    EXPECT_EQ(lake.fsck_day(day).errc, ew::core::Errc::kBadVersion);
+  }
 }
 
-TEST(DataLakeV1, MigrateToV2PreservesEveryRecord) {
+TEST(DataLakeVersion, AppendToOlderVersionFileIsRejectedAndLeftUntouched) {
+  for (const char version : kOlderVersions) {
+    SCOPED_TRACE(static_cast<int>(version));
+    TempDir dir;
+    const CivilDate day{2014, 1, 1};
+    const auto contents = write_day_with_version(dir.path, day, version);
+
+    // A fresh lake: no append cursor cached from the write above, so the
+    // append has to read the header it is about to extend.
+    ew::storage::DataLake lake{dir.path};
+    const auto appended = lake.append(day, sample_batch(8, 10));
+    ASSERT_FALSE(appended.has_value());
+    EXPECT_EQ(appended.error(), ew::core::Errc::kBadVersion);
+    EXPECT_EQ(slurp(dir.path / ew::storage::DataLake::day_filename(day)), contents);
+  }
+}
+
+TEST(DataLakeVersion, ForeignLayoutByteIsCorruptAndQuarantined) {
+  // A current-version frame whose body claims another columnar layout (1
+  // or 2, as earlier releases wrote) is structural corruption: the scan
+  // skips that block, fsck flags it, repair quarantines it.
   TempDir dir;
   ew::storage::DataLake lake{dir.path};
   const CivilDate day{2014, 2, 2};
-  const auto records = sample_batch(9, 1500);
-  write_v1_file(dir.path / ew::storage::DataLake::day_filename(day), records);
-
-  ASSERT_TRUE(lake.migrate_to_v2(day).ok());
-  const auto health = lake.fsck_day(day);
-  EXPECT_EQ(health.version, 2);
-  EXPECT_TRUE(health.sealed);
-  EXPECT_TRUE(health.healthy());
-
-  ew::storage::ScanResult status;
-  const auto delivered = lake.read_day(day, status);
-  EXPECT_TRUE(status.ok());
-  ASSERT_EQ(delivered.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) expect_equal(delivered[i], records[i]);
-
-  // Idempotent, and the upgraded day seals future appends.
-  EXPECT_TRUE(lake.migrate_to_v2(day).ok());
-  ASSERT_TRUE(lake.append(day, sample_batch(10, 10)).has_value());
-  EXPECT_TRUE(lake.fsck_day(day).sealed);
-}
-
-TEST(DataLakeV1, TornV1TailDeliversPrefixAndRepairsToV2) {
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  const CivilDate day{2014, 3, 3};
-  const auto records = sample_batch(11, 1024);  // two 512-record v1 blocks
+  const auto records = sample_batch(9, 5000);  // blocks of 4096 + 904
+  ASSERT_TRUE(lake.append(day, records).has_value());
   const auto path = dir.path / ew::storage::DataLake::day_filename(day);
-  write_v1_file(path, records);
+  const auto first = lake.load_day_blocks(day).blocks().front();
+  // Rewrite block 0's layout byte (body offset 1) and re-seal its CRC, so
+  // only the body decoder can object.
   auto contents = slurp(path);
-  spew(path, contents.substr(0, contents.size() - 10));  // torn final block
+  const std::size_t body = first.offset + ew::storage::DayBlockIndex::kFrameHeaderSize;
+  contents[body + 1] = '\x02';
+  const auto* bytes = reinterpret_cast<const std::byte*>(contents.data());
+  std::uint32_t crc = ew::core::crc32c({bytes + first.offset, 12});
+  crc = ew::core::crc32c({bytes + body, first.body_len}, crc);
+  for (int i = 0; i < 4; ++i) {
+    contents[first.offset + 12 + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+  }
+  spew(path, contents);
 
   ew::storage::ScanResult status;
-  const auto delivered = lake.read_day(day, status);
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(delivered.size(), 512u);  // the valid prefix, nothing invented
-  expect_subsequence(delivered, records);
+  EXPECT_EQ(lake.read_day(day, status).size(), records.size() - 4096);
+  EXPECT_EQ(status.errc, ew::core::Errc::kCorrupt);
+  EXPECT_EQ(status.blocks_skipped, 1u);
+  EXPECT_FALSE(lake.fsck_day(day).healthy());
 
-  const auto report = lake.repair_day(day);
-  EXPECT_TRUE(report.repaired);
-  EXPECT_TRUE(lake.fsck_day(day).healthy());
-  EXPECT_EQ(lake.fsck_day(day).version, 2);
-  EXPECT_EQ(lake.read_day(day).size(), 512u);
+  const auto repaired = lake.repair_day(day);
+  EXPECT_TRUE(repaired.repaired);
+  EXPECT_EQ(repaired.blocks_quarantined, 1u);
   EXPECT_FALSE(fs::is_empty(dir.path / "quarantine"));
+  EXPECT_TRUE(lake.fsck_day(day).healthy());
+  EXPECT_EQ(lake.read_day(day).size(), records.size() - 4096);
 }
 
 TEST(DataLake, ForeignFileIsRejectedNotParsed) {
@@ -886,11 +896,11 @@ TEST(DailyLakeWriter, FlushAllReportsTypedErrorAndLakeStaysConsistent) {
   EXPECT_TRUE(lake.fsck_day(day).healthy());
 }
 
-// ----------------------------------------------------- columnar v3 lake
+// -------------------------------------------------------- columnar lake
 
 namespace {
 
-/// Records varied enough to exercise every v3 column and make blocks
+/// Records varied enough to exercise every column and make blocks
 /// zone-distinguishable: service changes per 4096-record block, transport
 /// and timestamps vary per row, some rows carry no RTT samples or name.
 std::vector<FlowRecord> varied_batch(std::uint64_t seed, std::size_t n, CivilDate day) {
@@ -945,7 +955,6 @@ TEST(ColumnarV3, BodyRoundTripAndZonePeek) {
   const auto records = varied_batch(31, 1000, day);
   ByteWriter body;
   ew::storage::encode_columnar_block(records, ew::services::ServiceCatalog::standard(), body);
-  ASSERT_TRUE(ew::storage::is_columnar_block(body.view()));
 
   const auto zone = ew::storage::peek_zone_map(body.view());
   ASSERT_TRUE(zone.has_value());
@@ -959,13 +968,15 @@ TEST(ColumnarV3, BodyRoundTripAndZonePeek) {
   EXPECT_EQ(zone->ts_max_us, ts_max);
 
   ew::storage::ColumnScratch scratch;
+  ew::exec::RecordBatch batch;
+  const auto status = ew::storage::decode_columnar_batch(
+      body.view(), scratch, nullptr, batch, static_cast<std::uint32_t>(records.size()));
+  EXPECT_EQ(status, ew::storage::BlockDecodeStatus::kOk);
   std::vector<FlowRecord> decoded;
   std::uint64_t delivered = 0;
+  FlowRecord rec;
   auto sink = [&](const FlowRecord& r) { decoded.push_back(r); };
-  const auto status = ew::storage::decode_columnar_block(
-      body.view(), scratch, nullptr, delivered, sink,
-      static_cast<std::uint32_t>(records.size()));
-  EXPECT_EQ(status, ew::storage::BlockDecodeStatus::kOk);
+  ew::exec::materialize_rows(batch, rec, sink, delivered);
   EXPECT_EQ(delivered, records.size());
   ASSERT_EQ(decoded.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) expect_equal(decoded[i], records[i]);
@@ -978,76 +989,41 @@ TEST(ColumnarV3, TruncatedBodySweepDecodesAtomically) {
   ew::storage::encode_columnar_block(records, ew::services::ServiceCatalog::standard(), body);
 
   ew::storage::ColumnScratch scratch;
+  ew::exec::RecordBatch batch;
   for (std::size_t len = 0; len < body.size(); ++len) {
-    std::uint64_t delivered = 0;
-    auto sink = [](const FlowRecord&) {};
-    const auto status = ew::storage::decode_columnar_block(body.view().subspan(0, len), scratch,
-                                                           nullptr, delivered, sink);
+    const auto status =
+        ew::storage::decode_columnar_batch(body.view().subspan(0, len), scratch, nullptr, batch);
     // A torn column segment must never crash and never deliver a partial
     // block: columnar decode is all-or-nothing.
     EXPECT_EQ(status, ew::storage::BlockDecodeStatus::kCorrupt) << "prefix length " << len;
-    EXPECT_EQ(delivered, 0u) << "prefix length " << len;
+    EXPECT_TRUE(batch.empty()) << "prefix length " << len;
   }
 }
 
-TEST(DataLakeV3, FormatControlsAndAppendContinuity) {
+TEST(DataLakeV3, AppendsContinueOneSealedStream) {
+  // Appends of every size — sub-block, exactly one block, multi-block —
+  // extend one sealed stream: sequence numbers continue, every block stays
+  // self-contained, and the day reads back in append order.
   TempDir dir;
   ew::storage::DataLake lake{dir.path};
-  EXPECT_EQ(lake.write_format(), ew::storage::LakeFormat::kV3);
-
-  const CivilDate v2_day{2017, 2, 1}, v3_day{2017, 2, 2};
-  lake.set_write_format(ew::storage::LakeFormat::kV2);
-  ASSERT_TRUE(lake.append(v2_day, sample_batch(1, 100)).has_value());
-  EXPECT_EQ(lake.fsck_day(v2_day).version, 2);
-
-  lake.set_write_format(ew::storage::LakeFormat::kV3);
-  ASSERT_TRUE(lake.append(v3_day, sample_batch(2, 100)).has_value());
-  EXPECT_EQ(lake.fsck_day(v3_day).version, 3);
-
-  // Appends continue the file's existing format, whatever the lake-wide
-  // default says — a day file never mixes body formats.
-  ASSERT_TRUE(lake.append(v2_day, sample_batch(3, 100)).has_value());
-  EXPECT_EQ(lake.fsck_day(v2_day).version, 2);
-  lake.set_write_format(ew::storage::LakeFormat::kV2);
-  ASSERT_TRUE(lake.append(v3_day, sample_batch(4, 100)).has_value());
-  EXPECT_EQ(lake.fsck_day(v3_day).version, 3);
-
-  for (const auto day : {v2_day, v3_day}) {
-    EXPECT_TRUE(lake.fsck_day(day).healthy());
-    EXPECT_EQ(lake.read_day(day).size(), 200u);
+  const CivilDate day{2017, 2, 2};
+  std::vector<FlowRecord> all;
+  std::uint64_t seed = 1;
+  for (const std::size_t n : {std::size_t{100}, std::size_t{4096}, std::size_t{9000},
+                              std::size_t{1}}) {
+    const auto batch = varied_batch(seed++, n, day);
+    ASSERT_TRUE(lake.append(day, batch).has_value());
+    all.insert(all.end(), batch.begin(), batch.end());
+    const auto health = lake.fsck_day(day);
+    EXPECT_TRUE(health.healthy());
+    EXPECT_EQ(health.version, 4);
+    EXPECT_EQ(health.records_ok, all.size());
   }
-}
-
-TEST(DataLakeV3, RewriteTranscodesBothWays) {
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  const CivilDate day{2017, 3, 1};
-  const auto records = varied_batch(33, 9000, day);
-  ASSERT_TRUE(lake.append(day, records).has_value());
-  const auto path = dir.path / ew::storage::DataLake::day_filename(day);
-  const auto v3_bytes = slurp(path);
-
-  ASSERT_TRUE(lake.rewrite_day(day, ew::storage::LakeFormat::kV2).has_value());
-  EXPECT_EQ(lake.fsck_day(day).version, 2);
-  EXPECT_TRUE(lake.fsck_day(day).healthy());
-  {
-    ew::storage::ScanResult status;
-    const auto delivered = lake.read_day(day, status);
-    EXPECT_TRUE(status.ok());
-    ASSERT_EQ(delivered.size(), records.size());
-    for (std::size_t i = 0; i < records.size(); ++i) expect_equal(delivered[i], records[i]);
-  }
-
-  // Transcoding back reproduces the original v3 file byte for byte: the
-  // columnar encoder is deterministic and rewrite re-chunks identically.
-  ASSERT_TRUE(lake.rewrite_day(day, ew::storage::LakeFormat::kV3).has_value());
-  EXPECT_EQ(lake.fsck_day(day).version, 3);
-  EXPECT_EQ(slurp(path), v3_bytes);
-
-  // migrate_to_v2 understands v3 input (transcode, not a verbatim copy).
-  ASSERT_TRUE(lake.migrate_to_v2(day).ok());
-  EXPECT_EQ(lake.fsck_day(day).version, 2);
-  EXPECT_EQ(lake.read_day(day).size(), records.size());
+  ew::storage::ScanResult status;
+  const auto got = lake.read_day(day, status);
+  EXPECT_TRUE(status.ok());
+  ASSERT_EQ(got.size(), all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) expect_equal(got[i], all[i]);
 }
 
 TEST(DataLakeV3, PredicatePushdownMatchesPostFilterAndPrunes) {
@@ -1168,7 +1144,7 @@ namespace {
 /// Oracle for the projection contract: starting from a value-initialized
 /// record, copy in the always-decoded filter columns (first_packet, proto,
 /// server_ip) plus exactly the fields `mask` requests — mirroring what a
-/// projected v3 scan promises to materialize. `full` must come from an
+/// projected scan promises to materialize. `full` must come from an
 /// unprojected scan of the same lake, so codec-level rounding (RTT
 /// averages) cancels out and every field compares exactly.
 FlowRecord project_oracle(const FlowRecord& full, std::uint32_t mask) {
@@ -1219,7 +1195,7 @@ FlowRecord project_oracle(const FlowRecord& full, std::uint32_t mask) {
 }
 
 /// Field-exhaustive equality (unlike expect_equal, which tracks the lossy
-/// row codec): projection compares two decodes of the same v3 bytes, so
+/// row codec): projection compares two decodes of the same bytes, so
 /// every field — including RTT average, downstream counters, and
 /// ingest_seq — must match bit for bit.
 void expect_identical(const FlowRecord& a, const FlowRecord& b) {
@@ -1288,22 +1264,4 @@ TEST(DataLakeV3, ProjectionComposesWithRowFilters) {
   ASSERT_LT(expected.size(), full.size());  // the filter actually selects
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i) expect_identical(got[i], expected[i]);
-}
-
-TEST(DataLakeV2, ProjectionIsANoOpOnRowFormatDays) {
-  // Row-format blocks decode whole records; a projected scan of a v2 day
-  // must deliver every field fully materialized — consumers must not rely
-  // on unprojected fields being zeroed when a lake may contain v2 days.
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  lake.set_write_format(ew::storage::LakeFormat::kV2);
-  const CivilDate day{2017, 6, 3};
-  const auto records = varied_batch(43, 400, day);
-  ASSERT_TRUE(lake.append(day, records).has_value());
-
-  const auto pred = ew::storage::ScanPredicate::project(ew::storage::scan_fields::kUpBytes);
-  std::vector<FlowRecord> got;
-  ASSERT_TRUE(lake.scan_day(day, pred, [&](const FlowRecord& r) { got.push_back(r); }).ok());
-  ASSERT_EQ(got.size(), records.size());
-  for (std::size_t i = 0; i < got.size(); ++i) expect_equal(got[i], records[i]);
 }

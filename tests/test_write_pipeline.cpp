@@ -1,9 +1,8 @@
-// Write-path overhaul tests: the pipelined block encoder must be invisible
-// in the bytes (parallel ≡ serial, any worker count, any in-flight bound),
-// the adaptive value-segment codec must round-trip against a scalar oracle
-// and reject every truncation, layout-2 dictionary delta chains must
-// resolve on random access and fail loudly — never mis-resolve — and a
-// kill mid-parallel-flush must resume to a byte-identical day file.
+// Write-path tests: the pipelined block encoder must be invisible in the
+// bytes (parallel ≡ serial, any pool size), the adaptive value-segment
+// codec must round-trip against a scalar oracle and reject every
+// truncation, the append cursor cache must be invisible too, and a kill
+// mid-parallel-flush must resume to a byte-identical day file.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,26 +18,19 @@
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "obs/obs.hpp"
-#include "services/catalog.hpp"
-#include "storage/columnar.hpp"
 #include "storage/compress.hpp"
 #include "storage/datalake.hpp"
 #include "storage/fault_injection.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 namespace fs = std::filesystem;
 using ew::core::CivilDate;
 using ew::core::ThreadPool;
 using ew::flow::FlowRecord;
+using ew::testing::TempDir;
 
 namespace {
-
-fs::path fresh_dir(const std::string& name) {
-  const auto dir = fs::temp_directory_path() / ("ew_wpipe_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 std::vector<std::byte> file_bytes(const fs::path& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
@@ -52,12 +44,10 @@ std::vector<std::byte> day_bytes(const ew::storage::DataLake& lake, CivilDate da
   return file_bytes(lake.root() / ew::storage::DataLake::day_filename(day));
 }
 
-/// Deterministic records with dictionaries that overlap across blocks (so
-/// delta coding engages) yet differ per block (so a chain mis-resolution
-/// would be observable): most names come from a shared pool, a few are
-/// unique to their block.
-std::vector<FlowRecord> make_records(CivilDate day, std::size_t n,
-                                     bool block2_udp_only = false) {
+/// Deterministic records with dictionaries that overlap across blocks yet
+/// differ per block: most names come from a shared pool, a few are unique
+/// to their block.
+std::vector<FlowRecord> make_records(CivilDate day, std::size_t n) {
   static const char* kNames[] = {
       "static.example.com",    "edge-star.facebook.com", "r3---sn.googlevideo.com",
       "cdn.sstatic.net",       "api.twitter.com",        "img.service.example.net",
@@ -73,9 +63,7 @@ std::vector<FlowRecord> make_records(CivilDate day, std::size_t n,
     r.server_ip = ew::core::IPv4Address{static_cast<std::uint32_t>(0x5db8d800 + i % 61)};
     r.client_port = static_cast<std::uint16_t>(40'000 + i % 20'000);
     r.server_port = i % 2 ? 443 : 80;
-    const bool udp = block2_udp_only && block == 2;
-    r.proto = udp || i % 7 == 0 ? ew::core::TransportProto::kUdp
-                                : ew::core::TransportProto::kTcp;
+    r.proto = i % 7 == 0 ? ew::core::TransportProto::kUdp : ew::core::TransportProto::kTcp;
     r.first_packet = ew::core::Timestamp::from_date_time(day, static_cast<int>(block % 24)) +
                      static_cast<std::int64_t>(i % 4096) * 1000;
     r.last_packet = r.first_packet + static_cast<std::int64_t>(1'000'000 + i % 997);
@@ -223,33 +211,31 @@ TEST(CodecV2, MutatedEnvelopesNeverCrashAndNeverOverDeliver) {
 
 TEST(WritePipeline, ParallelEncodeIsByteIdenticalToSerial) {
   const CivilDate day{2017, 3, 9};
-  // Two appends: 10 blocks then 3 — crossing both the kDictChainInterval
-  // restart inside an append and the chain break at the append boundary.
+  // Two appends: 11 blocks then 3, so the encode ring wraps inside an append
+  // and restarts at the append boundary.
   const auto batch1 = make_records(day, 10 * ew::storage::DataLake::kBlockRecords + 777);
   const auto batch2 = make_records(day, 2 * ew::storage::DataLake::kBlockRecords + 33);
 
-  const auto golden_dir = fresh_dir("golden");
-  ew::storage::DataLake golden(golden_dir);
+  const TempDir golden_dir;
+  ew::storage::DataLake golden(golden_dir.path);
   ASSERT_TRUE(golden.append(day, batch1).has_value());
   ASSERT_TRUE(golden.append(day, batch2).has_value());
   const auto want = day_bytes(golden, day);
   ASSERT_GT(want.size(), 1000u);
   ASSERT_TRUE(golden.fsck_day(day).healthy());
 
-  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    for (const std::size_t max_inflight : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
-      SCOPED_TRACE("workers=" + std::to_string(workers) +
-                   " inflight=" + std::to_string(max_inflight));
-      ThreadPool pool(workers);
-      const auto dir = fresh_dir("par_" + std::to_string(workers) + "_" +
-                                 std::to_string(max_inflight));
-      ew::storage::DataLake lake(dir);
-      lake.set_encode_pool(&pool, max_inflight);
-      ASSERT_TRUE(lake.append(day, batch1).has_value());
-      ASSERT_TRUE(lake.append(day, batch2).has_value());
-      lake.set_encode_pool(nullptr);
-      EXPECT_EQ(day_bytes(lake, day), want);
-    }
+  // The in-flight window is twice the pool size, so the sweep runs from a
+  // window of 2 up to one that holds a whole append.
+  for (const std::size_t workers : {1u, 2u, 3u, 4u, 8u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ThreadPool pool(workers);
+    const TempDir dir;
+    ew::storage::DataLake lake(dir.path);
+    lake.set_encode_pool(&pool);
+    ASSERT_TRUE(lake.append(day, batch1).has_value());
+    ASSERT_TRUE(lake.append(day, batch2).has_value());
+    lake.set_encode_pool(nullptr);
+    EXPECT_EQ(day_bytes(lake, day), want);
   }
 
   if constexpr (ew::obs::kEnabled) {
@@ -266,17 +252,21 @@ TEST(WritePipeline, ParallelEncodeIsByteIdenticalToSerial) {
 }
 
 TEST(WritePipeline, AppendCursorCacheIsTransparent) {
+  // The reference reparses the file before every append: a fresh DataLake
+  // has no cached cursor. The cached lake must produce the same bytes.
   const CivilDate day{2017, 4, 1};
-  const auto reference_dir = fresh_dir("cur_ref");
-  const auto cached_dir = fresh_dir("cur_hot");
-  ew::storage::DataLake reference(reference_dir);
-  reference.set_append_cursor_cache(false);  // seed behaviour: reparse every append
-  ew::storage::DataLake cached(cached_dir);  // default: cursor cache on
+  const TempDir reference_dir, cached_dir;
+  ew::storage::DataLake cached(cached_dir.path);
+  const auto reference_append = [&](std::span<const FlowRecord> records) {
+    ew::storage::DataLake reference(reference_dir.path);
+    return reference.append(day, records).has_value();
+  };
+  ew::storage::DataLake reference(reference_dir.path);
 
   for (std::size_t batch = 0; batch < 5; ++batch) {
     const auto records =
         make_records(day, ew::storage::DataLake::kBlockRecords + 100 * batch + 1);
-    ASSERT_TRUE(reference.append(day, records).has_value());
+    ASSERT_TRUE(reference_append(records));
     ASSERT_TRUE(cached.append(day, records).has_value());
     ASSERT_EQ(day_bytes(cached, day), day_bytes(reference, day)) << "batch " << batch;
   }
@@ -287,17 +277,22 @@ TEST(WritePipeline, AppendCursorCacheIsTransparent) {
   ASSERT_TRUE(reference.truncate_day(day, size / 2).has_value());
   ASSERT_TRUE(cached.truncate_day(day, size / 2).has_value());
   const auto more = make_records(day, 1234);
-  ASSERT_TRUE(reference.append(day, more).has_value());
+  ASSERT_TRUE(reference_append(more));
   ASSERT_TRUE(cached.append(day, more).has_value());
   EXPECT_EQ(day_bytes(cached, day), day_bytes(reference, day));
   EXPECT_TRUE(cached.fsck_day(day).healthy());
 
-  // External rewrite behind the lake's back: the stat check must catch it.
-  ASSERT_TRUE(cached.rewrite_day(day, ew::storage::LakeFormat::kV3).has_value());
-  ASSERT_TRUE(reference.rewrite_day(day, ew::storage::LakeFormat::kV3).has_value());
+  // Mutation behind the cached lake's back: another lake truncates the day
+  // to a torn tail and repairs it. The stat check must catch the change.
+  ew::storage::DataLake other(cached_dir.path);
+  for (auto* lake : {&other, &reference}) {
+    ASSERT_TRUE(lake->truncate_day(day, lake->file_bytes(day) - 7).has_value());
+    EXPECT_TRUE(lake->repair_day(day).repaired);
+  }
   ASSERT_TRUE(cached.append(day, more).has_value());
-  ASSERT_TRUE(reference.append(day, more).has_value());
+  ASSERT_TRUE(reference_append(more));
   EXPECT_EQ(day_bytes(cached, day), day_bytes(reference, day));
+  EXPECT_TRUE(cached.fsck_day(day).healthy());
 }
 
 TEST(WritePipeline, KillMidParallelFlushResumesByteIdentical) {
@@ -307,8 +302,8 @@ TEST(WritePipeline, KillMidParallelFlushResumesByteIdentical) {
 
   // Golden: both appends, uninterrupted (serial — identity with the
   // parallel encoder is covered above; here the crash is the subject).
-  const auto golden_dir = fresh_dir("chaos_golden");
-  ew::storage::DataLake golden(golden_dir);
+  const TempDir golden_dir;
+  ew::storage::DataLake golden(golden_dir.path);
   ASSERT_TRUE(golden.append(day, batch1).has_value());
   const std::uint64_t durable = golden.file_bytes(day);  // the checkpointed length
   ASSERT_TRUE(golden.append(day, batch2).has_value());
@@ -322,8 +317,8 @@ TEST(WritePipeline, KillMidParallelFlushResumesByteIdentical) {
   for (const std::uint64_t at :
        {std::uint64_t{1}, flush_bytes / 10, flush_bytes / 2, flush_bytes - 5}) {
     SCOPED_TRACE("crash at stream byte " + std::to_string(at));
-    const auto dir = fresh_dir("chaos_" + std::to_string(at));
-    ew::storage::DataLake lake(dir);
+    const TempDir dir;
+    ew::storage::DataLake lake(dir.path);
     lake.set_encode_pool(&pool);
     ASSERT_TRUE(lake.append(day, batch1).has_value());
 
@@ -337,7 +332,7 @@ TEST(WritePipeline, KillMidParallelFlushResumesByteIdentical) {
 
     // Fresh process: fsck sees the tear, resume truncates back to the
     // checkpointed durable length and replays the batch.
-    ew::storage::DataLake resumed(dir);
+    ew::storage::DataLake resumed(dir.path);
     resumed.set_encode_pool(&pool);
     EXPECT_FALSE(resumed.fsck_day(day).healthy());
     ASSERT_TRUE(resumed.truncate_day(day, durable).has_value());
@@ -345,228 +340,4 @@ TEST(WritePipeline, KillMidParallelFlushResumesByteIdentical) {
     EXPECT_EQ(day_bytes(resumed, day), want);
     EXPECT_TRUE(resumed.fsck_day(day).healthy());
   }
-}
-
-// ------------------------------------------------- dictionary delta chains
-
-TEST(WritePipeline, DeltaChainsResolveOnRandomAccessAndFailLoudlyWithout) {
-  const CivilDate day{2017, 6, 6};
-  const auto dir = fresh_dir("chains");
-  ew::storage::DataLake lake(dir);
-  ASSERT_TRUE(
-      lake.append(day, make_records(day, 4 * ew::storage::DataLake::kBlockRecords)).has_value());
-  const auto idx = lake.load_day_blocks(day);
-  ASSERT_GE(idx.blocks().size(), 4u);
-
-  const auto sink = [](const FlowRecord&) {};
-  {
-    // Block 1 is mid-chain (its dictionaries delta-code against block 0's,
-    // which differ from every other block's). Random access without a
-    // resolver must refuse — silently mis-resolving against nothing (or a
-    // stale cache) would fabricate wrong server names.
-    ew::storage::ColumnScratch scratch;
-    std::uint64_t delivered = 0;
-    const auto& b = idx.blocks()[1];
-    EXPECT_EQ(ew::storage::decode_columnar_block(idx.body(b), scratch, nullptr, delivered, sink,
-                                                 b.record_count),
-              ew::storage::BlockDecodeStatus::kCorrupt);
-    EXPECT_EQ(delivered, 0u);
-  }
-  {
-    // Same block, resolver over the day's adjacency: full delivery.
-    ew::storage::ColumnScratch scratch;
-    std::uint64_t delivered = 0;
-    const auto& b = idx.blocks()[1];
-    const auto resolve = [&](std::size_t back) -> std::span<const std::byte> {
-      if (back == 0 || back > 1) return {};
-      return idx.body(idx.blocks()[1 - back]);
-    };
-    const ew::storage::PrevBlockResolver resolver{resolve};
-    EXPECT_EQ(ew::storage::decode_columnar_block(idx.body(b), scratch, nullptr, delivered, sink,
-                                                 b.record_count, &resolver),
-              ew::storage::BlockDecodeStatus::kOk);
-    EXPECT_EQ(delivered, b.record_count);
-  }
-  {
-    // A resolver pointing at the WRONG predecessor must be detected by the
-    // chain CRC — mis-resolution is corruption, never a best effort.
-    ew::storage::ColumnScratch scratch;
-    std::uint64_t delivered = 0;
-    const auto& b = idx.blocks()[2];
-    const auto wrong = [&](std::size_t back) -> std::span<const std::byte> {
-      if (back == 0 || back > 2) return {};
-      return idx.body(idx.blocks()[0]);  // claims block 0 is the predecessor
-    };
-    const ew::storage::PrevBlockResolver resolver{wrong};
-    EXPECT_EQ(ew::storage::decode_columnar_block(idx.body(b), scratch, nullptr, delivered, sink,
-                                                 b.record_count, &resolver),
-              ew::storage::BlockDecodeStatus::kCorrupt);
-    EXPECT_EQ(delivered, 0u);
-  }
-}
-
-TEST(WritePipeline, ZonePrunedPredecessorStillResolvesViaChainWalk) {
-  // Block 2 is all-UDP; a TCP-only scan prunes it from its zone map alone,
-  // so block 3's dictionary chain cannot use the sequential cache and must
-  // walk back through the pruned (healthy) block. Delivery must equal the
-  // decode-then-filter oracle exactly.
-  const CivilDate day{2017, 7, 14};
-  const auto records =
-      make_records(day, 5 * ew::storage::DataLake::kBlockRecords, /*block2_udp_only=*/true);
-  const auto dir = fresh_dir("prune_walk");
-  ew::storage::DataLake lake(dir);
-  ASSERT_TRUE(lake.append(day, records).has_value());
-
-  const auto pred = ew::storage::ScanPredicate::for_proto(ew::core::TransportProto::kTcp);
-  std::size_t oracle = 0;
-  for (const auto& r : records) oracle += pred.matches(r);
-  ASSERT_GT(oracle, 0u);
-
-  std::uint64_t got = 0;
-  const auto scan = lake.scan_day(day, pred, [&](const FlowRecord&) { ++got; });
-  EXPECT_TRUE(scan.ok());
-  EXPECT_GE(scan.blocks_pruned, 1u);
-  EXPECT_EQ(got, oracle);
-}
-
-TEST(WritePipeline, DamagedPredecessorDictionaryIsSalvagedByDependents) {
-  const CivilDate day{2017, 8, 2};
-  const std::size_t nblocks = 10;
-  const auto records = make_records(day, nblocks * ew::storage::DataLake::kBlockRecords);
-  const auto dir = fresh_dir("salvage");
-  ew::storage::DataLake lake(dir);
-  ASSERT_TRUE(lake.append(day, records).has_value());
-  const auto idx = lake.load_day_blocks(day);
-  ASSERT_EQ(idx.blocks().size(), nblocks);
-
-  // Flip one byte in the middle of block 2's body on disk: its frame CRC
-  // fails, but its dictionary bytes are intact.
-  const auto path = lake.root() / ew::storage::DataLake::day_filename(day);
-  {
-    const auto& b = idx.blocks()[2];
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekg(static_cast<std::streamoff>(b.offset + b.header_size + b.body_len / 2));
-    char c = 0;
-    f.read(&c, 1);
-    f.seekp(static_cast<std::streamoff>(b.offset + b.header_size + b.body_len / 2));
-    c = static_cast<char>(c ^ 0x10);
-    f.write(&c, 1);
-  }
-
-  // Scan: block 2's records are gone, but blocks 3-7 recover its dictionary
-  // from the damaged frame (the carved candidate's resolved dictionary
-  // hashes to their links' recorded CRC) — a body bit-flip costs exactly
-  // one block, not the chain tail.
-  std::uint64_t delivered = 0;
-  const auto scan = lake.scan_day(day, [&](const FlowRecord&) { ++delivered; });
-  EXPECT_EQ(scan.errc, ew::core::Errc::kCorrupt);
-  EXPECT_EQ(delivered, 9 * ew::storage::DataLake::kBlockRecords);
-  EXPECT_EQ(lake.fsck_day(day).records_lost, ew::storage::DataLake::kBlockRecords);
-
-  // Repair quarantines only the damaged block. Block 3's delta link died
-  // with it, so repair must transcode block 3 into a chain head; block 4
-  // onward still delta-link to block 3's (unchanged) dictionary.
-  const auto health = lake.repair_day(day);
-  EXPECT_TRUE(health.repaired);
-  EXPECT_EQ(health.blocks_quarantined, 1u);
-  const auto after = lake.fsck_day(day);
-  EXPECT_TRUE(after.healthy());
-  EXPECT_EQ(after.records_ok, 9 * ew::storage::DataLake::kBlockRecords);
-  std::uint64_t redelivered = 0;
-  EXPECT_TRUE(lake.scan_day(day, [&](const FlowRecord&) { ++redelivered; }).ok());
-  EXPECT_EQ(redelivered, delivered);
-}
-
-TEST(WritePipeline, DestroyedDictionaryCascadesQuarantineToChainTail) {
-  const CivilDate day{2017, 8, 3};
-  const std::size_t nblocks = 10;
-  const auto records = make_records(day, nblocks * ew::storage::DataLake::kBlockRecords);
-  const auto dir = fresh_dir("cascade");
-  ew::storage::DataLake lake(dir);
-  ASSERT_TRUE(lake.append(day, records).has_value());
-  const auto idx = lake.load_day_blocks(day);
-  ASSERT_EQ(idx.blocks().size(), nblocks);
-
-  // Shred block 2's body — a flip every 16 bytes reaches its dictionary
-  // segments — while leaving the frame header intact, so a salvage
-  // candidate IS carved but its resolved dictionary cannot hash to the
-  // dependents' link CRCs.
-  const auto path = lake.root() / ew::storage::DataLake::day_filename(day);
-  {
-    const auto& b = idx.blocks()[2];
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    for (std::size_t off = 0; off < b.body_len; off += 16) {
-      const auto at = static_cast<std::streamoff>(b.offset + b.header_size + off);
-      f.seekg(at);
-      char c = 0;
-      f.read(&c, 1);
-      f.seekp(at);
-      c = static_cast<char>(c ^ 0x10);
-      f.write(&c, 1);
-    }
-  }
-
-  // Scan: blocks 0-1 deliver; 2 is CRC-damaged beyond salvage; 3-7 fail
-  // their chain CRCs and are skipped — never delivered with dictionaries
-  // from the wrong block; 8 is a chain head (every kDictChainInterval-th
-  // block re-emits full dictionaries) and 9 follows.
-  std::uint64_t delivered = 0;
-  const auto scan = lake.scan_day(day, [&](const FlowRecord&) { ++delivered; });
-  EXPECT_EQ(scan.errc, ew::core::Errc::kCorrupt);
-  EXPECT_EQ(delivered, 4 * ew::storage::DataLake::kBlockRecords);
-
-  // Repair quarantines the damaged block AND its dependent chain tail; the
-  // repaired file must be fully healthy and deliver the same survivors.
-  const auto health = lake.repair_day(day);
-  EXPECT_TRUE(health.repaired);
-  EXPECT_GE(health.blocks_quarantined, 1u);
-  const auto after = lake.fsck_day(day);
-  EXPECT_TRUE(after.healthy());
-  EXPECT_EQ(after.records_ok, 4 * ew::storage::DataLake::kBlockRecords);
-  std::uint64_t redelivered = 0;
-  EXPECT_TRUE(lake.scan_day(day, [&](const FlowRecord&) { ++redelivered; }).ok());
-  EXPECT_EQ(redelivered, delivered);
-}
-
-// ------------------------------------------------------------- read compat
-
-TEST(WritePipeline, Layout1BlocksRemainReadableThroughSharedDecoder) {
-  // Pre-overhaul v3 files carry layout-1 bodies (full dictionaries, codec
-  // v1 segments). The frozen layout-1 encoder stands in for those
-  // historical bytes: a stream of layout-1 blocks, and a layout-1 block
-  // followed by a current layout-2 chain head, must both decode through
-  // the one shared decoder with a single sequential scratch.
-  const CivilDate day{2017, 9, 30};
-  const auto a = make_records(day, ew::storage::DataLake::kBlockRecords);
-  const auto b = make_records(day, ew::storage::DataLake::kBlockRecords + 11);
-  const auto& catalog = ew::services::ServiceCatalog::standard();
-
-  ew::core::ByteWriter old1, old2, current;
-  ew::storage::encode_columnar_block_layout1(a, catalog, old1);
-  ew::storage::encode_columnar_block_layout1(b, catalog, old2);
-  ew::storage::encode_columnar_block(b, catalog, current);  // layout-2 chain head
-
-  const auto decode_ok = [](std::span<const std::byte> body, std::size_t want,
-                            ew::storage::ColumnScratch& scratch) {
-    std::uint64_t n = 0;
-    std::size_t names_seen = 0;
-    const auto count_names = [&](const FlowRecord& r) { names_seen += !r.server_name.empty(); };
-    const auto status = ew::storage::decode_columnar_block(
-        body, scratch, nullptr, n, count_names, static_cast<std::uint32_t>(want));
-    return status == ew::storage::BlockDecodeStatus::kOk && n == want && names_seen == want;
-  };
-
-  ew::storage::ColumnScratch scratch;
-  EXPECT_TRUE(decode_ok(old1.view(), a.size(), scratch));   // layout-1 …
-  EXPECT_TRUE(decode_ok(old2.view(), b.size(), scratch));   // … then layout-1
-  EXPECT_TRUE(decode_ok(current.view(), b.size(), scratch));  // … then layout-2 head
-
-  // Fresh scratch, layout-2 head first: chain heads never need history.
-  ew::storage::ColumnScratch fresh;
-  EXPECT_TRUE(decode_ok(current.view(), b.size(), fresh));
-  EXPECT_TRUE(decode_ok(old1.view(), a.size(), fresh));
-
-  // Layout-1 bodies are self-contained too: random access, no resolver.
-  ew::storage::ColumnScratch random_access;
-  EXPECT_TRUE(decode_ok(old2.view(), b.size(), random_access));
 }
