@@ -7,7 +7,13 @@
 // slowdown are meaningless on a single-core runner where the feeder
 // outruns the workers regardless). Per level the bench records
 //
-//   - shed_rate        (shed frames / offered frames)
+//   - shed_rate        (shed frames / offered frames), split into frames
+//                      the watermark sampler dropped and frames a full
+//                      shard refused (backpressure)
+//   - ingest_rate      (frames ingested per second of the run, finish
+//                      included): shedding is only overload when the
+//                      workers are kept busy, so a higher shed rate must
+//                      not come with a lower intake
 //   - terminal state   (Healthy / Degraded / Shedding) and sample shift
 //   - the reconciliation check offered == ingested + shed + quarantined,
 //     which must hold EXACTLY at every load level — degradation must never
@@ -65,8 +71,10 @@ struct Sample {
   std::uint64_t offered = 0;
   std::uint64_t ingested = 0;
   std::uint64_t shed = 0;
+  std::uint64_t shed_backpressure = 0;
   std::uint64_t quarantined = 0;
   double shed_rate = 0;
+  double ingest_rate = 0;
   double seconds = 0;
   std::string state;
   std::uint32_t sample_shift = 0;
@@ -74,18 +82,21 @@ struct Sample {
 };
 
 void append_json(std::string& out, const Sample& s) {
-  char buf[384];
+  char buf[512];
   std::snprintf(buf, sizeof buf,
                 "    {\"name\": \"overload_cap_%llu\", \"queue_capacity\": %llu, "
                 "\"offered\": %llu, \"ingested\": %llu, \"shed\": %llu, "
-                "\"quarantined\": %llu, \"shed_rate\": %.4f, \"seconds\": %.4f, "
+                "\"shed_backpressure\": %llu, \"quarantined\": %llu, \"shed_rate\": %.4f, "
+                "\"seconds\": %.4f, \"ingest_rate\": %.0f, "
                 "\"state\": \"%s\", \"sample_shift\": %u, \"reconciled\": %s}",
                 static_cast<unsigned long long>(s.queue_capacity),
                 static_cast<unsigned long long>(s.queue_capacity),
                 static_cast<unsigned long long>(s.offered),
                 static_cast<unsigned long long>(s.ingested),
                 static_cast<unsigned long long>(s.shed),
+                static_cast<unsigned long long>(s.shed_backpressure),
                 static_cast<unsigned long long>(s.quarantined), s.shed_rate, s.seconds,
+                s.ingest_rate,
                 s.state.c_str(), s.sample_shift, s.reconciled ? "true" : "false");
   if (!out.empty()) out += ",\n";
   out += buf;
@@ -142,11 +153,13 @@ int main(int argc, char** argv) {
       s.offered = h.frames_offered;
       s.ingested = h.frames_ingested;
       s.shed = h.shed_total();
+      s.shed_backpressure = h.shed_backpressure;
       s.quarantined = h.frames_quarantined;
       s.shed_rate = h.frames_offered == 0
                         ? 0.0
                         : static_cast<double>(s.shed) / static_cast<double>(h.frames_offered);
       s.seconds = secs;
+      s.ingest_rate = static_cast<double>(h.frames_ingested) / secs;
       s.state = ew::runtime::to_string(h.state);
       s.sample_shift = h.sample_shift;
       s.reconciled = h.reconciles();
@@ -154,10 +167,13 @@ int main(int argc, char** argv) {
       if (!s.reconciled) all_reconciled = false;
     }
     append_json(samples, best);
-    std::printf("  ring %6llu: offered=%llu shed=%llu (%.1f%%) state=%s shift=%u %s\n",
+    std::printf("  ring %6llu: offered=%llu shed=%llu (%.1f%%, backpressure %llu) "
+                "ingest=%.2fM/s state=%s shift=%u %s\n",
                 static_cast<unsigned long long>(best.queue_capacity),
                 static_cast<unsigned long long>(best.offered),
                 static_cast<unsigned long long>(best.shed), best.shed_rate * 100.0,
+                static_cast<unsigned long long>(best.shed_backpressure),
+                best.ingest_rate / 1e6,
                 best.state.c_str(), best.sample_shift,
                 best.reconciled ? "reconciled" : "ACCOUNTING MISMATCH");
   }

@@ -9,6 +9,8 @@
 //     aggregate_day_parallel at 1/2/4/8 threads over a stored day;
 //   - a determinism check: the merged output of every configuration is
 //     byte-compared (probe) / deep-compared (analytics) to the serial run.
+//     Any MISMATCH makes the binary exit 2 (after writing the JSON), so a
+//     smoke run gates the sharded merge's byte identity.
 //
 // hardware_concurrency is recorded next to the numbers: speedups flatten
 // at the physical core count, so a 1-core CI box honestly reports ~1.0x.
@@ -115,6 +117,7 @@ int main(int argc, char** argv) {
               conversations, repeats, hw);
 
   std::string samples;
+  bool all_deterministic = true;
 
   // ---------------------------------------------------------- probe ingest
   const auto frames = make_traffic_mix(conversations);
@@ -159,6 +162,7 @@ int main(int argc, char** argv) {
     }
     Sample s{"probe_sharded", shards, best, static_cast<double>(frames.size()) / best,
              serial_probe_s / best, merged_bytes == probe_golden};
+    all_deterministic = all_deterministic && s.deterministic;
     append_json(samples, s);
     std::printf("  probe %zu shard(s):  %8.0f frames/s  speedup %.2fx  %s\n", shards,
                 s.items_per_sec, s.speedup, s.deterministic ? "bit-identical" : "MISMATCH");
@@ -207,6 +211,7 @@ int main(int argc, char** argv) {
     Sample s{"aggregate_parallel", threads, best,
              static_cast<double>(golden.scan.records_delivered) / best, serial_agg_s / best,
              same};
+    all_deterministic = all_deterministic && same;
     append_json(samples, s);
     std::printf("  aggregate %zu thr:   %8.0f records/s  speedup %.2fx  %s\n", threads,
                 s.items_per_sec, s.speedup, same ? "identical" : "MISMATCH");
@@ -228,6 +233,10 @@ int main(int argc, char** argv) {
   } else {
     std::printf("could not write %s\n", out_path.c_str());
     return 1;
+  }
+  if (!all_deterministic) {
+    std::printf("determinism check FAILED: a parallel run differs from the serial one\n");
+    return 2;
   }
   return 0;
 }

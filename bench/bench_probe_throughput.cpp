@@ -79,7 +79,8 @@ BENCHMARK(BM_ProbePipeline);
 // The sharded parallel probe at 1/2/4/8 shards on the same mix. Compare
 // against BM_ProbePipeline: shards=1 shows the queueing overhead, higher
 // counts the scaling (bounded by physical cores — see the
-// hardware_concurrency line scripts/bench.sh records).
+// hardware_concurrency line scripts/bench.sh records). Timed in wall-clock
+// time: CPU time would count only the feeding thread, not the shards.
 void BM_ShardedProbeIngest(benchmark::State& state) {
   const auto frames = make_traffic_mix();
   std::uint64_t bytes = 0;
@@ -97,7 +98,7 @@ void BM_ShardedProbeIngest(benchmark::State& state) {
   state.counters["flows"] =
       benchmark::Counter(static_cast<double>(records) / static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_ShardedProbeIngest)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_ShardedProbeIngest)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // Flow-table pressure: many long-lived concurrent flows (the situation at
 // a PoP at prime time). Measures ingest+advance with a full table.

@@ -14,6 +14,15 @@ std::uint32_t rd32be(const std::vector<std::byte>& d, std::size_t pos) noexcept 
   return v;
 }
 
+/// Moves a frame's bytes into a staging slot; the caller's frame gets the
+/// slot's old buffer, emptied, so neither side allocates.
+auto take_buffer(net::Frame& frame) {
+  return [&frame](std::vector<std::byte>& data) {
+    data.swap(frame.data);
+    frame.data.clear();
+  };
+}
+
 }  // namespace
 
 ShardedProbe::ShardedProbe(ShardedProbeConfig config) : config_(std::move(config)) {
@@ -27,9 +36,15 @@ ShardedProbe::ShardedProbe(ShardedProbeConfig config) : config_(std::move(config
   shard_config.flow.max_flows =
       std::max<std::size_t>(1, config_.probe.flow.max_flows / config_.shards);
 
+  // The bound is counted in frames (has_room); batches of a quarter of it
+  // amortize the ring push. try_ingest publishes batches of one frame, so
+  // the ring has a slot per frame: the frame bound binds before the slots.
+  capacity_ = std::max<std::size_t>(1, config_.queue_capacity);
+  batch_ = std::clamp<std::size_t>(capacity_ / 4, 1, 256);
+
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    auto shard = std::make_unique<Shard>(config_.queue_capacity);
+    auto shard = std::make_unique<Shard>(capacity_);
     Shard* raw = shard.get();
     // Batch-buffering sink: the worker appends locally, no cross-thread
     // call per record; the merge happens once, at finish().
@@ -90,40 +105,105 @@ std::size_t ShardedProbe::shard_of(const net::Frame& frame) const noexcept {
   return core::IPv4AddressHash{}(key) % shards_.size();
 }
 
-void ShardedProbe::ingest(net::Frame frame) {
-  if (finished_) return;
-  ++feeder_frames_;
-  if (config_.probe.sample_rate > 1 &&
-      (feeder_frames_ % config_.probe.sample_rate) != 0) {
-    ++feeder_sampled_out_;
-    return;
+bool ShardedProbe::sampled_out() {
+  const auto rate = config_.probe.sample_rate;
+  if (rate <= 1 || (next_seq_ + feeder_sampled_out_ + 1) % rate == 0) return false;
+  ++feeder_sampled_out_;
+  return true;
+}
+
+bool ShardedProbe::has_room(Shard& shard, bool block) {
+  const auto held = [&shard] {
+    return shard.published.load(std::memory_order_relaxed) + shard.staged.size -
+           shard.processed_seen;
+  };
+  // `processed` only grows, so a stale read errs towards "full": the
+  // worker's counter is read only when the cached one says so.
+  if (held() < capacity_) return true;
+  shard.processed_seen = shard.processed.load(std::memory_order_acquire);
+  while (held() >= capacity_) {
+    if (!block) return false;
+    // Frames are in flight (staged holds less than a batch, and a batch is
+    // at most the capacity), so a batch comes back: the worker returns it
+    // after processing its frames.
+    if (auto returned = shard.spare.pop()) shard.free.push_back(std::move(*returned));
+    shard.processed_seen = shard.processed.load(std::memory_order_acquire);
   }
+  return true;
+}
+
+ShardedProbe::Batch ShardedProbe::take_batch(Shard& shard) {
+  if (!shard.free.empty()) {
+    Batch batch = std::move(shard.free.back());
+    shard.free.pop_back();
+    return batch;
+  }
+  if (auto spare = shard.spare.try_pop()) return std::move(*spare);
+  return {};
+}
+
+bool ShardedProbe::publish(Shard& shard, bool block) {
+  const std::size_t n = shard.staged.size;
+  if (n == 0) return true;
   Item item;
-  item.seq = next_seq_++;
-  item.frame = std::move(frame);
-  const std::size_t target = shard_of(item.frame);
-  shards_[target]->queue.push(std::move(item));
+  item.batch = std::move(shard.staged);
+  const bool pushed = block ? shard.queue.push(std::move(item))
+                            : shard.queue.try_push(std::move(item));
+  if (!pushed) {
+    // try_push leaves the item untouched on failure; keep the batch staged.
+    shard.staged = std::move(item.batch);
+    return false;
+  }
+  shard.staged = Batch{};
+  shard.published.store(shard.published.load(std::memory_order_relaxed) + n,
+                        std::memory_order_release);
+  return true;
+}
+
+template <typename Fill>
+bool ShardedProbe::stage(const net::Frame& frame, bool block, Fill fill) {
+  if (sampled_out()) return true;
+  Shard& shard = *shards_[shard_of(frame)];
+  Batch& batch = shard.staged;
+  // A batch left full by a refused non-blocking push must go first.
+  if (batch.size == batch_ && !publish(shard, block)) return false;
+  if (!has_room(shard, block)) return false;
+  if (batch.slots.empty()) {
+    batch = take_batch(shard);
+    batch.size = 0;
+  }
+  if (batch.size == batch.slots.size()) batch.slots.emplace_back();  // grows once, then recycles
+  auto& slot = batch.slots[batch.size++];
+  slot.frame.timestamp = frame.timestamp;
+  fill(slot.frame.data);
+  slot.seq = next_seq_++;
+  // A non-blocking feeder hands every frame over at once. It keeps pace
+  // or sheds, so a batch would only hold frames back from an idle worker
+  // and let the ring look emptier than the feeder's backlog is.
+  if (!block || batch.size == batch_) (void)publish(shard, block);
+  return true;
+}
+
+void ShardedProbe::ingest(const net::Frame& frame) {
+  if (finished_) return;
+  (void)stage(frame, /*block=*/true, [&frame](std::vector<std::byte>& data) {
+    data.assign(frame.data.begin(), frame.data.end());
+  });
+}
+
+void ShardedProbe::ingest(net::Frame&& frame) {
+  if (finished_) return;
+  (void)stage(frame, /*block=*/true, take_buffer(frame));
 }
 
 bool ShardedProbe::try_ingest(net::Frame& frame) {
-  if (finished_) return false;
-  Item item;
-  item.seq = next_seq_;  // claimed only on success
-  item.frame = std::move(frame);
-  const std::size_t target = shard_of(item.frame);
-  if (!shards_[target]->queue.try_push(std::move(item))) {
-    // try_push leaves the item untouched on failure; give the frame back.
-    frame = std::move(item.frame);
-    return false;
-  }
-  ++next_seq_;
-  ++feeder_frames_;
-  return true;
+  return !finished_ && stage(frame, /*block=*/false, take_buffer(frame));
 }
 
 void ShardedProbe::broadcast(Item::Kind kind, dpi::ClassifierOptions options) {
   if (finished_) return;
   for (auto& shard : shards_) {
+    publish(*shard, /*block=*/true);
     Item item;
     item.kind = kind;
     item.options = options;
@@ -146,6 +226,7 @@ std::vector<std::shared_ptr<ShardedProbe::BarrierSlot>> ShardedProbe::barrier(
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     auto slot = std::make_shared<BarrierSlot>();
     if (state_in != nullptr) slot->state_in = (*state_in)[i];
+    publish(*shards_[i], /*block=*/true);
     Item item;
     item.kind = kind;
     item.barrier = slot;
@@ -161,6 +242,7 @@ PipelineSnapshot ShardedProbe::snapshot() {
   if (finished_) return snap;
   const auto slots = barrier(Item::Kind::kSnapshot, nullptr);
   snap.next_seq = next_seq_;
+  snap.sampled_out = feeder_sampled_out_;
   snap.shard_state.reserve(slots.size());
   std::size_t total = 0;
   for (const auto& slot : slots) total += slot->records.size();
@@ -177,7 +259,8 @@ PipelineSnapshot ShardedProbe::snapshot() {
 }
 
 core::Result<void> ShardedProbe::restore(
-    const std::vector<std::vector<std::byte>>& shard_state, std::uint64_t next_seq) {
+    const std::vector<std::vector<std::byte>>& shard_state, std::uint64_t next_seq,
+    std::uint64_t sampled_out) {
   if (finished_) return core::Errc::kUnsupported;
   if (shard_state.size() != shards_.size()) return core::Errc::kUnsupported;
   const auto slots = barrier(Item::Kind::kRestore, &shard_state);
@@ -185,17 +268,17 @@ core::Result<void> ShardedProbe::restore(
     if (slot->errc != core::Errc::kOk) return slot->errc;
   }
   next_seq_ = next_seq;
-  feeder_frames_ = next_seq;
+  feeder_sampled_out_ = sampled_out;
   return {};
 }
 
-void ShardedProbe::handle_frame(Shard& shard, Item& item) {
+void ShardedProbe::handle_frame(Shard& shard, std::uint64_t seq, const net::Frame& frame) {
   bool state_suspect = false;
   try {
-    if (config_.frame_inspector) config_.frame_inspector(item.seq, item.frame);
+    if (config_.frame_inspector) config_.frame_inspector(seq, frame);
     state_suspect = true;  // from here on, a throw leaves the probe half-mutated
-    shard.probe->set_next_ingest_seq(item.seq);
-    shard.probe->process(item.frame);
+    shard.probe->set_next_ingest_seq(seq);
+    shard.probe->process(frame);
     if (config_.snapshot_interval > 0 &&
         ++shard.frames_since_snapshot >= config_.snapshot_interval) {
       shard.last_snapshot = shard.probe->checkpoint_image();
@@ -227,7 +310,13 @@ void ShardedProbe::handle_frame(Shard& shard, Item& item) {
     shard.restores.fetch_add(1, std::memory_order_relaxed);
   }
   shard.quarantined.fetch_add(1, std::memory_order_relaxed);
-  if (config_.poison_sink) config_.poison_sink(item.seq, item.frame, restored);
+  if (config_.poison_sink) config_.poison_sink(seq, frame, restored);
+}
+
+void ShardedProbe::beat(Shard& shard) noexcept {
+  // Only this worker writes the heartbeat: a plain store, no RMW.
+  shard.heartbeat.store(shard.heartbeat.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_release);
 }
 
 void ShardedProbe::worker_loop(Shard& shard) {
@@ -248,9 +337,19 @@ void ShardedProbe::worker_loop(Shard& shard) {
       continue;
     }
     switch (item->kind) {
-      case Item::Kind::kFrame:
-        handle_frame(shard, *item);
-        break;
+      case Item::Kind::kFrames: {
+        Batch& batch = item->batch;
+        for (std::size_t i = 0; i < batch.size; ++i) {
+          handle_frame(shard, batch.slots[i].seq, batch.slots[i].frame);
+          shard.processed.store(shard.processed.load(std::memory_order_relaxed) + 1,
+                                std::memory_order_release);
+          beat(shard);
+        }
+        // Hand the buffers back before taking the next batch, which keeps
+        // the batches in circulation within spare's capacity.
+        (void)shard.spare.try_push(std::move(batch));
+        continue;
+      }
       case Item::Kind::kClassifier:
         shard.probe->set_classifier_options(item->options);
         break;
@@ -289,7 +388,7 @@ void ShardedProbe::worker_loop(Shard& shard) {
         break;
       }
     }
-    shard.heartbeat.fetch_add(1, std::memory_order_release);
+    beat(shard);
   }
   if (abandoned_.load(std::memory_order_acquire)) return;  // killed: no flush
   // Ring closed and drained: flush the shard's open flows. The exports
@@ -311,6 +410,7 @@ void ShardedProbe::abandon() {
   abandoned_.store(true, std::memory_order_release);
   join_workers();
   for (auto& shard : shards_) {
+    shard->staged = Batch{};  // never published: dies with the process
     shard->records.clear();
     shard->records.shrink_to_fit();
   }
@@ -318,6 +418,7 @@ void ShardedProbe::abandon() {
 
 std::vector<flow::FlowRecord> ShardedProbe::finish() {
   if (finished_) return {};
+  for (auto& shard : shards_) publish(*shard, /*block=*/true);
   finished_ = true;
   join_workers();
 
@@ -341,12 +442,16 @@ std::vector<flow::FlowRecord> ShardedProbe::finish() {
 }
 
 std::size_t ShardedProbe::queue_depth(std::size_t i) const noexcept {
-  return shards_[i]->queue.size();
+  // Read `published` first: a later `processed` can only be larger, so
+  // the difference never overstates the bound; it may trail a racing
+  // publish-and-process, hence the floor at zero.
+  const auto& shard = *shards_[i];
+  const std::uint64_t published = shard.published.load(std::memory_order_acquire);
+  const std::uint64_t processed = shard.processed.load(std::memory_order_acquire);
+  return processed >= published ? 0 : static_cast<std::size_t>(published - processed);
 }
 
-std::size_t ShardedProbe::queue_capacity() const noexcept {
-  return shards_.empty() ? 0 : shards_[0]->queue.capacity();
-}
+std::size_t ShardedProbe::queue_capacity() const noexcept { return capacity_; }
 
 std::uint64_t ShardedProbe::heartbeat(std::size_t i) const noexcept {
   return shards_[i]->heartbeat.load(std::memory_order_acquire);

@@ -5,6 +5,17 @@
 // DPI state and DN-Hunter cache — fed through bounded SPSC rings and
 // drained by one worker thread per shard.
 //
+// Handoff: the feeder copies each frame into a per-shard staging batch
+// and publishes a full batch with one ring push. Emptied batches travel
+// back to the feeder over a second ring, so the frame buffers are reused
+// and steady-state feeding copies bytes without allocating. A partial
+// batch is published early at every control event, barrier and finish(),
+// so batching never moves a frame relative to them. try_ingest does not
+// batch: each frame it accepts goes to the worker at once. The bound is
+// counted in frames, not batches: a shard holds at most queue_capacity
+// frames that its worker has not finished, staged ones included, and
+// every frame the worker finishes makes room for one more.
+//
 // Why the customer address is the shard key: every analytics dimension of
 // the paper is per-subscription, and DN-Hunter's cache is per-client by
 // construction (IMC'12: the name a *client* resolved right before opening
@@ -70,8 +81,11 @@ struct ShardedProbeConfig {
   /// shards so the aggregate memory bound is unchanged.
   ProbeConfig probe;
   std::size_t shards = 4;
-  /// Frames buffered per shard ring before the feeder blocks
-  /// (backpressure keeps memory bounded when one shard falls behind).
+  /// Frames a shard holds — staged by the feeder or handed to the worker,
+  /// and not yet processed — before ingest() blocks and try_ingest()
+  /// refuses (backpressure keeps memory bounded when one shard falls
+  /// behind). The ring carries batches of clamp(queue_capacity / 4, 1, 256)
+  /// frames.
   std::size_t queue_capacity = 1024;
 
   /// Invoked on the worker thread for every frame, before it reaches the
@@ -91,10 +105,12 @@ struct ShardedProbeConfig {
 };
 
 /// Coordinated state capture of the whole sharded pipeline at one stream
-/// position: every shard's EWCP image, plus all records exported so far
-/// (drained, merged in creation order). Taken via ShardedProbe::snapshot().
+/// position: the feeder's position, every shard's EWCP image, plus all
+/// records exported so far (drained, merged in creation order). Taken via
+/// ShardedProbe::snapshot().
 struct PipelineSnapshot {
   std::uint64_t next_seq = 0;                       ///< First unassigned frame seq.
+  std::uint64_t sampled_out = 0;                    ///< Frames sampling dropped so far.
   std::vector<std::vector<std::byte>> shard_state;  ///< One EWCP image per shard.
   std::vector<flow::FlowRecord> records;            ///< Exported so far, by ingest_seq.
 };
@@ -107,14 +123,20 @@ class ShardedProbe {
   ShardedProbe(const ShardedProbe&) = delete;
   ShardedProbe& operator=(const ShardedProbe&) = delete;
 
-  /// Feed one captured frame (single feeder thread). Blocks when the
-  /// owning shard's ring is full. The frame is moved into the ring; pass
-  /// a copy to keep the original.
-  void ingest(net::Frame frame);
+  /// Feed one captured frame (single feeder thread). The bytes are copied
+  /// into the owning shard's staging batch; the rvalue overload takes the
+  /// buffer instead. Blocks while the shard holds queue_capacity frames.
+  void ingest(const net::Frame& frame);
+  void ingest(net::Frame&& frame);
 
-  /// Non-blocking ingest for overload-aware feeders: false when the owning
-  /// shard's ring is full (the frame is left in `frame`, no sequence
-  /// number is consumed — the caller may retry, reroute or shed it).
+  /// Non-blocking ingest for overload-aware feeders. On success the
+  /// frame's buffer is taken (as by ingest(net::Frame&&)). False when the
+  /// owning shard already holds queue_capacity frames: the frame is left
+  /// in `frame` and no sequence number is consumed — the caller may
+  /// retry, reroute or shed it. A frame that sampling drops is counted and
+  /// returns true. Each accepted frame goes to the worker at once, as a
+  /// batch of one: a non-blocking feeder keeps pace or sheds, and holding
+  /// frames back would only idle the worker and understate the backlog.
   [[nodiscard]] bool try_ingest(net::Frame& frame);
 
   /// Control events ride the same rings as frames, so they take effect at
@@ -132,11 +154,13 @@ class ShardedProbe {
 
   /// Restore barrier: replace every shard's probe state with the given
   /// EWCP images (one per shard, from PipelineSnapshot::shard_state) and
-  /// reset the feeder's frame sequence to `next_seq`. Must run before any
-  /// frame is ingested. Fails with kUnsupported on a shard-count mismatch;
-  /// a shard whose image fails to decode is left reset and reported.
+  /// put the feeder back at `next_seq` with `sampled_out` frames already
+  /// dropped, so the resumed run samples the same frames. Must run before
+  /// any frame is ingested. Fails with kUnsupported on a shard-count
+  /// mismatch; a shard whose image fails to decode is left reset and
+  /// reported.
   core::Result<void> restore(const std::vector<std::vector<std::byte>>& shard_state,
-                             std::uint64_t next_seq);
+                             std::uint64_t next_seq, std::uint64_t sampled_out);
 
   /// Drain every ring, flush every shard, join the workers, and return
   /// all exported records merged by `ingest_seq` (deterministic creation
@@ -152,11 +176,15 @@ class ShardedProbe {
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
 
   /// --- Observability for the supervision layer (any thread) ---
-  /// Frames currently buffered in shard `i`'s ring.
+  /// Frames handed to shard `i`'s worker and not yet processed (staged
+  /// frames not counted).
   [[nodiscard]] std::size_t queue_depth(std::size_t i) const noexcept;
+  /// The most frames one shard holds, staged ones included: the
+  /// configured queue_capacity.
   [[nodiscard]] std::size_t queue_capacity() const noexcept;
-  /// Heartbeat: items shard `i`'s worker has fully handled. A shard whose
-  /// heartbeat stands still while its ring is non-empty is stalled.
+  /// Heartbeat: frames and control events shard `i`'s worker has fully
+  /// handled. A shard whose heartbeat stands still while its queue_depth
+  /// is non-zero is stalled.
   [[nodiscard]] std::uint64_t heartbeat(std::size_t i) const noexcept;
   /// Frames quarantined (processing threw) per shard / total.
   [[nodiscard]] std::uint64_t quarantined(std::size_t i) const noexcept;
@@ -179,51 +207,93 @@ class ShardedProbe {
     std::atomic<bool> done{false};
   };
 
+  /// Frames bound for one shard, in arrival order. Only [0, size) is live:
+  /// the slots keep their count, and every frame its buffer, across trips
+  /// through the rings, so refilling a recycled batch only copies. Slots
+  /// are added on demand, so a batch of one holds one.
+  struct Batch {
+    struct Slot {
+      net::Frame frame;
+      std::uint64_t seq = 0;
+    };
+    std::vector<Slot> slots;
+    std::size_t size = 0;
+  };
+
   struct Item {
     enum class Kind : std::uint8_t {
-      kFrame,
+      kFrames,
       kClassifier,
       kBeginOutage,
       kEndOutage,
       kSnapshot,
       kRestore,
     };
-    Kind kind = Kind::kFrame;
-    std::uint64_t seq = 0;
-    net::Frame frame;
+    Kind kind = Kind::kFrames;
+    Batch batch;
     dpi::ClassifierOptions options;
     std::shared_ptr<BarrierSlot> barrier;
   };
 
   struct Shard {
-    explicit Shard(std::size_t queue_capacity) : queue(queue_capacity) {}
-    core::SpscQueue<Item> queue;
+    // The feeder makes a batch only when none is free, so batches in
+    // circulation never exceed the ring's capacity + 2 (one staged, one in
+    // the worker's hands) and returns always fit `spare`.
+    explicit Shard(std::size_t ring_slots)
+        : queue(ring_slots), spare(queue.capacity() + 2) {}
+    core::SpscQueue<Item> queue;    ///< Feeder → worker.
+    core::SpscQueue<Batch> spare;   ///< Worker → feeder: emptied batches.
     std::unique_ptr<Probe> probe;
     std::vector<flow::FlowRecord> records;  ///< Written by worker, read after join.
-    std::thread worker;
-    // Worker-owned poison-recovery state.
-    std::vector<std::byte> last_snapshot;
+    // Feeder-owned.
+    alignas(64) Batch staged;
+    std::vector<Batch> free;          ///< Batches taken off `spare` while waiting.
+    std::uint64_t processed_seen = 0;  ///< Last value read from `processed`.
+    std::atomic<std::uint64_t> published{0};  ///< Frames pushed into the ring.
+    // Worker-owned: poison-recovery state and the frame count that frees room.
+    alignas(64) std::vector<std::byte> last_snapshot;
     std::uint64_t frames_since_snapshot = 0;
+    std::atomic<std::uint64_t> processed{0};  ///< Frames the worker has finished.
     // Cross-thread observability.
     std::atomic<std::uint64_t> heartbeat{0};
     std::atomic<std::uint64_t> quarantined{0};
     std::atomic<std::uint64_t> restores{0};
+    std::thread worker;  ///< Last: it uses every member above.
   };
 
   [[nodiscard]] std::size_t shard_of(const net::Frame& frame) const noexcept;
+  /// Counts a frame that feeder-global sampling drops (true) — the serial
+  /// probe's frame-counter arithmetic.
+  bool sampled_out();
+  /// Sample, then put the frame into its shard's staging batch (`fill`
+  /// writes the bytes into the slot's buffer) and stamp its sequence
+  /// number; publish the batch if that fills it (non-blocking: always).
+  /// False when a non-blocking stage finds no room.
+  template <typename Fill>
+  bool stage(const net::Frame& frame, bool block, Fill fill);
+  /// Whether the shard can take one more frame under queue_capacity. A
+  /// blocking call waits for the worker to hand batches back instead.
+  bool has_room(Shard& shard, bool block);
+  /// An empty batch for staging: a returned one if any, else a new one.
+  Batch take_batch(Shard& shard);
+  /// Push the staged batch (if any) into the ring, blocking or not. The
+  /// batch stays staged when a non-blocking push finds the ring full.
+  bool publish(Shard& shard, bool block);
   void broadcast(Item::Kind kind, dpi::ClassifierOptions options = {});
   /// Push one barrier item per shard and wait for every worker to mark its
   /// slot done. Returns the slots for harvesting.
   std::vector<std::shared_ptr<BarrierSlot>> barrier(
       Item::Kind kind, const std::vector<std::vector<std::byte>>* state_in);
   void worker_loop(Shard& shard);
-  void handle_frame(Shard& shard, Item& item);
+  void handle_frame(Shard& shard, std::uint64_t seq, const net::Frame& frame);
+  void beat(Shard& shard) noexcept;
   void join_workers();
 
   ShardedProbeConfig config_;
+  std::size_t capacity_ = 1;  ///< Frames per shard, staged ones included.
+  std::size_t batch_ = 1;     ///< Frames per published batch.
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t feeder_frames_ = 0;
+  std::uint64_t next_seq_ = 0;  ///< Also the count of frames kept by sampling.
   std::uint64_t feeder_sampled_out_ = 0;
   std::atomic<bool> abandoned_{false};
   bool finished_ = false;

@@ -31,7 +31,7 @@ enum class HealthState : std::uint8_t {
 
 struct ShardHealth {
   std::uint64_t heartbeat = 0;    ///< Items the worker has handled.
-  std::size_t queue_depth = 0;    ///< Frames waiting in its ring.
+  std::size_t queue_depth = 0;    ///< Frames handed to its worker, not yet processed.
   std::size_t queue_capacity = 0;
   std::uint32_t stall_strikes = 0;  ///< Consecutive no-progress polls.
   bool stalled = false;             ///< Strikes reached the watchdog threshold.

@@ -147,13 +147,20 @@ core::Result<std::uint64_t> Supervisor::resume() {
 
   install_hooks();
   probe_ = std::make_unique<probe::ShardedProbe>(config_.probe);
-  if (auto r = probe_->restore(cp.shard_state, cp.probe_next_seq); !r) return r.error();
+  // The checkpoint stores ingested net of quarantined; internally the
+  // feeder counts accepted frames and the read path subtracts. Every
+  // accepted frame either took a probe seq or was dropped by the probe's
+  // packet sampling, so the sampler's position needs no field of its own.
+  const std::uint64_t accepted = cp.frames_ingested + cp.frames_quarantined;
+  if (accepted < cp.probe_next_seq) return core::Errc::kCorrupt;
+  if (auto r = probe_->restore(cp.shard_state, cp.probe_next_seq, accepted - cp.probe_next_seq);
+      !r) {
+    return r.error();
+  }
   watchdog_.assign(probe_->shard_count(), {});
 
   offered_ = cp.replay_from;
-  // The checkpoint stores ingested net of quarantined; internally the
-  // feeder counts accepted frames and the read path subtracts.
-  ingested_ = cp.frames_ingested + cp.frames_quarantined;
+  ingested_ = accepted;
   shed_sampled_ = cp.shed_sampled;
   shed_backpressure_ = cp.shed_backpressure;
   append_retries_ = cp.append_retries;

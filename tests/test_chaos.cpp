@@ -243,6 +243,48 @@ TEST(ChaosRecovery, PoisonAccountingSurvivesKillAndResume) {
       << "a poison frame was quarantined twice";
 }
 
+// Packet sampling at the probe's feeder must pick the same frames whether
+// or not the run was interrupted: resume must restore the sampler's
+// position, which the kept-frame sequence alone does not determine.
+TEST(ChaosRecovery, SampledFeedIsByteIdenticalAfterKillAndResume) {
+  const auto frames = workload();
+  const auto sampled_config = [](const std::filesystem::path& dir) {
+    auto cfg = base_config(dir);
+    cfg.probe.probe.sample_rate = 3;
+    return cfg;
+  };
+
+  const auto golden_dir = fresh_dir("golden_sampled");
+  ew::storage::DataLake golden_lake{golden_dir / "lake"};
+  {
+    ew::runtime::Supervisor sup{golden_lake, sampled_config(golden_dir)};
+    ASSERT_TRUE(sup.start());
+    for (const auto& f : frames) sup.offer(f);
+    ASSERT_TRUE(sup.finish());
+  }
+  const auto golden = lake_bytes(golden_lake);
+  ASSERT_FALSE(golden.empty());
+
+  // The checkpoint at 500 offered frames sits two frames past a kept one.
+  const auto dir = fresh_dir("sampled_resume");
+  ew::storage::DataLake lake{dir / "lake"};
+  {
+    ew::runtime::Supervisor sup{lake, sampled_config(dir)};
+    ASSERT_TRUE(sup.start());
+    for (std::uint64_t i = 0; i < 777; ++i) sup.offer(frames[i]);
+    sup.simulate_crash();
+  }
+  ew::storage::DataLake lake2{dir / "lake"};
+  ew::runtime::Supervisor sup{lake2, sampled_config(dir)};
+  const auto replay_from = sup.resume();
+  ASSERT_TRUE(replay_from);
+  EXPECT_EQ(*replay_from, 500u);
+  for (std::uint64_t i = *replay_from; i < frames.size(); ++i) sup.offer(frames[i]);
+  ASSERT_TRUE(sup.finish());
+  EXPECT_TRUE(sup.health().reconciles());
+  EXPECT_EQ(lake_bytes(lake2), golden);
+}
+
 // Suspect poisons roll shards back to their last snapshot. The rollback
 // anchors are re-established by checkpoint barriers, so a resumed run
 // replays the same rollbacks and converges on the same lake.

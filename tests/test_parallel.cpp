@@ -15,6 +15,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "analytics/parallel.hpp"
@@ -335,6 +336,12 @@ std::vector<FlowRecord> serial_reference(const std::vector<ew::net::Frame>& fram
   return records;
 }
 
+/// Frames per published batch for a configured ring capacity (the rule
+/// documented on ShardedProbeConfig::queue_capacity).
+std::size_t batch_for(std::size_t queue_capacity) {
+  return std::clamp<std::size_t>(queue_capacity / 4, 1, 256);
+}
+
 }  // namespace
 
 TEST(ShardedProbe, GoldenStreamIdenticalForEveryShardCount) {
@@ -435,6 +442,290 @@ TEST(ShardedProbe, OutageWindowMatchesSerialProbe) {
   }
   EXPECT_EQ(encode_stream(sp.finish()), encode_stream(serial_records));
   EXPECT_EQ(sp.counters().dropped_offline, probe.counters().dropped_offline);
+}
+
+TEST(ShardedProbe, TryIngestSamplingMatchesIngest) {
+  const auto frames = golden_workload();
+  ew::probe::ShardedProbeConfig scfg;
+  scfg.probe.sample_rate = 3;
+  scfg.shards = 4;
+  scfg.queue_capacity = 64;
+
+  ew::probe::ShardedProbe blocking(scfg);
+  for (const auto& f : frames) blocking.ingest(f);
+  const auto expected = encode_stream(blocking.finish());
+  ASSERT_FALSE(expected.empty());
+
+  ew::probe::ShardedProbe non_blocking(scfg);
+  for (const auto& f : frames) {
+    auto copy = f;
+    while (!non_blocking.try_ingest(copy)) std::this_thread::yield();
+  }
+  EXPECT_EQ(encode_stream(non_blocking.finish()), expected);
+
+  const auto a = blocking.counters();
+  const auto b = non_blocking.counters();
+  EXPECT_GT(b.sampled_out, 0u);
+  EXPECT_EQ(b.sampled_out, a.sampled_out);
+  EXPECT_EQ(b.frames, a.frames);
+  EXPECT_EQ(b.frames, frames.size());
+  EXPECT_EQ(b.records_exported, a.records_exported);
+  EXPECT_EQ(b.dns_responses, a.dns_responses);
+}
+
+TEST(ShardedProbe, QueueCapacityCountsFrames) {
+  // 1100 is no multiple of its 256-frame batch: the bound is still exact.
+  for (const std::size_t capacity : {std::size_t{4}, std::size_t{8}, std::size_t{64},
+                                     std::size_t{1024}, std::size_t{1100}, std::size_t{4096}}) {
+    ew::probe::ShardedProbeConfig scfg;
+    scfg.shards = 2;
+    scfg.queue_capacity = capacity;
+    ew::probe::ShardedProbe sp(scfg);
+    EXPECT_EQ(sp.queue_capacity(), capacity);
+    EXPECT_EQ(sp.queue_depth(0), 0u);
+  }
+}
+
+TEST(ShardedProbe, QueueDepthStaysWithinCapacityWhileWorkerBlocked) {
+  const auto frames = golden_workload();
+  constexpr std::size_t kCapacity = 64;
+  ASSERT_EQ(kCapacity % batch_for(kCapacity), 0u);  // nothing left staged at the bound
+  ASSERT_GT(frames.size(), kCapacity + 1);
+
+  std::atomic<bool> release{false};
+  ew::probe::ShardedProbeConfig scfg;
+  scfg.shards = 1;
+  scfg.queue_capacity = kCapacity;
+  scfg.frame_inspector = [&release](std::uint64_t, const ew::net::Frame&) {
+    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+  };
+  ew::probe::ShardedProbe sp(scfg);
+
+  std::atomic<std::size_t> fed{0};
+  std::thread feeder([&] {
+    for (const auto& f : frames) {
+      sp.ingest(f);
+      fed.fetch_add(1, std::memory_order_release);
+    }
+  });
+  std::size_t deepest = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fed.load(std::memory_order_acquire) < kCapacity &&
+         std::chrono::steady_clock::now() < deadline) {
+    deepest = std::max(deepest, sp.queue_depth(0));
+    std::this_thread::yield();
+  }
+  // The worker holds the first frame: the next frame past the bound blocks.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(fed.load(std::memory_order_acquire), kCapacity);
+  EXPECT_EQ(sp.queue_depth(0), kCapacity);
+  EXPECT_LE(deepest, kCapacity);
+
+  release.store(true, std::memory_order_release);
+  while (fed.load(std::memory_order_acquire) < frames.size()) {
+    EXPECT_LE(sp.queue_depth(0), kCapacity);
+    std::this_thread::yield();
+  }
+  feeder.join();
+  EXPECT_EQ(encode_stream(sp.finish()),
+            encode_stream(serial_reference(frames, scfg.probe)));
+}
+
+TEST(ShardedProbe, TryIngestAdmitsOneFrameForEachFrameProcessed) {
+  const auto frames = golden_workload();
+  constexpr std::size_t kCapacity = 64;
+  ASSERT_GT(frames.size(), 2 * kCapacity);
+
+  // The worker may finish `allowance` frames, then waits for more.
+  std::atomic<std::size_t> allowance{0};
+  std::atomic<std::size_t> passed{0};
+  ew::probe::ShardedProbeConfig scfg;
+  scfg.shards = 1;
+  scfg.queue_capacity = kCapacity;
+  scfg.frame_inspector = [&](std::uint64_t, const ew::net::Frame&) {
+    while (passed.load(std::memory_order_relaxed) >= allowance.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    passed.fetch_add(1, std::memory_order_relaxed);
+  };
+  ew::probe::ShardedProbe sp(scfg);
+
+  std::size_t next = 0;
+  const auto offer = [&] {
+    auto copy = frames[next];
+    if (!sp.try_ingest(copy)) return false;
+    ++next;
+    return true;
+  };
+  while (offer()) {
+    ASSERT_LE(next, kCapacity);
+  }
+  EXPECT_EQ(next, kCapacity);
+
+  // Room comes back frame by frame, not a batch at a time.
+  for (std::size_t processed = 1; processed <= 3; ++processed) {
+    allowance.store(processed, std::memory_order_release);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (sp.heartbeat(0) < processed && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(sp.heartbeat(0), processed);
+    EXPECT_TRUE(offer()) << "after " << processed << " processed";
+    EXPECT_FALSE(offer()) << "after " << processed << " processed";
+    EXPECT_EQ(next, kCapacity + processed);
+  }
+
+  allowance.store(frames.size(), std::memory_order_release);
+  while (next < frames.size()) {
+    if (!offer()) std::this_thread::yield();
+  }
+  EXPECT_EQ(encode_stream(sp.finish()),
+            encode_stream(serial_reference(frames, scfg.probe)));
+}
+
+TEST(ShardedProbe, SnapshotRestoreCarriesSamplingPosition) {
+  const auto frames = golden_workload();
+  ew::probe::ShardedProbeConfig scfg;
+  scfg.probe.sample_rate = 3;
+  scfg.shards = 4;
+  scfg.queue_capacity = 64;
+  // Neither a multiple of the rate nor of the batch: the sampled-out
+  // frames since the last kept one are not implied by next_seq.
+  const std::size_t snap_at = frames.size() / 2 / 48 * 48 + 7;
+
+  ew::probe::ShardedProbe uninterrupted(scfg);
+  for (const auto& f : frames) uninterrupted.ingest(f);
+  const auto expected = encode_stream(uninterrupted.finish());
+  ASSERT_FALSE(expected.empty());
+
+  ew::probe::ShardedProbe first(scfg);
+  for (std::size_t i = 0; i < snap_at; ++i) first.ingest(frames[i]);
+  auto snap = first.snapshot();
+  EXPECT_EQ(snap.next_seq + snap.sampled_out, snap_at);
+  first.abandon();
+
+  ew::probe::ShardedProbe resumed(scfg);
+  ASSERT_TRUE(resumed.restore(snap.shard_state, snap.next_seq, snap.sampled_out));
+  for (std::size_t i = snap_at; i < frames.size(); ++i) resumed.ingest(frames[i]);
+  auto rest = resumed.finish();
+  snap.records.insert(snap.records.end(), std::make_move_iterator(rest.begin()),
+                      std::make_move_iterator(rest.end()));
+  EXPECT_EQ(encode_stream(snap.records), expected);
+  EXPECT_EQ(resumed.counters().sampled_out, uninterrupted.counters().sampled_out);
+  EXPECT_EQ(resumed.counters().frames, uninterrupted.counters().frames);
+}
+
+TEST(ShardedProbe, ControlEventsAndSnapshotCutBatchesMidStream) {
+  const auto frames = golden_workload();
+  constexpr std::size_t kCapacity = 64;
+  const std::size_t batch = batch_for(kCapacity);
+  // Each event lands mid-batch: with one shard the staged batch is partial
+  // at every one of them.
+  const auto mid_batch = [batch](std::size_t at) { return at - at % batch + batch / 2 + 1; };
+  // The outage drops every open flow without exporting it, so it comes
+  // before the snapshot: frames the snapshot missed must show in records.
+  const std::size_t off_at = mid_batch(frames.size() / 5);
+  const std::size_t on_at = mid_batch(frames.size() * 2 / 5);
+  const std::size_t snap_at = mid_batch(frames.size() * 3 / 5);
+  const std::size_t flip_at = mid_batch(frames.size() * 4 / 5);
+  ASSERT_LT(flip_at, frames.size());
+  for (const std::size_t at : {snap_at, flip_at, off_at, on_at}) ASSERT_NE(at % batch, 0u);
+
+  std::vector<FlowRecord> serial_records;
+  ew::probe::Probe serial({}, [&serial_records](FlowRecord&& r) {
+    serial_records.push_back(std::move(r));
+  });
+  const auto feed = [&](auto& probe, std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      if (i == flip_at) probe.set_classifier_options({.report_spdy = false, .report_fbzero = false});
+      if (i == off_at) probe.begin_outage();
+      if (i == on_at) probe.end_outage();
+      if constexpr (std::is_same_v<std::decay_t<decltype(probe)>, ew::probe::Probe>) {
+        probe.process(frames[i]);
+      } else {
+        probe.ingest(frames[i]);
+      }
+    }
+  };
+  feed(serial, 0, frames.size());
+  serial.finish();
+  std::stable_sort(serial_records.begin(), serial_records.end(),
+                   [](const FlowRecord& a, const FlowRecord& b) {
+                     return a.ingest_seq < b.ingest_seq;
+                   });
+  const auto expected = encode_stream(serial_records);
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    ew::probe::ShardedProbeConfig scfg;
+    scfg.shards = shards;
+    scfg.queue_capacity = kCapacity;
+
+    ew::probe::ShardedProbe uninterrupted(scfg);
+    feed(uninterrupted, 0, frames.size());
+    EXPECT_EQ(encode_stream(uninterrupted.finish()), expected) << "shards=" << shards;
+
+    ew::probe::ShardedProbe first(scfg);
+    feed(first, 0, snap_at);
+    auto snap = first.snapshot();
+    EXPECT_EQ(snap.next_seq, snap_at);
+    first.abandon();
+
+    ew::probe::ShardedProbe resumed(scfg);
+    ASSERT_TRUE(resumed.restore(snap.shard_state, snap.next_seq, snap.sampled_out));
+    feed(resumed, snap_at, frames.size());
+    auto rest = resumed.finish();
+    snap.records.insert(snap.records.end(), std::make_move_iterator(rest.begin()),
+                        std::make_move_iterator(rest.end()));
+    EXPECT_EQ(encode_stream(snap.records), expected) << "shards=" << shards;
+  }
+}
+
+TEST(ShardedProbe, RvalueIngestMatchesLvalue) {
+  const auto frames = golden_workload();
+  ew::probe::ShardedProbeConfig scfg;
+  scfg.shards = 4;
+  scfg.queue_capacity = 64;
+
+  ew::probe::ShardedProbe by_ref(scfg);
+  for (const auto& f : frames) by_ref.ingest(f);
+  const auto expected = encode_stream(by_ref.finish());
+  ASSERT_FALSE(expected.empty());
+
+  ew::probe::ShardedProbe by_move(scfg);
+  auto owned = frames;
+  for (auto& f : owned) by_move.ingest(std::move(f));
+  EXPECT_EQ(encode_stream(by_move.finish()), expected);
+  EXPECT_EQ(by_move.counters().frames, by_ref.counters().frames);
+  EXPECT_EQ(by_move.counters().records_exported, by_ref.counters().records_exported);
+}
+
+TEST(ShardedProbe, AbandonAndDestructionWithPartlyStagedBatchReturnPromptly) {
+  const auto frames = golden_workload();
+  ew::probe::ShardedProbeConfig scfg;
+  scfg.shards = 2;
+  scfg.queue_capacity = 4096;  // 256-frame batches: the frames below stay staged
+  std::atomic<std::size_t> inspected{0};
+  scfg.frame_inspector = [&inspected](std::uint64_t, const ew::net::Frame&) {
+    inspected.fetch_add(1, std::memory_order_relaxed);
+  };
+  constexpr std::size_t kStaged = 100;
+  ASSERT_LT(kStaged, batch_for(scfg.queue_capacity));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    ew::probe::ShardedProbe sp(scfg);
+    for (std::size_t i = 0; i < kStaged; ++i) sp.ingest(frames[i]);
+    EXPECT_EQ(sp.queue_depth(0) + sp.queue_depth(1), 0u);
+    sp.abandon();
+    EXPECT_TRUE(sp.finish().empty());
+  }
+  EXPECT_EQ(inspected.load(), 0u) << "abandon() must drop the staged frames";
+
+  {
+    ew::probe::ShardedProbe sp(scfg);
+    for (std::size_t i = 0; i < kStaged; ++i) sp.ingest(frames[i]);
+  }  // destroyed without finish()
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
 }
 
 // ------------------------------------------------- parallel stage-one

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 #include <vector>
 
 #include "analytics/day_aggregate.hpp"
@@ -486,6 +487,43 @@ TEST(Supervisor, CalmRunIngestsEverythingAndMatchesShardedProbe) {
   ASSERT_TRUE(quality.contains(days[0]));
   EXPECT_TRUE(quality.at(days[0]).complete());
   EXPECT_DOUBLE_EQ(quality.at(days[0]).correction_factor(), 1.0);
+}
+
+// A feed that never runs more than half the capacity ahead of the workers
+// is no overload: nothing may be shed. The feed also waits on the workers,
+// so frames left staged behind an idle worker would stall it.
+TEST(Supervisor, FeedPacedToTheWorkersShedsNothing) {
+  const auto frames = workload(24);
+  const auto dir = fresh_dir("sup_paced");
+  ew::storage::DataLake lake{dir / "lake"};
+  auto cfg = calm_config(dir);
+  cfg.probe.shards = 4;
+  cfg.probe.queue_capacity = 64;
+  const std::uint64_t window = cfg.probe.queue_capacity / 2;
+  ASSERT_GT(frames.size(), 4 * cfg.probe.queue_capacity);
+
+  ew::runtime::Supervisor sup{lake, cfg};
+  ASSERT_TRUE(sup.start());
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (const auto& f : frames) {
+    while (true) {
+      const auto h = sup.health();
+      std::uint64_t processed = 0;  // heartbeats: frames, as no control event runs
+      for (const auto& s : h.shards) processed += s.heartbeat;
+      if (h.frames_ingested < processed + window) break;
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "workers never got the staged frames";
+      std::this_thread::yield();
+    }
+    sup.offer(f);
+  }
+  ASSERT_TRUE(sup.finish());
+
+  const auto h = sup.health();
+  EXPECT_EQ(h.frames_ingested, frames.size());
+  EXPECT_EQ(h.shed_total(), 0u);
+  EXPECT_EQ(h.state, HealthState::kHealthy);
+  EXPECT_TRUE(h.reconciles());
 }
 
 TEST(Supervisor, OverloadShedsWithExactReconciliation) {
