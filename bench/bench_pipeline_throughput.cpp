@@ -136,7 +136,7 @@ void BM_ParallelDayAggregate(benchmark::State& state) {
   std::filesystem::remove_all(dir);
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(records.size()));
 }
-BENCHMARK(BM_ParallelDayAggregate)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_ParallelDayAggregate)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void print_compression_report() {
   const auto& records = sample_records();

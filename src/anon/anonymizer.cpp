@@ -2,23 +2,24 @@
 
 namespace edgewatch::anon {
 
-std::uint32_t PrefixPreservingAnonymizer::pad_bits(std::uint32_t value) const noexcept {
-  // For each prefix length i in [0, 32), derive one PRF bit from the i-bit
-  // prefix of `value`. Bit i of the result flips bit i (MSB-first) of the
-  // address. The PRF input encodes both the prefix bits and the length so
-  // that e.g. prefix "0" and prefix "00" hash differently.
-  std::uint32_t flips = 0;
-  for (std::uint32_t i = 0; i < 32; ++i) {
+std::uint32_t PrefixPreservingAnonymizer::flips(std::uint32_t value, std::uint32_t first,
+                                                std::uint32_t last) const noexcept {
+  // For each prefix length i, derive one PRF bit from the i-bit prefix of
+  // `value`. Bit i of the result flips bit i (MSB-first) of the address.
+  // The PRF input encodes both the prefix bits and the length so that e.g.
+  // prefix "0" and prefix "00" hash differently.
+  std::uint32_t mask = 0;
+  for (std::uint32_t i = first; i < last; ++i) {
     const std::uint32_t prefix = i == 0 ? 0 : (value >> (32 - i)) << (32 - i);
     const std::uint64_t input = (std::uint64_t{prefix} << 8) | i;
     const std::uint64_t prf = core::siphash24_value(key_, input);
-    flips |= static_cast<std::uint32_t>(prf & 1) << (31 - i);
+    mask |= static_cast<std::uint32_t>(prf & 1) << (31 - i);
   }
-  return flips;
+  return mask;
 }
 
 core::IPv4Address PrefixPreservingAnonymizer::anonymize(core::IPv4Address a) const noexcept {
-  return core::IPv4Address{a.value() ^ pad_bits(a.value())};
+  return core::IPv4Address{a.value() ^ flips(a.value(), 0, 32)};
 }
 
 core::IPv4Address PrefixPreservingAnonymizer::deanonymize(core::IPv4Address a) const noexcept {
@@ -26,12 +27,8 @@ core::IPv4Address PrefixPreservingAnonymizer::deanonymize(core::IPv4Address a) c
   // bit for position i is computable, revealing original bit i.
   std::uint32_t original = 0;
   for (std::uint32_t i = 0; i < 32; ++i) {
-    const std::uint32_t prefix = i == 0 ? 0 : (original >> (32 - i)) << (32 - i);
-    const std::uint64_t input = (std::uint64_t{prefix} << 8) | i;
-    const std::uint64_t prf = core::siphash24_value(key_, input);
-    const std::uint32_t flip = static_cast<std::uint32_t>(prf & 1) << (31 - i);
     const std::uint32_t anon_bit = a.value() & (1u << (31 - i));
-    original |= anon_bit ^ flip;
+    original |= anon_bit ^ flips(original, i, i + 1);
   }
   return core::IPv4Address{original};
 }

@@ -163,7 +163,10 @@ class FlowTable {
   /// (the probe has no other clock).
   void advance(core::Timestamp now);
 
-  /// Export everything still open (probe shutdown / end of trace).
+  /// Export everything still open (probe shutdown / end of trace), in
+  /// ingest_seq order. If the sink throws, the flows already handed to it
+  /// (the throwing one included) are gone and the rest stay live, so a
+  /// second flush exports each remaining flow once.
   void flush(FlowCloseReason reason = FlowCloseReason::kProbeFlush);
 
   [[nodiscard]] std::size_t active_flows() const noexcept { return flows_.size(); }
@@ -220,6 +223,9 @@ class FlowTable {
   void handle_tcp(FlowState& state, const net::DecodedPacket& pkt, bool from_client);
   void run_dpi(FlowState& state, const net::DecodedPacket& pkt, bool from_client);
   void run_server_dpi(FlowState& state, const net::DecodedPacket& pkt);
+  /// Move the finished record out of `state`: the DN-Hunter hint fills an
+  /// empty server_name, and a still-open flow gets `reason`.
+  [[nodiscard]] static FlowRecord take_record(FlowState& state, FlowCloseReason reason);
   void export_flow(const core::FiveTuple& key, FlowCloseReason reason);
   [[nodiscard]] std::int64_t idle_timeout(core::TransportProto proto) const noexcept {
     return proto == core::TransportProto::kTcp ? config_.tcp_idle_timeout_us

@@ -23,6 +23,46 @@ auto take_buffer(net::Frame& frame) {
   };
 }
 
+bool by_seq(const flow::FlowRecord& a, const flow::FlowRecord& b) noexcept {
+  return a.ingest_seq < b.ingest_seq;
+}
+
+/// A worker's exports come out of its flushes in ingest_seq order, but
+/// mid-stream expiries (idle and linger timeouts) leave them in expiry
+/// order; the merge needs each buffer sorted.
+void sort_by_seq(std::vector<flow::FlowRecord>& records) {
+  if (!std::is_sorted(records.begin(), records.end(), by_seq)) {
+    std::sort(records.begin(), records.end(), by_seq);
+  }
+}
+
+/// k-way merge of per-shard buffers, each sorted by ingest_seq, moving
+/// every record once. ingest_seq is unique across shards (one global
+/// counter, one creating packet per flow), so the order is total and
+/// independent of the shard count. k is the shard count, a handful, so
+/// the next record is found by a linear scan of the run heads.
+std::vector<flow::FlowRecord> merge_by_seq(
+    const std::vector<std::vector<flow::FlowRecord>*>& runs) {
+  if (runs.size() == 1) return std::move(*runs.front());
+  std::size_t total = 0;
+  for (const auto* run : runs) total += run->size();
+  std::vector<flow::FlowRecord> merged;
+  merged.reserve(total);
+  std::vector<std::size_t> pos(runs.size(), 0);
+  while (merged.size() < total) {
+    std::size_t best = runs.size();
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      if (pos[r] == runs[r]->size()) continue;
+      if (best == runs.size() ||
+          (*runs[r])[pos[r]].ingest_seq < (*runs[best])[pos[best]].ingest_seq) {
+        best = r;
+      }
+    }
+    merged.push_back(std::move((*runs[best])[pos[best]++]));
+  }
+  return merged;
+}
+
 }  // namespace
 
 ShardedProbe::ShardedProbe(ShardedProbeConfig config) : config_(std::move(config)) {
@@ -47,7 +87,7 @@ ShardedProbe::ShardedProbe(ShardedProbeConfig config) : config_(std::move(config
     auto shard = std::make_unique<Shard>(capacity_);
     Shard* raw = shard.get();
     // Batch-buffering sink: the worker appends locally, no cross-thread
-    // call per record; the merge happens once, at finish().
+    // call per record; the merge happens at finish() and snapshot().
     shard->probe = std::make_unique<Probe>(
         shard_config, [raw](flow::FlowRecord&& record) {
           raw->records.push_back(std::move(record));
@@ -244,17 +284,13 @@ PipelineSnapshot ShardedProbe::snapshot() {
   snap.next_seq = next_seq_;
   snap.sampled_out = feeder_sampled_out_;
   snap.shard_state.reserve(slots.size());
-  std::size_t total = 0;
-  for (const auto& slot : slots) total += slot->records.size();
-  snap.records.reserve(total);
+  std::vector<std::vector<flow::FlowRecord>*> runs;
+  runs.reserve(slots.size());
   for (const auto& slot : slots) {
     snap.shard_state.push_back(std::move(slot->state_out));
-    std::move(slot->records.begin(), slot->records.end(), std::back_inserter(snap.records));
+    runs.push_back(&slot->records);
   }
-  std::sort(snap.records.begin(), snap.records.end(),
-            [](const flow::FlowRecord& a, const flow::FlowRecord& b) {
-              return a.ingest_seq < b.ingest_seq;
-            });
+  snap.records = merge_by_seq(runs);
   return snap;
 }
 
@@ -369,6 +405,7 @@ void ShardedProbe::worker_loop(Shard& shard) {
           shard.last_snapshot = slot.state_out;
           shard.frames_since_snapshot = 0;
         }
+        sort_by_seq(shard.records);
         slot.records = std::move(shard.records);
         shard.records.clear();
         slot.done.store(true, std::memory_order_release);
@@ -392,9 +429,11 @@ void ShardedProbe::worker_loop(Shard& shard) {
   }
   if (abandoned_.load(std::memory_order_acquire)) return;  // killed: no flush
   // Ring closed and drained: flush the shard's open flows. The exports
-  // land in shard.records with their creation-time tags, so the merge
-  // below puts them where the serial probe's flush would.
+  // land in shard.records with their creation-time tags, so finish()'s
+  // merge puts them where the serial probe's flush would. Sorting here
+  // runs on every worker at once instead of on the feeder.
   shard.probe->finish();
+  sort_by_seq(shard.records);
 }
 
 void ShardedProbe::join_workers() {
@@ -422,22 +461,14 @@ std::vector<flow::FlowRecord> ShardedProbe::finish() {
   finished_ = true;
   join_workers();
 
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->records.size();
-  std::vector<flow::FlowRecord> merged;
-  merged.reserve(total);
+  std::vector<std::vector<flow::FlowRecord>*> runs;
+  runs.reserve(shards_.size());
+  for (auto& shard : shards_) runs.push_back(&shard->records);
+  std::vector<flow::FlowRecord> merged = merge_by_seq(runs);
   for (auto& shard : shards_) {
-    std::move(shard->records.begin(), shard->records.end(), std::back_inserter(merged));
     shard->records.clear();
     shard->records.shrink_to_fit();
   }
-  // The seq-tagged merge: ingest_seq is unique across shards (one global
-  // counter, one creating packet per flow), so this order is total and
-  // shard-count-independent.
-  std::sort(merged.begin(), merged.end(),
-            [](const flow::FlowRecord& a, const flow::FlowRecord& b) {
-              return a.ingest_seq < b.ingest_seq;
-            });
   return merged;
 }
 

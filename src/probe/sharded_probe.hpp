@@ -29,9 +29,11 @@
 // created each flow in `FlowRecord::ingest_seq`. Because one packet
 // creates at most one flow and every packet has exactly one global seq,
 // the tag is unique per record and independent of the shard count.
-// finish() merges the per-shard export buffers by that tag, yielding a
-// record stream (creation order) that is byte-identical for N = 1, 4, 8, …
-// and equal, as a re-ordering, to the single-threaded probe's stream.
+// Each worker sorts its export buffer by that tag (after its flush, and at
+// a snapshot barrier); finish() and snapshot() k-way merge the buffers,
+// moving each record once. The result is a record stream (creation order)
+// that is byte-identical for N = 1, 4, 8, … and equal, as a re-ordering,
+// to the single-threaded probe's stream.
 // Three documented exceptions, all absent from the paper's deployment:
 // packet sampling is applied at the feeder (globally, like the serial
 // probe) so shards never sample; per-shard max_flows force-eviction can

@@ -1,8 +1,10 @@
 // Property tests for the prefix-preserving anonymizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <set>
+#include <vector>
 
 #include "anon/anonymizer.hpp"
 #include "core/rng.hpp"
@@ -120,4 +122,32 @@ TEST(CustomerAnonymizer, ConsistentAcrossCalls) {
   const IPv4Address c{10, 99, 3, 4};
   const auto first = anon.apply(c);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(anon.apply(c), first);
+}
+
+TEST(CustomerAnonymizer, MemoizedPathMatchesCryptoPanOverManyPrefixes) {
+  // ~50k addresses drawn from 640 /24s in 40 /16s, in interleaved order, so
+  // first-seen addresses land both in new /24s and in /24s seen before.
+  // Both the per-address and the per-/24 memo must reproduce CryptoPAn.
+  const auto net = ew::core::IPv4Prefix::parse("10.0.0.0/8");
+  ASSERT_TRUE(net.has_value());
+  CustomerAnonymizer anon{kKey, *net};
+  ew::core::Xoshiro256 rng{2024};
+  std::vector<IPv4Address> customers;
+  customers.reserve(50'000);
+  for (int i = 0; i < 50'000; ++i) {
+    const auto r = rng();
+    customers.emplace_back(10, static_cast<std::uint8_t>(r % 40 * 6),
+                           static_cast<std::uint8_t>((r >> 8) % 16 * 15),
+                           static_cast<std::uint8_t>(r >> 16));
+  }
+  for (const IPv4Address c : customers) {
+    ASSERT_EQ(anon.apply(c), anon.impl().anonymize(c)) << c.to_string();
+    const IPv4Address outside{static_cast<std::uint32_t>(rng()) | 0x80000000u};  // >= 128/1
+    ASSERT_EQ(anon.apply(outside), outside);
+  }
+  // Repeated calls, in a different order: answered by the memos.
+  std::reverse(customers.begin(), customers.end());
+  for (const IPv4Address c : customers) {
+    ASSERT_EQ(anon.apply(c), anon.impl().anonymize(c)) << c.to_string();
+  }
 }

@@ -1,6 +1,9 @@
 // Flow table, TCP state machine and RTT estimator tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -252,6 +255,158 @@ TEST(FlowTable, FlushExportsEverythingOnce) {
   for (const auto& r : h.records) EXPECT_EQ(r.close_reason, FlowCloseReason::kProbeFlush);
   h.table.flush();
   EXPECT_EQ(h.records.size(), 7u);  // idempotent
+}
+
+// A table holding a few hundred flows of three kinds, created in port
+// order: closed ones (TCP teardown or reset), ones carrying a DN-Hunter
+// hint (with and without a DPI hostname), and plain active ones. Enough
+// flows that the slot order differs from the creation order.
+struct MixedFlows {
+  static constexpr std::uint16_t kFlows = 300;
+  static constexpr std::uint16_t kFirstPort = 20000;
+  static constexpr std::string_view kHint = "hinted.example";
+  enum class Kind { kActive, kHinted, kHintedHttp, kReset, kTeardown };
+
+  static Kind kind(std::uint16_t port) { return static_cast<Kind>((port - kFirstPort) % 5); }
+
+  static void fill(FlowTable& table) {
+    std::int64_t t = 0;
+    const auto feed = [&table, &t](PacketBuilder b) {
+      const ew::net::Frame frame = b.ts(us(++t)).build();  // the packet views its bytes
+      return table.ingest(ew::net::decode_frame(frame).value());
+    };
+    for (std::uint16_t i = 0; i < kFlows; ++i) {
+      const auto port = static_cast<std::uint16_t>(kFirstPort + i);
+      const IPv4Address client{10, 1, static_cast<std::uint8_t>(i / 200),
+                               static_cast<std::uint8_t>(i % 200 + 1)};
+      const auto from_client = [&] { return PacketBuilder{}.ip(client, kServer); };
+      const auto from_server = [&] { return PacketBuilder{}.ip(kServer, client); };
+      switch (kind(port)) {
+        case Kind::kActive:
+          feed(from_client().udp(port, 443).payload("y"));
+          break;
+        case Kind::kHinted:
+          feed(from_client().udp(port, 443).payload("y"))->dns_hint = kHint;
+          break;
+        case Kind::kHintedHttp:
+          feed(from_client()
+                   .tcp(port, 80, 1, 1, TcpFlags::kAck | TcpFlags::kPsh)
+                   .payload(ew::dpi::build_http_request("dpi.example")))
+              ->dns_hint = kHint;
+          break;
+        case Kind::kReset:
+          feed(from_client().tcp(port, 443, 1, 1, TcpFlags::kSyn));
+          feed(from_server().tcp(443, port, 1, 2, TcpFlags::kRst));
+          break;
+        case Kind::kTeardown:
+          feed(from_client().tcp(port, 443, 1, 1, TcpFlags::kFin | TcpFlags::kAck));
+          feed(from_server().tcp(443, port, 1, 2, TcpFlags::kFin | TcpFlags::kAck));
+          break;
+      }
+    }
+  }
+
+  /// Checks one exported record against the rules for its kind.
+  static void expect_exported_as_its_kind(const FlowRecord& r) {
+    switch (kind(r.client_port)) {
+      case Kind::kActive:
+        EXPECT_EQ(r.close_reason, FlowCloseReason::kProbeFlush);
+        EXPECT_TRUE(r.server_name.empty());
+        break;
+      case Kind::kHinted:
+        EXPECT_EQ(r.close_reason, FlowCloseReason::kProbeFlush);
+        EXPECT_EQ(r.server_name, kHint);
+        EXPECT_EQ(r.name_source, ew::flow::NameSource::kDnsHunter);
+        break;
+      case Kind::kHintedHttp:  // the hint only fills an empty name
+        EXPECT_EQ(r.close_reason, FlowCloseReason::kProbeFlush);
+        EXPECT_EQ(r.server_name, "dpi.example");
+        EXPECT_EQ(r.name_source, ew::flow::NameSource::kHttpHost);
+        break;
+      case Kind::kReset:
+        EXPECT_EQ(r.close_reason, FlowCloseReason::kTcpReset);
+        break;
+      case Kind::kTeardown:
+        EXPECT_EQ(r.close_reason, FlowCloseReason::kTcpTeardown);
+        break;
+    }
+  }
+};
+
+std::vector<std::uint16_t> live_ports(const FlowTable& table) {
+  std::vector<std::uint16_t> ports;
+  table.for_each_flow([&ports](const ew::core::FiveTuple& key, const ew::flow::FlowState&) {
+    ports.push_back(key.src_port);
+  });
+  return ports;
+}
+
+TEST(FlowTable, FlushExportsInArrivalOrderWithCloseReasonsAndHints) {
+  FlowTableConfig cfg;
+  cfg.closed_linger_us = 3'600'000'000;  // closed flows stay until the flush
+  Harness h{cfg};
+  MixedFlows::fill(h.table);
+  ASSERT_EQ(h.table.active_flows(), MixedFlows::kFlows);
+  const auto slot_order = live_ports(h.table);
+  ASSERT_FALSE(std::is_sorted(slot_order.begin(), slot_order.end()))
+      << "the slot order must differ from the creation order for this test to bite";
+
+  h.table.flush();
+  ASSERT_EQ(h.records.size(), MixedFlows::kFlows);
+  EXPECT_EQ(h.table.active_flows(), 0u);
+  EXPECT_EQ(h.table.counters().flows_exported, MixedFlows::kFlows);
+  for (std::size_t i = 0; i < h.records.size(); ++i) {
+    const FlowRecord& r = h.records[i];
+    EXPECT_EQ(r.client_port, MixedFlows::kFirstPort + i);  // creation order
+    if (i > 0) {
+      EXPECT_LT(h.records[i - 1].ingest_seq, r.ingest_seq);
+    }
+    MixedFlows::expect_exported_as_its_kind(r);
+  }
+}
+
+TEST(FlowTable, FlushInterruptedBySinkKeepsExactlyTheUnexportedFlows) {
+  // The sink throws on its k-th record. That record is lost with its flow;
+  // the records before it are exported, the flows after it stay live.
+  struct ThrowingSink {
+    std::vector<FlowRecord>* out;
+    std::size_t calls = 0;
+    std::size_t throw_at = 0;  // 1-based; 0 never throws
+    void operator()(FlowRecord&& r) {
+      if (++calls == throw_at) throw std::runtime_error("sink failed");
+      out->push_back(std::move(r));
+    }
+  };
+  constexpr std::size_t k = 117;
+  FlowTableConfig cfg;
+  cfg.closed_linger_us = 3'600'000'000;
+  std::vector<FlowRecord> records;
+  ThrowingSink sink{&records, 0, k};
+  FlowTable table{cfg, sink};
+  MixedFlows::fill(table);
+
+  EXPECT_THROW(table.flush(), std::runtime_error);
+  ASSERT_EQ(records.size(), k - 1);
+  EXPECT_EQ(table.counters().flows_exported, k);  // the failed hand-off counts
+  auto left = live_ports(table);
+  std::sort(left.begin(), left.end());
+  std::vector<std::uint16_t> not_yet_exported;
+  for (std::size_t i = k; i < MixedFlows::kFlows; ++i) {
+    not_yet_exported.push_back(static_cast<std::uint16_t>(MixedFlows::kFirstPort + i));
+  }
+  EXPECT_EQ(left, not_yet_exported);
+
+  sink.throw_at = 0;
+  table.flush();
+  EXPECT_EQ(table.active_flows(), 0u);
+  EXPECT_EQ(table.counters().flows_exported, MixedFlows::kFlows);
+  ASSERT_EQ(records.size(), MixedFlows::kFlows - 1);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    // Creation order across both flushes, the lost k-th flow skipped.
+    const std::size_t flow = i < k - 1 ? i : i + 1;
+    EXPECT_EQ(records[i].client_port, MixedFlows::kFirstPort + flow);
+    MixedFlows::expect_exported_as_its_kind(records[i]);
+  }
 }
 
 // Property: under random interleavings of many conversations, every packet

@@ -372,6 +372,97 @@ TEST(ShardedProbe, GoldenStreamIdenticalForEveryShardCount) {
   }
 }
 
+TEST(ShardedProbe, MidStreamExportsOutOfCreationOrderAreMergedBySeq) {
+  // Each client opens a UDP flow L, then a TCP flow S that a reset closes
+  // at once, then sends on L again at 100 s. At 125 s L's first expiry
+  // checkpoint finds it active and S, queued behind it, lingers out; L
+  // idles out only at 230 s. Every shard thus exports S before the older
+  // L, and its buffer reaches the merge out of ingest_seq order, both at
+  // the snapshot (taken in the last phase) and at finish().
+  using ew::net::PacketBuilder;
+  using ew::net::TcpFlags;
+  constexpr IPv4Address kServer{93, 184, 216, 34};
+  const auto at_s = [](int s, int c) { return Timestamp{s * 1'000'000LL + c * 1'000LL}; };
+  std::vector<ew::net::Frame> frames;
+  std::size_t snap_at = 0;
+  for (int phase = 0; phase < 5; ++phase) {
+    if (phase == 4) snap_at = frames.size();
+    for (int c = 0; c < 32; ++c) {
+      const IPv4Address client{10, 0, 5, static_cast<std::uint8_t>(10 + c)};
+      const auto port = static_cast<std::uint16_t>(40000 + c);
+      const auto from_client = [&] { return PacketBuilder{}.ip(client, kServer); };
+      switch (phase) {
+        case 0:  // L
+          frames.push_back(from_client().ts(at_s(1, c)).udp(port, 443).payload("l").build());
+          break;
+        case 1:  // S, reset at once
+          frames.push_back(
+              from_client().ts(at_s(2, c)).tcp(port, 443, 1, 0, TcpFlags::kSyn).build());
+          frames.push_back(PacketBuilder{}
+                               .ip(kServer, client)
+                               .ts(at_s(2, c))
+                               .tcp(443, port, 1, 2, TcpFlags::kRst)
+                               .build());
+          break;
+        case 2:  // L again
+          frames.push_back(from_client().ts(at_s(100, c)).udp(port, 443).payload("l").build());
+          break;
+        case 3:  // the shard's clock passes S's linger
+          frames.push_back(
+              from_client().ts(at_s(125, c)).udp(port + 100, 53).payload("a").build());
+          break;
+        case 4:  // ... and L's idle timeout
+          frames.push_back(
+              from_client().ts(at_s(230, c)).udp(port + 200, 53).payload("b").build());
+          break;
+      }
+    }
+  }
+  const ew::probe::ProbeConfig cfg;
+  const auto serial = serial_reference(frames, cfg);
+  const auto by_seq = [](const FlowRecord& a, const FlowRecord& b) {
+    return a.ingest_seq < b.ingest_seq;
+  };
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    ew::probe::ShardedProbeConfig scfg;
+    scfg.probe = cfg;
+    scfg.shards = shards;
+    scfg.queue_capacity = 64;
+    ew::probe::ShardedProbe sp(scfg);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      if (i == snap_at + 1) {
+        // S and L of the first client have both been exported by now.
+        auto snap = sp.snapshot();
+        EXPECT_GE(snap.records.size(), 2u) << "shards=" << shards;
+        EXPECT_TRUE(std::is_sorted(snap.records.begin(), snap.records.end(), by_seq))
+            << "shards=" << shards;
+        auto rest = [&] {
+          for (std::size_t j = i; j < frames.size(); ++j) sp.ingest(frames[j]);
+          return sp.finish();
+        }();
+        EXPECT_TRUE(std::is_sorted(rest.begin(), rest.end(), by_seq)) << "shards=" << shards;
+        snap.records.insert(snap.records.end(), std::make_move_iterator(rest.begin()),
+                            std::make_move_iterator(rest.end()));
+        std::stable_sort(snap.records.begin(), snap.records.end(), by_seq);
+        EXPECT_EQ(encode_stream(snap.records), encode_stream(serial)) << "shards=" << shards;
+        break;
+      }
+      sp.ingest(frames[i]);
+    }
+  }
+
+  // Without the snapshot, finish() alone returns the serial stream.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    ew::probe::ShardedProbeConfig scfg;
+    scfg.probe = cfg;
+    scfg.shards = shards;
+    ew::probe::ShardedProbe sp(scfg);
+    for (const auto& f : frames) sp.ingest(f);
+    EXPECT_EQ(encode_stream(sp.finish()), encode_stream(serial)) << "shards=" << shards;
+  }
+}
+
 TEST(ShardedProbe, FeederSamplingMatchesSerialProbe) {
   const auto frames = golden_workload();
   ew::probe::ProbeConfig cfg;
