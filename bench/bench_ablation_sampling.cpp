@@ -1,10 +1,11 @@
 // Ablation — packet sampling. The paper stresses that its probes see
 // every packet ("Since probes are deployed in the first level of
 // aggregation of the ISP, no traffic sampling is performed", §2.1). This
-// bench replays identical traffic at sampling rates 1, 10 and 100 and
-// shows what sampled monitoring would have cost the study: flows missed
-// outright, DPI blinded (the one packet carrying the SNI is usually
-// dropped), RTT samples gone, and biased byte counts.
+// bench samples identical traffic at rates 1, 10 and 100 before it reaches
+// the probe (the probe itself samples nothing) and shows what sampled
+// monitoring would have cost the study: flows missed outright, DPI
+// blinded (the one packet carrying the SNI is usually dropped), RTT
+// samples gone, and biased byte counts.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -47,16 +48,18 @@ struct Outcome {
 };
 
 Outcome run(const std::vector<ew::net::Frame>& frames, std::uint32_t rate) {
-  ew::probe::ProbeConfig cfg;
-  cfg.sample_rate = rate;
   Outcome out;
-  ew::probe::Probe probe{cfg, [&](ew::flow::FlowRecord&& r) {
+  ew::probe::Probe probe{{}, [&](ew::flow::FlowRecord&& r) {
                            ++out.flows;
                            out.named += !r.server_name.empty();
                            out.with_rtt += r.rtt.samples > 0;
                            out.bytes += r.total_bytes();
                          }};
-  for (const auto& f : frames) probe.process(f);
+  // Deterministic 1-in-`rate` packet sampling: frame i is kept iff
+  // (i + 1) % rate == 0, so the rate-th frame is the first one kept.
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if ((i + 1) % rate == 0) probe.process(frames[i]);
+  }
   probe.finish();
   return out;
 }

@@ -1,7 +1,8 @@
 // Lake write-path harness (run by scripts/bench.sh): ingest→sealed-day-file
 // time of the serial writer vs the pipelined encoder (with an encode pool,
 // per-block transpose/compress runs across workers while frames commit in
-// order), plus the day file's size and per-codec byte tallies.
+// order), as best-of and median over alternating runs, plus the day file's
+// size and one append's per-codec byte tallies.
 //
 // Hard exit-code gate, kept even as a CI smoke run: the pooled file must be
 // byte-identical to the serial one. --min-speedup adds a pooled-vs-serial
@@ -34,15 +35,10 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-template <typename Fn>
-double best_of(int repeats, Fn&& fn) {
-  double best = 1e100;
-  for (int r = 0; r < repeats; ++r) {
-    const auto t0 = Clock::now();
-    fn();
-    best = std::min(best, seconds_since(t0));
-  }
-  return best;
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
 std::vector<std::byte> file_bytes(const fs::path& path) {
@@ -125,31 +121,48 @@ int main(int argc, char** argv) {
       (records.size() + ew::storage::DataLake::kBlockRecords - 1) /
       ew::storage::DataLake::kBlockRecords;
 
-  // Full append (ingest -> sealed file), serial vs pooled.
-  ew::storage::DataLake lake{dir / "lake"};
-  const auto path = lake.root() / ew::storage::DataLake::day_filename(base);
-  const CodecTotals before = codec_totals();
-  const double serial_s = best_of(repeats, [&] {
-    (void)lake.remove_day(base);
-    if (!lake.append(base, records)) {
-      std::fprintf(stderr, "serial append failed\n");
-      std::exit(1);
-    }
-  });
-  const CodecTotals after = codec_totals();
-  const auto serial_file = file_bytes(path);
-
+  // Full append (ingest -> sealed file), serial vs pooled. Every timed
+  // append writes a fresh lake root, removed only after its clock stops:
+  // unlinking and recreating a multi-MB day file inside the timer cost
+  // more than the append itself on ext4. The two modes alternate, and the
+  // first mode flips each round, so drift in the machine's speed lands on
+  // both.
   ew::core::ThreadPool pool(workers);
-  lake.set_encode_pool(&pool);
-  const double parallel_s = best_of(repeats, [&] {
-    (void)lake.remove_day(base);
-    if (!lake.append(base, records)) {
-      std::fprintf(stderr, "parallel append failed\n");
-      std::exit(1);
+  std::vector<double> serial_runs;
+  std::vector<double> pooled_runs;
+  std::vector<std::byte> serial_file;
+  std::vector<std::byte> parallel_file;
+  CodecTotals before;
+  CodecTotals after;
+  int run = 0;
+  const auto timed_append = [&](bool pooled) {
+    const auto root = dir / ("run" + std::to_string(run++));
+    const bool tally = !pooled && serial_runs.empty();  // one append's codec bytes
+    {
+      ew::storage::DataLake lake{root};
+      lake.set_encode_pool(pooled ? &pool : nullptr);
+      if (tally) before = codec_totals();
+      const auto t0 = Clock::now();
+      if (!lake.append(base, records)) {
+        std::fprintf(stderr, "%s append failed\n", pooled ? "pooled" : "serial");
+        std::exit(1);
+      }
+      (pooled ? pooled_runs : serial_runs).push_back(seconds_since(t0));
+      if (tally) after = codec_totals();
     }
-  });
-  lake.set_encode_pool(nullptr);
-  const auto parallel_file = file_bytes(path);
+    auto& kept = pooled ? parallel_file : serial_file;
+    if (kept.empty()) kept = file_bytes(root / ew::storage::DataLake::day_filename(base));
+    fs::remove_all(root);
+  };
+  for (int r = 0; r < std::max(1, repeats); ++r) {
+    timed_append(/*pooled=*/r % 2 == 1);
+    timed_append(/*pooled=*/r % 2 == 0);
+  }
+  const double serial_s = *std::min_element(serial_runs.begin(), serial_runs.end());
+  const double parallel_s = *std::min_element(pooled_runs.begin(), pooled_runs.end());
+  const double serial_median_s = median(serial_runs);
+  const double parallel_median_s = median(pooled_runs);
+  const double median_speedup = parallel_median_s > 0 ? serial_median_s / parallel_median_s : 0;
 
   const double pipeline_speedup = parallel_s > 0 ? serial_s / parallel_s : 0;
   const double mb = double(serial_file.size()) / 1e6;
@@ -157,11 +170,12 @@ int main(int argc, char** argv) {
   std::printf("write path bench: %zu records, %zu blocks, %zu workers, %d repeats\n",
               records.size(), nblocks, workers, repeats);
   std::printf("  day file:          %8.2f MB\n", mb);
-  std::printf("  serial append:     %8.3f s  (%.1f MB/s, %.2fM flows/s)\n", serial_s,
-              mb / serial_s, records.size() / serial_s / 1e6);
-  std::printf("  pooled append:     %8.3f s  (%.1f MB/s, %.2fM flows/s, %.2fx vs serial)\n",
-              parallel_s, mb / parallel_s, records.size() / parallel_s / 1e6,
-              pipeline_speedup);
+  std::printf("  serial append:     %8.3f s best, %8.3f s median  (best: %.1f MB/s, %.2fM flows/s)\n",
+              serial_s, serial_median_s, mb / serial_s, records.size() / serial_s / 1e6);
+  std::printf("  pooled append:     %8.3f s best, %8.3f s median  (best: %.1f MB/s, %.2fM flows/s)\n",
+              parallel_s, parallel_median_s, mb / parallel_s, records.size() / parallel_s / 1e6);
+  std::printf("  pooled vs serial:  %.2fx best-of, %.2fx median\n", pipeline_speedup,
+              median_speedup);
   static const char* kScheme[] = {"stored", "lz", "for", "rle"};
   for (int k = 0; k < 4; ++k) {
     const std::uint64_t din = after.in[k] - before.in[k];
@@ -195,6 +209,9 @@ int main(int argc, char** argv) {
                 "  \"serial_append_s\": %.6f,\n"
                 "  \"parallel_append_s\": %.6f,\n"
                 "  \"pipeline_speedup\": %.2f,\n"
+                "  \"serial_append_median_s\": %.6f,\n"
+                "  \"parallel_append_median_s\": %.6f,\n"
+                "  \"pipeline_speedup_median\": %.2f,\n"
                 "  \"file_mb\": %.2f,\n"
                 "  \"parallel_mb_s\": %.2f,\n"
                 "  \"parallel_flows_s\": %.0f,\n"
@@ -202,7 +219,7 @@ int main(int argc, char** argv) {
                 "\"rle\": %llu}\n"
                 "}\n",
                 records.size(), nblocks, workers, repeats, serial_s, parallel_s,
-                pipeline_speedup, mb, mb / parallel_s, records.size() / parallel_s,
+                pipeline_speedup, serial_median_s, parallel_median_s, median_speedup, mb, mb / parallel_s, records.size() / parallel_s,
                 static_cast<unsigned long long>(after.out[0] - before.out[0]),
                 static_cast<unsigned long long>(after.out[1] - before.out[1]),
                 static_cast<unsigned long long>(after.out[2] - before.out[2]),

@@ -22,7 +22,10 @@ namespace edgewatch::probe {
 namespace {
 
 constexpr char kMagic[4] = {'E', 'W', 'C', 'P'};
-constexpr std::uint8_t kVersion = 2;  // v2: +next_ingest_seq, +per-flow ingest_seq
+// v2: +next_ingest_seq, +per-flow ingest_seq. v3: the packet-sampling
+// counter is gone (the probe samples nothing). Only the current version
+// is read.
+constexpr std::uint8_t kVersion = 3;
 constexpr std::size_t kFileHeaderSize = 4 + 1 + 4 + 8;
 constexpr std::uint64_t kMaxPayload = 1ull << 32;
 
@@ -48,13 +51,29 @@ std::string get_string(core::ByteReader& r, std::size_t max_len) {
   return std::string(r.string(static_cast<std::size_t>(len)));
 }
 
+/// The payload of a well-formed image of the current version, or why the
+/// image is not one.
+core::Result<std::span<const std::byte>> image_payload(std::span<const std::byte> data) {
+  if (data.size() < kFileHeaderSize) return core::Errc::kTruncated;
+  if (std::memcmp(data.data(), kMagic, 4) != 0) return core::Errc::kBadMagic;
+  if (std::to_integer<std::uint8_t>(data[4]) != kVersion) return core::Errc::kBadVersion;
+  core::ByteReader header{data.subspan(5, 12)};
+  const std::uint32_t crc = header.u32le();
+  const std::uint64_t payload_len = header.u64le();
+  if (payload_len > kMaxPayload || kFileHeaderSize + payload_len != data.size()) {
+    return core::Errc::kTruncated;
+  }
+  const auto payload = data.subspan(kFileHeaderSize);
+  if (core::crc32c(payload) != crc) return core::Errc::kCorrupt;
+  return payload;
+}
+
 }  // namespace
 
 void Probe::encode_checkpoint_payload(core::ByteWriter& payload) const {
   payload.u64(counters_.frames);
   payload.u64(counters_.decode_failures);
   payload.u64(counters_.ipv6_frames);
-  payload.u64(counters_.sampled_out);
   payload.u64(counters_.dropped_offline);
   payload.u64(counters_.dns_responses);
   payload.u64(counters_.records_exported);
@@ -152,44 +171,42 @@ core::Result<std::uint64_t> Probe::save_checkpoint(const std::filesystem::path& 
 }
 
 core::Result<void> Probe::restore_image(std::span<const std::byte> data) {
-  const auto size = data.size();
-  if (size < kFileHeaderSize) return core::Errc::kTruncated;
-  if (std::memcmp(data.data(), kMagic, 4) != 0) return core::Errc::kBadMagic;
-  if (std::to_integer<std::uint8_t>(data[4]) != kVersion) return core::Errc::kBadVersion;
-  core::ByteReader header{data.subspan(5, 12)};
-  const std::uint32_t crc = header.u32le();
-  const std::uint64_t payload_len = header.u64le();
-  if (payload_len > kMaxPayload || kFileHeaderSize + payload_len != size) {
-    return core::Errc::kTruncated;
+  const auto payload = image_payload(data);
+  if (!payload) {
+    reset_state();
+    return payload.error();
   }
-  const auto payload = data.subspan(kFileHeaderSize);
-  if (core::crc32c(payload) != crc) return core::Errc::kCorrupt;
-  core::ByteReader r{payload};
+  core::ByteReader r{*payload};
   return decode_checkpoint_payload(r);
 }
 
 core::Result<void> Probe::restore_checkpoint(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return core::Errc::kNotFound;
-  const auto size = static_cast<std::size_t>(in.tellg());
-  if (size < kFileHeaderSize) return core::Errc::kTruncated;
-  std::vector<std::byte> data(size);
+  if (!in) {
+    reset_state();
+    return core::Errc::kNotFound;
+  }
+  std::vector<std::byte> data(static_cast<std::size_t>(in.tellg()));
   in.seekg(0);
-  if (!in.read(reinterpret_cast<char*>(data.data()), static_cast<std::streamsize>(size))) {
+  if (!in.read(reinterpret_cast<char*>(data.data()), static_cast<std::streamsize>(data.size()))) {
+    reset_state();
     return core::Errc::kIoError;
   }
   return restore_image(data);
 }
 
+void Probe::reset_state() {
+  table_.reset();
+  dnhunter_.clear();
+  counters_ = Counters{};
+}
+
 core::Result<void> Probe::decode_checkpoint_payload(core::ByteReader& r) {
   // The CRC passed, so decoding should succeed; if it somehow does not,
   // leave the probe empty rather than half-restored.
-  table_.reset();
-  dnhunter_.clear();
+  reset_state();
   const auto fail = [this] {
-    table_.reset();
-    dnhunter_.clear();
-    counters_ = Counters{};
+    reset_state();
     return core::Errc::kCorrupt;
   };
 
@@ -197,7 +214,6 @@ core::Result<void> Probe::decode_checkpoint_payload(core::ByteReader& r) {
   pc.frames = r.u64();
   pc.decode_failures = r.u64();
   pc.ipv6_frames = r.u64();
-  pc.sampled_out = r.u64();
   pc.dropped_offline = r.u64();
   pc.dns_responses = r.u64();
   pc.records_exported = r.u64();

@@ -14,7 +14,6 @@ Probe::Probe(ProbeConfig config, RecordSink sink)
   obs_.frames = &reg.counter("probe_frames_total");
   obs_.decode_failures = &reg.counter("probe_decode_failures_total");
   obs_.ipv6_frames = &reg.counter("probe_ipv6_frames_total");
-  obs_.sampled_out = &reg.counter("probe_sampled_out_total");
   obs_.dropped_offline = &reg.counter("probe_dropped_offline_total");
   obs_.dns_responses = &reg.counter("probe_dns_responses_total");
   obs_.records_exported = &reg.counter("probe_records_exported_total");
@@ -37,7 +36,6 @@ void Probe::obs_flush() noexcept {
     push(obs_.frames, counters_.frames, obs_.flushed.frames);
     push(obs_.decode_failures, counters_.decode_failures, obs_.flushed.decode_failures);
     push(obs_.ipv6_frames, counters_.ipv6_frames, obs_.flushed.ipv6_frames);
-    push(obs_.sampled_out, counters_.sampled_out, obs_.flushed.sampled_out);
     push(obs_.dropped_offline, counters_.dropped_offline, obs_.flushed.dropped_offline);
     push(obs_.dns_responses, counters_.dns_responses, obs_.flushed.dns_responses);
     push(obs_.records_exported, counters_.records_exported, obs_.flushed.records_exported);
@@ -52,10 +50,6 @@ bool Probe::prepare_frame(const net::Frame& frame) {
     return false;
   }
   ++counters_.frames;
-  if (config_.sample_rate > 1 && (counters_.frames % config_.sample_rate) != 0) {
-    ++counters_.sampled_out;
-    return false;
-  }
   // IPv6 is visible on the links but outside this study's flow analysis
   // (the paper's analytics are IPv4): count it instead of mis-reporting a
   // decode failure.
@@ -153,11 +147,6 @@ void Probe::process(const net::DecodedPacket& packet) {
 
 template <bool Timed>
 void Probe::process_impl(const net::DecodedPacket& packet) {
-  if (!online_) {
-    ++counters_.dropped_offline;
-    return;
-  }
-
   [[maybe_unused]] obs::Registry* reg = nullptr;
   [[maybe_unused]] std::uint64_t t0 = 0;
   if constexpr (Timed) {

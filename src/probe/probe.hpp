@@ -41,10 +41,6 @@ struct ProbeConfig {
   core::SipKey anon_key{0x5eedf00ddeadbeefull, 0x0123456789abcdefull};
   flow::FlowTableConfig flow;
   dns::DnHunterConfig dnhunter;
-  /// Packet sampling: process 1 in `sample_rate` packets (1 = everything).
-  /// The paper's probes do NOT sample ("no traffic sampling is performed",
-  /// §2.1); bench_ablation_sampling quantifies what sampling would cost.
-  std::uint32_t sample_rate = 1;
 };
 
 class Probe {
@@ -63,9 +59,6 @@ class Probe {
   /// state machine. This overlaps the per-frame DRAM fetches (the replay
   /// loop's dominant stall) with useful work.
   void process(std::span<const net::Frame> frames);
-
-  /// Feed an already decoded packet (the synthetic generator's fast path).
-  void process(const net::DecodedPacket& packet);
 
   /// Flush all open flows (end of trace / graceful shutdown).
   void finish();
@@ -91,7 +84,9 @@ class Probe {
   /// is CRC-protected; returns bytes written.
   core::Result<std::uint64_t> save_checkpoint(const std::filesystem::path& path) const;
   /// Replace this probe's state with a saved checkpoint. On any error the
-  /// probe is left reset (empty tables) rather than half-restored.
+  /// probe is left reset (empty tables, zero counters) rather than
+  /// half-restored. Only the current EWCP version is read; an older image
+  /// is kBadVersion.
   core::Result<void> restore_checkpoint(const std::filesystem::path& path);
 
   /// The same CRC-protected EWCP image save_checkpoint() writes, but in
@@ -108,7 +103,6 @@ class Probe {
     std::uint64_t frames = 0;
     std::uint64_t decode_failures = 0;
     std::uint64_t ipv6_frames = 0;  ///< Seen and counted, not flow-tracked.
-    std::uint64_t sampled_out = 0;
     std::uint64_t dropped_offline = 0;
     std::uint64_t dns_responses = 0;
     std::uint64_t records_exported = 0;
@@ -127,6 +121,9 @@ class Probe {
  private:
   void on_export(flow::FlowRecord&& record);
 
+  /// Flow tracking for a frame prepare_frame() admitted and that decoded.
+  void process(const net::DecodedPacket& packet);
+
   /// Shared per-packet body; Timed adds the sampled stage clocks (only
   /// taken 1 frame in 1024, so the steady_clock reads never show up in
   /// the per-frame budget).
@@ -141,10 +138,14 @@ class Probe {
   /// (checkpoint.cpp).
   void encode_checkpoint_payload(core::ByteWriter& payload) const;
   core::Result<void> decode_checkpoint_payload(core::ByteReader& r);
+  /// Empty tables and zero counters: what a failed restore leaves.
+  void reset_state();
 
-  /// Per-frame accounting shared by the single-frame and pipelined paths:
-  /// online check, frame counter, sampling, IPv6 triage. True if the frame
-  /// should proceed to flow tracking.
+  /// The one admission gate for a frame, shared by the single-frame and
+  /// pipelined paths: online check, frame counter, IPv6 triage. True if
+  /// the frame should proceed to flow tracking. The probe samples nothing
+  /// (§2.1: "no traffic sampling is performed"): every frame it admits is
+  /// tracked.
   bool prepare_frame(const net::Frame& frame);
 
   /// Named export callable for the flow table's non-owning FunctionRef
@@ -176,7 +177,6 @@ class Probe {
     obs::Counter* frames = nullptr;
     obs::Counter* decode_failures = nullptr;
     obs::Counter* ipv6_frames = nullptr;
-    obs::Counter* sampled_out = nullptr;
     obs::Counter* dropped_offline = nullptr;
     obs::Counter* dns_responses = nullptr;
     obs::Counter* records_exported = nullptr;

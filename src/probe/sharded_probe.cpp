@@ -68,10 +68,6 @@ std::vector<flow::FlowRecord> merge_by_seq(
 ShardedProbe::ShardedProbe(ShardedProbeConfig config) : config_(std::move(config)) {
   if (config_.shards == 0) config_.shards = 1;
   ProbeConfig shard_config = config_.probe;
-  // Sampling is a feeder-global decision (mirrors the serial probe's
-  // frame-counter arithmetic); per-shard counters would sample a
-  // shard-count-dependent subset.
-  shard_config.sample_rate = 1;
   // Keep the aggregate flow-memory bound of the single-probe deployment.
   shard_config.flow.max_flows =
       std::max<std::size_t>(1, config_.probe.flow.max_flows / config_.shards);
@@ -145,13 +141,6 @@ std::size_t ShardedProbe::shard_of(const net::Frame& frame) const noexcept {
   return core::IPv4AddressHash{}(key) % shards_.size();
 }
 
-bool ShardedProbe::sampled_out() {
-  const auto rate = config_.probe.sample_rate;
-  if (rate <= 1 || (next_seq_ + feeder_sampled_out_ + 1) % rate == 0) return false;
-  ++feeder_sampled_out_;
-  return true;
-}
-
 bool ShardedProbe::has_room(Shard& shard, bool block) {
   const auto held = [&shard] {
     return shard.published.load(std::memory_order_relaxed) + shard.staged.size -
@@ -202,7 +191,6 @@ bool ShardedProbe::publish(Shard& shard, bool block) {
 
 template <typename Fill>
 bool ShardedProbe::stage(const net::Frame& frame, bool block, Fill fill) {
-  if (sampled_out()) return true;
   Shard& shard = *shards_[shard_of(frame)];
   Batch& batch = shard.staged;
   // A batch left full by a refused non-blocking push must go first.
@@ -229,11 +217,6 @@ void ShardedProbe::ingest(const net::Frame& frame) {
   (void)stage(frame, /*block=*/true, [&frame](std::vector<std::byte>& data) {
     data.assign(frame.data.begin(), frame.data.end());
   });
-}
-
-void ShardedProbe::ingest(net::Frame&& frame) {
-  if (finished_) return;
-  (void)stage(frame, /*block=*/true, take_buffer(frame));
 }
 
 bool ShardedProbe::try_ingest(net::Frame& frame) {
@@ -282,7 +265,6 @@ PipelineSnapshot ShardedProbe::snapshot() {
   if (finished_) return snap;
   const auto slots = barrier(Item::Kind::kSnapshot, nullptr);
   snap.next_seq = next_seq_;
-  snap.sampled_out = feeder_sampled_out_;
   snap.shard_state.reserve(slots.size());
   std::vector<std::vector<flow::FlowRecord>*> runs;
   runs.reserve(slots.size());
@@ -295,8 +277,7 @@ PipelineSnapshot ShardedProbe::snapshot() {
 }
 
 core::Result<void> ShardedProbe::restore(
-    const std::vector<std::vector<std::byte>>& shard_state, std::uint64_t next_seq,
-    std::uint64_t sampled_out) {
+    const std::vector<std::vector<std::byte>>& shard_state, std::uint64_t next_seq) {
   if (finished_) return core::Errc::kUnsupported;
   if (shard_state.size() != shards_.size()) return core::Errc::kUnsupported;
   const auto slots = barrier(Item::Kind::kRestore, &shard_state);
@@ -304,7 +285,6 @@ core::Result<void> ShardedProbe::restore(
     if (slot->errc != core::Errc::kOk) return slot->errc;
   }
   next_seq_ = next_seq;
-  feeder_sampled_out_ = sampled_out;
   return {};
 }
 
@@ -516,10 +496,6 @@ Probe::Counters ShardedProbe::counters() const {
     total.records_exported += c.records_exported;
     total.records_named_by_dns += c.records_named_by_dns;
   }
-  // Sampling happens at the feeder; sampled frames never reach a shard
-  // but the serial probe counts them as seen.
-  total.frames += feeder_sampled_out_;
-  total.sampled_out = feeder_sampled_out_;
   return total;
 }
 

@@ -34,10 +34,8 @@
 // moving each record once. The result is a record stream (creation order)
 // that is byte-identical for N = 1, 4, 8, … and equal, as a re-ordering,
 // to the single-threaded probe's stream.
-// Three documented exceptions, all absent from the paper's deployment:
-// packet sampling is applied at the feeder (globally, like the serial
-// probe) so shards never sample; per-shard max_flows force-eviction can
-// split flows differently than a single shared table once the aggregate
+// Two documented exceptions, both absent from the paper's deployment:
+// per-shard max_flows force-eviction can split flows differently than a single shared table once the aggregate
 // cap is exceeded; and a flow whose idle deadline falls between its
 // shard's last packet timestamp and the stream's may report kProbeFlush
 // where the serial probe reports kIdleTimeout (each shard's clock only
@@ -78,9 +76,8 @@ struct StateSuspectError : std::runtime_error {
 };
 
 struct ShardedProbeConfig {
-  /// Template for every shard. `sample_rate` is honoured globally at the
-  /// feeder (shards never sample); `flow.max_flows` is divided across
-  /// shards so the aggregate memory bound is unchanged.
+  /// Template for every shard. `flow.max_flows` is divided across shards
+  /// so the aggregate memory bound is unchanged.
   ProbeConfig probe;
   std::size_t shards = 4;
   /// Frames a shard holds — staged by the feeder or handed to the worker,
@@ -112,7 +109,6 @@ struct ShardedProbeConfig {
 /// ShardedProbe::snapshot().
 struct PipelineSnapshot {
   std::uint64_t next_seq = 0;                       ///< First unassigned frame seq.
-  std::uint64_t sampled_out = 0;                    ///< Frames sampling dropped so far.
   std::vector<std::vector<std::byte>> shard_state;  ///< One EWCP image per shard.
   std::vector<flow::FlowRecord> records;            ///< Exported so far, by ingest_seq.
 };
@@ -126,19 +122,18 @@ class ShardedProbe {
   ShardedProbe& operator=(const ShardedProbe&) = delete;
 
   /// Feed one captured frame (single feeder thread). The bytes are copied
-  /// into the owning shard's staging batch; the rvalue overload takes the
-  /// buffer instead. Blocks while the shard holds queue_capacity frames.
+  /// into the owning shard's staging batch. Blocks while the shard holds
+  /// queue_capacity frames.
   void ingest(const net::Frame& frame);
-  void ingest(net::Frame&& frame);
 
   /// Non-blocking ingest for overload-aware feeders. On success the
-  /// frame's buffer is taken (as by ingest(net::Frame&&)). False when the
-  /// owning shard already holds queue_capacity frames: the frame is left
-  /// in `frame` and no sequence number is consumed — the caller may
-  /// retry, reroute or shed it. A frame that sampling drops is counted and
-  /// returns true. Each accepted frame goes to the worker at once, as a
-  /// batch of one: a non-blocking feeder keeps pace or sheds, and holding
-  /// frames back would only idle the worker and understate the backlog.
+  /// frame's buffer is taken and the frame takes the next sequence number:
+  /// every accepted frame takes exactly one. False when the owning shard
+  /// already holds queue_capacity frames: the frame is left in `frame` and
+  /// no sequence number is consumed — the caller may retry, reroute or
+  /// shed it. Each accepted frame goes to the worker at once, as a batch
+  /// of one: a non-blocking feeder keeps pace or sheds, and holding frames
+  /// back would only idle the worker and understate the backlog.
   [[nodiscard]] bool try_ingest(net::Frame& frame);
 
   /// Control events ride the same rings as frames, so they take effect at
@@ -156,13 +151,11 @@ class ShardedProbe {
 
   /// Restore barrier: replace every shard's probe state with the given
   /// EWCP images (one per shard, from PipelineSnapshot::shard_state) and
-  /// put the feeder back at `next_seq` with `sampled_out` frames already
-  /// dropped, so the resumed run samples the same frames. Must run before
-  /// any frame is ingested. Fails with kUnsupported on a shard-count
-  /// mismatch; a shard whose image fails to decode is left reset and
-  /// reported.
+  /// put the feeder back at `next_seq`. Must run before any frame is
+  /// ingested. Fails with kUnsupported on a shard-count mismatch; a shard
+  /// whose image fails to decode is left reset and reported.
   core::Result<void> restore(const std::vector<std::vector<std::byte>>& shard_state,
-                             std::uint64_t next_seq, std::uint64_t sampled_out);
+                             std::uint64_t next_seq);
 
   /// Drain every ring, flush every shard, join the workers, and return
   /// all exported records merged by `ingest_seq` (deterministic creation
@@ -194,9 +187,8 @@ class ShardedProbe {
   /// Poison rollbacks that restored a shard from its last snapshot.
   [[nodiscard]] std::uint64_t state_restores() const noexcept;
 
-  /// Aggregated per-shard counters plus the feeder's frame/sampling
-  /// counts. Only meaningful after finish() (shard state is thread-owned
-  /// while the workers run).
+  /// Aggregated per-shard counters. Only meaningful after finish() (shard
+  /// state is thread-owned while the workers run).
   [[nodiscard]] Probe::Counters counters() const;
 
  private:
@@ -264,10 +256,7 @@ class ShardedProbe {
   };
 
   [[nodiscard]] std::size_t shard_of(const net::Frame& frame) const noexcept;
-  /// Counts a frame that feeder-global sampling drops (true) — the serial
-  /// probe's frame-counter arithmetic.
-  bool sampled_out();
-  /// Sample, then put the frame into its shard's staging batch (`fill`
+  /// Put the frame into its shard's staging batch (`fill`
   /// writes the bytes into the slot's buffer) and stamp its sequence
   /// number; publish the batch if that fills it (non-blocking: always).
   /// False when a non-blocking stage finds no room.
@@ -295,8 +284,7 @@ class ShardedProbe {
   std::size_t capacity_ = 1;  ///< Frames per shard, staged ones included.
   std::size_t batch_ = 1;     ///< Frames per published batch.
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::uint64_t next_seq_ = 0;  ///< Also the count of frames kept by sampling.
-  std::uint64_t feeder_sampled_out_ = 0;
+  std::uint64_t next_seq_ = 0;  ///< Also the count of frames taken.
   std::atomic<bool> abandoned_{false};
   bool finished_ = false;
 };

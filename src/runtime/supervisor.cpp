@@ -149,14 +149,12 @@ core::Result<std::uint64_t> Supervisor::resume() {
   probe_ = std::make_unique<probe::ShardedProbe>(config_.probe);
   // The checkpoint stores ingested net of quarantined; internally the
   // feeder counts accepted frames and the read path subtracts. Every
-  // accepted frame either took a probe seq or was dropped by the probe's
-  // packet sampling, so the sampler's position needs no field of its own.
+  // accepted frame took exactly one probe sequence number, so the two
+  // counts must agree: a checkpoint where they do not was not written by
+  // this pipeline.
   const std::uint64_t accepted = cp.frames_ingested + cp.frames_quarantined;
-  if (accepted < cp.probe_next_seq) return core::Errc::kCorrupt;
-  if (auto r = probe_->restore(cp.shard_state, cp.probe_next_seq, accepted - cp.probe_next_seq);
-      !r) {
-    return r.error();
-  }
+  if (accepted != cp.probe_next_seq) return core::Errc::kCorrupt;
+  if (auto r = probe_->restore(cp.shard_state, cp.probe_next_seq); !r) return r.error();
   watchdog_.assign(probe_->shard_count(), {});
 
   offered_ = cp.replay_from;

@@ -105,7 +105,10 @@ class Supervisor {
   /// Resume from the checkpoint at config.checkpoint_path: repair the lake
   /// tail, restore every shard and the degradation state machine. Returns
   /// the replay cursor — the number of source frames already consumed,
-  /// which the caller must skip before offering the rest.
+  /// which the caller must skip before offering the rest. Every frame the
+  /// probe accepted took one sequence number, so a checkpoint must satisfy
+  /// frames_ingested + frames_quarantined == probe_next_seq; one that does
+  /// not is kCorrupt.
   core::Result<std::uint64_t> resume();
 
   /// Offer one captured frame. Applies the degradation sampler, bounded

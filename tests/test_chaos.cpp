@@ -16,6 +16,7 @@
 #include "core/bytes.hpp"
 #include "probe/sharded_probe.hpp"
 #include "runtime/chaos.hpp"
+#include "runtime/pipeline_checkpoint.hpp"
 #include "runtime/quarantine.hpp"
 #include "runtime/supervisor.hpp"
 #include "storage/codec.hpp"
@@ -243,48 +244,6 @@ TEST(ChaosRecovery, PoisonAccountingSurvivesKillAndResume) {
       << "a poison frame was quarantined twice";
 }
 
-// Packet sampling at the probe's feeder must pick the same frames whether
-// or not the run was interrupted: resume must restore the sampler's
-// position, which the kept-frame sequence alone does not determine.
-TEST(ChaosRecovery, SampledFeedIsByteIdenticalAfterKillAndResume) {
-  const auto frames = workload();
-  const auto sampled_config = [](const std::filesystem::path& dir) {
-    auto cfg = base_config(dir);
-    cfg.probe.probe.sample_rate = 3;
-    return cfg;
-  };
-
-  const auto golden_dir = fresh_dir("golden_sampled");
-  ew::storage::DataLake golden_lake{golden_dir / "lake"};
-  {
-    ew::runtime::Supervisor sup{golden_lake, sampled_config(golden_dir)};
-    ASSERT_TRUE(sup.start());
-    for (const auto& f : frames) sup.offer(f);
-    ASSERT_TRUE(sup.finish());
-  }
-  const auto golden = lake_bytes(golden_lake);
-  ASSERT_FALSE(golden.empty());
-
-  // The checkpoint at 500 offered frames sits two frames past a kept one.
-  const auto dir = fresh_dir("sampled_resume");
-  ew::storage::DataLake lake{dir / "lake"};
-  {
-    ew::runtime::Supervisor sup{lake, sampled_config(dir)};
-    ASSERT_TRUE(sup.start());
-    for (std::uint64_t i = 0; i < 777; ++i) sup.offer(frames[i]);
-    sup.simulate_crash();
-  }
-  ew::storage::DataLake lake2{dir / "lake"};
-  ew::runtime::Supervisor sup{lake2, sampled_config(dir)};
-  const auto replay_from = sup.resume();
-  ASSERT_TRUE(replay_from);
-  EXPECT_EQ(*replay_from, 500u);
-  for (std::uint64_t i = *replay_from; i < frames.size(); ++i) sup.offer(frames[i]);
-  ASSERT_TRUE(sup.finish());
-  EXPECT_TRUE(sup.health().reconciles());
-  EXPECT_EQ(lake_bytes(lake2), golden);
-}
-
 // Suspect poisons roll shards back to their last snapshot. The rollback
 // anchors are re-established by checkpoint barriers, so a resumed run
 // replays the same rollbacks and converges on the same lake.
@@ -443,4 +402,53 @@ TEST(ChaosRecovery, CorruptCheckpointIsRejected) {
   const auto replay_from = sup.resume();
   ASSERT_FALSE(replay_from);
   EXPECT_EQ(replay_from.error(), ew::core::Errc::kCorrupt);
+}
+
+// Every frame the probe accepts takes one sequence number, so a checkpoint
+// must satisfy frames_ingested + frames_quarantined == probe_next_seq. A
+// checkpoint with a valid CRC that breaks it is refused, in either
+// direction.
+TEST(ChaosRecovery, CheckpointWhoseCountsMissTheProbeSequenceIsRejected) {
+  const auto frames = workload();
+  const auto dir = fresh_dir("seq_mismatch_cp");
+  ew::runtime::ChaosConfig chaos_cfg;
+  chaos_cfg.seed = 3;
+  chaos_cfg.poison_every = 50;
+  chaos_cfg.suspect_every = 0;
+  {
+    ew::storage::DataLake lake{dir / "lake"};
+    auto cfg = base_config(dir);
+    ew::runtime::ChaosSchedule chaos{chaos_cfg};
+    cfg.probe.frame_inspector = chaos.inspector();
+    ew::runtime::Supervisor sup{lake, cfg};
+    ASSERT_TRUE(sup.start());
+    for (std::uint64_t i = 0; i < 800; ++i) sup.offer(frames[i]);
+    sup.simulate_crash();
+  }
+  const auto cp_path = dir / "pipeline.ewpc";
+  const auto saved = ew::runtime::load_pipeline_checkpoint(cp_path);
+  ASSERT_TRUE(saved);
+  ASSERT_GT(saved->frames_quarantined, 0u);
+  ASSERT_EQ(saved->frames_ingested + saved->frames_quarantined, saved->probe_next_seq);
+
+  const auto resume_with = [&](const ew::runtime::PipelineCheckpoint& cp) {
+    EXPECT_TRUE(ew::runtime::save_pipeline_checkpoint(cp, cp_path));
+    ew::storage::DataLake lake{dir / "lake"};
+    auto cfg = base_config(dir);
+    ew::runtime::ChaosSchedule chaos{chaos_cfg};
+    cfg.probe.frame_inspector = chaos.inspector();
+    ew::runtime::Supervisor sup{lake, cfg};
+    return sup.resume();
+  };
+  for (const std::int64_t delta : {std::int64_t{1}, std::int64_t{-1}}) {
+    auto cp = *saved;
+    cp.frames_ingested += static_cast<std::uint64_t>(delta);
+    const auto replay_from = resume_with(cp);
+    ASSERT_FALSE(replay_from) << "delta=" << delta;
+    EXPECT_EQ(replay_from.error(), ew::core::Errc::kCorrupt) << "delta=" << delta;
+  }
+  // The rewrite itself is not what is refused: the original counts resume.
+  const auto replay_from = resume_with(*saved);
+  ASSERT_TRUE(replay_from);
+  EXPECT_EQ(*replay_from, 500u);
 }

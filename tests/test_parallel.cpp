@@ -463,25 +463,6 @@ TEST(ShardedProbe, MidStreamExportsOutOfCreationOrderAreMergedBySeq) {
   }
 }
 
-TEST(ShardedProbe, FeederSamplingMatchesSerialProbe) {
-  const auto frames = golden_workload();
-  ew::probe::ProbeConfig cfg;
-  cfg.sample_rate = 3;
-  ew::probe::Probe::Counters serial_counters;
-  const auto expected = encode_stream(serial_reference(frames, cfg, &serial_counters));
-
-  ew::probe::ShardedProbeConfig scfg;
-  scfg.probe = cfg;
-  scfg.shards = 4;
-  ew::probe::ShardedProbe sp(scfg);
-  for (const auto& f : frames) sp.ingest(f);
-  EXPECT_EQ(encode_stream(sp.finish()), expected);
-  const auto c = sp.counters();
-  EXPECT_EQ(c.frames, serial_counters.frames);
-  EXPECT_EQ(c.sampled_out, serial_counters.sampled_out);
-  EXPECT_EQ(c.records_exported, serial_counters.records_exported);
-}
-
 TEST(ShardedProbe, ClassifierUpgradeAppliesAtSameStreamPosition) {
   const auto frames = golden_workload();
   const std::size_t flip_at = frames.size() / 2;
@@ -535,10 +516,9 @@ TEST(ShardedProbe, OutageWindowMatchesSerialProbe) {
   EXPECT_EQ(sp.counters().dropped_offline, probe.counters().dropped_offline);
 }
 
-TEST(ShardedProbe, TryIngestSamplingMatchesIngest) {
+TEST(ShardedProbe, TryIngestMatchesIngest) {
   const auto frames = golden_workload();
   ew::probe::ShardedProbeConfig scfg;
-  scfg.probe.sample_rate = 3;
   scfg.shards = 4;
   scfg.queue_capacity = 64;
 
@@ -556,8 +536,6 @@ TEST(ShardedProbe, TryIngestSamplingMatchesIngest) {
 
   const auto a = blocking.counters();
   const auto b = non_blocking.counters();
-  EXPECT_GT(b.sampled_out, 0u);
-  EXPECT_EQ(b.sampled_out, a.sampled_out);
   EXPECT_EQ(b.frames, a.frames);
   EXPECT_EQ(b.frames, frames.size());
   EXPECT_EQ(b.records_exported, a.records_exported);
@@ -674,38 +652,6 @@ TEST(ShardedProbe, TryIngestAdmitsOneFrameForEachFrameProcessed) {
             encode_stream(serial_reference(frames, scfg.probe)));
 }
 
-TEST(ShardedProbe, SnapshotRestoreCarriesSamplingPosition) {
-  const auto frames = golden_workload();
-  ew::probe::ShardedProbeConfig scfg;
-  scfg.probe.sample_rate = 3;
-  scfg.shards = 4;
-  scfg.queue_capacity = 64;
-  // Neither a multiple of the rate nor of the batch: the sampled-out
-  // frames since the last kept one are not implied by next_seq.
-  const std::size_t snap_at = frames.size() / 2 / 48 * 48 + 7;
-
-  ew::probe::ShardedProbe uninterrupted(scfg);
-  for (const auto& f : frames) uninterrupted.ingest(f);
-  const auto expected = encode_stream(uninterrupted.finish());
-  ASSERT_FALSE(expected.empty());
-
-  ew::probe::ShardedProbe first(scfg);
-  for (std::size_t i = 0; i < snap_at; ++i) first.ingest(frames[i]);
-  auto snap = first.snapshot();
-  EXPECT_EQ(snap.next_seq + snap.sampled_out, snap_at);
-  first.abandon();
-
-  ew::probe::ShardedProbe resumed(scfg);
-  ASSERT_TRUE(resumed.restore(snap.shard_state, snap.next_seq, snap.sampled_out));
-  for (std::size_t i = snap_at; i < frames.size(); ++i) resumed.ingest(frames[i]);
-  auto rest = resumed.finish();
-  snap.records.insert(snap.records.end(), std::make_move_iterator(rest.begin()),
-                      std::make_move_iterator(rest.end()));
-  EXPECT_EQ(encode_stream(snap.records), expected);
-  EXPECT_EQ(resumed.counters().sampled_out, uninterrupted.counters().sampled_out);
-  EXPECT_EQ(resumed.counters().frames, uninterrupted.counters().frames);
-}
-
 TEST(ShardedProbe, ControlEventsAndSnapshotCutBatchesMidStream) {
   const auto frames = golden_workload();
   constexpr std::size_t kCapacity = 64;
@@ -762,32 +708,13 @@ TEST(ShardedProbe, ControlEventsAndSnapshotCutBatchesMidStream) {
     first.abandon();
 
     ew::probe::ShardedProbe resumed(scfg);
-    ASSERT_TRUE(resumed.restore(snap.shard_state, snap.next_seq, snap.sampled_out));
+    ASSERT_TRUE(resumed.restore(snap.shard_state, snap.next_seq));
     feed(resumed, snap_at, frames.size());
     auto rest = resumed.finish();
     snap.records.insert(snap.records.end(), std::make_move_iterator(rest.begin()),
                         std::make_move_iterator(rest.end()));
     EXPECT_EQ(encode_stream(snap.records), expected) << "shards=" << shards;
   }
-}
-
-TEST(ShardedProbe, RvalueIngestMatchesLvalue) {
-  const auto frames = golden_workload();
-  ew::probe::ShardedProbeConfig scfg;
-  scfg.shards = 4;
-  scfg.queue_capacity = 64;
-
-  ew::probe::ShardedProbe by_ref(scfg);
-  for (const auto& f : frames) by_ref.ingest(f);
-  const auto expected = encode_stream(by_ref.finish());
-  ASSERT_FALSE(expected.empty());
-
-  ew::probe::ShardedProbe by_move(scfg);
-  auto owned = frames;
-  for (auto& f : owned) by_move.ingest(std::move(f));
-  EXPECT_EQ(encode_stream(by_move.finish()), expected);
-  EXPECT_EQ(by_move.counters().frames, by_ref.counters().frames);
-  EXPECT_EQ(by_move.counters().records_exported, by_ref.counters().records_exported);
 }
 
 TEST(ShardedProbe, AbandonAndDestructionWithPartlyStagedBatchReturnPromptly) {

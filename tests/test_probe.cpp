@@ -8,6 +8,7 @@
 #include <fstream>
 #include <tuple>
 
+#include "core/hash.hpp"
 #include "dns/message.hpp"
 #include "dpi/parsers.hpp"
 #include "net/packet.hpp"
@@ -245,24 +246,6 @@ TEST(Probe, Ipv6FramesCountedNotTracked) {
   EXPECT_TRUE(h.records.empty());
 }
 
-TEST(Probe, SamplingDropsDeterministically) {
-  ew::probe::ProbeConfig cfg;
-  cfg.sample_rate = 10;
-  ProbeHarness h{cfg};
-  for (int i = 0; i < 100; ++i) {
-    h.probe.process(PacketBuilder{}
-                        .ts(Timestamp{i * 1000})
-                        .ip(kAdslClient, kServer)
-                        .udp(41000, 443)
-                        .payload("x")
-                        .build());
-  }
-  EXPECT_EQ(h.probe.counters().sampled_out, 90u);
-  h.probe.finish();
-  ASSERT_EQ(h.records.size(), 1u);
-  EXPECT_EQ(h.records[0].up.packets, 10u);  // 1-in-10 packets survived
-}
-
 TEST(Probe, RttMeasuredThroughProbe) {
   ProbeHarness h;
   h.tls_flow(kAdslClient, 44000, "rtt.example", 1'000'000);  // 3 ms SYN-ACK delay
@@ -402,4 +385,43 @@ TEST(ProbeCheckpoint, RejectsDamagedFiles) {
   b.probe.finish();
   ASSERT_EQ(b.records.size(), 1u);
   EXPECT_EQ(b.records[0].server_name, "fresh.example");
+}
+
+TEST(ProbeCheckpoint, OlderVersionImageIsRefusedAndLeavesProbeReset) {
+  ProbeHarness a;
+  a.dns_reply(kAdslClient, "x.example", kServer, 100);
+  a.tls_flow(kAdslClient, 44000, "y.example", 1'000'000);
+  const auto image = a.probe.checkpoint_image();
+  ASSERT_EQ(std::to_integer<int>(image[4]), 3);
+
+  // The same state in the version-2 layout: header "EWCP" | version |
+  // crc32c | payload length, and a payload that carried one more u64
+  // counter after the first three.
+  constexpr std::size_t kHeader = 4 + 1 + 4 + 8;
+  std::vector<std::byte> payload(image.begin() + kHeader, image.end());
+  payload.insert(payload.begin() + 3 * 8, 8, std::byte{0});
+  std::vector<std::byte> v2(image.begin(), image.begin() + 5);
+  v2[4] = std::byte{2};
+  const auto put_le = [&v2](std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) v2.push_back(static_cast<std::byte>(value >> (8 * i)));
+  };
+  put_le(ew::core::crc32c(payload), 4);
+  put_le(payload.size(), 8);
+  v2.insert(v2.end(), payload.begin(), payload.end());
+
+  // A probe with live state: the refused restore must not keep it.
+  ProbeHarness b;
+  b.tls_flow(kFtthClient, 45000, "live.example", 500'000);
+  ASSERT_GT(b.probe.table().active_flows(), 0u);
+  EXPECT_EQ(b.probe.restore_image(v2).error(), ew::core::Errc::kBadVersion);
+  EXPECT_EQ(b.probe.table().active_flows(), 0u);
+  EXPECT_EQ(b.probe.dnhunter().size(), 0u);
+  EXPECT_EQ(b.probe.counters().frames, 0u);
+  b.probe.finish();
+  EXPECT_TRUE(b.records.empty());
+
+  // The current image of the same state restores.
+  ASSERT_TRUE(b.probe.restore_image(image).ok());
+  EXPECT_EQ(b.probe.table().active_flows(), a.probe.table().active_flows());
+  EXPECT_EQ(b.probe.counters().frames, a.probe.counters().frames);
 }

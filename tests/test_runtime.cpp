@@ -540,16 +540,21 @@ TEST(Supervisor, OverloadShedsWithExactReconciliation) {
   ew::runtime::ChaosConfig chaos_cfg;
   chaos_cfg.busy_spin = 2'000;  // slow workers: sustained feeder pressure
   ew::runtime::ChaosSchedule chaos{chaos_cfg};
+  // The worker that takes the first frame blocks until the feed is over,
+  // so its tiny ring fills and stays full whatever the scheduler does:
+  // every later frame routed to it is shed.
+  chaos.arm_stall(0);
   cfg.probe.frame_inspector = chaos.inspector();
 
   ew::runtime::Supervisor sup{lake, cfg};
   ASSERT_TRUE(sup.start());
   for (const auto& f : frames) sup.offer(f);
+  chaos.release_stall();
   ASSERT_TRUE(sup.finish());
 
   const auto h = sup.health();
   EXPECT_EQ(h.frames_offered, frames.size());
-  EXPECT_GT(h.shed_total(), 0u) << "tiny rings plus slow workers must shed";
+  EXPECT_GT(h.shed_total(), 0u) << "a stalled shard behind a tiny ring must shed";
   // The acceptance invariant: offered = ingested + shed + quarantined,
   // exactly, after the pipeline drained.
   EXPECT_TRUE(h.reconciles())
