@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   append_json(samples, {"rollup_build_once", build_s, 0});
-  std::printf("  rollup build (once): %8.3f s  (%zu files)\n", build_s, report.built);
+  std::printf("  rollup build (once): %8.3f s  (%zu rollups)\n", build_s, report.built);
 
   const auto time_query = [&](const char* name, auto&& fn) {
     const double s = best_of(repeats, fn);

@@ -66,9 +66,9 @@ int main(int argc, char** argv) {
   ew::query::RollupStore store{dir / "rollups", lake, ew::services::ServiceCatalog::standard(),
                                scenario.rib.get()};
   auto report = store.build(pool);
-  std::printf("rollup build: %zu files built, %zu reused\n", report.built, report.reused);
+  std::printf("rollup build: %zu rollups built, %zu reused\n", report.built, report.reused);
   report = store.build(pool);  // staleness check: nothing changed, nothing rebuilt
-  std::printf("rebuild:      %zu files built, %zu reused (lake unchanged)\n\n", report.built,
+  std::printf("rebuild:      %zu rollups built, %zu reused (lake unchanged)\n\n", report.built,
               report.reused);
 
   // ---- who are the biggest services, by people rather than bytes? (Fig. 5)

@@ -124,7 +124,7 @@ BucketOutcome merge_bucket(const RollupStore& store, const QuerySpec& spec, Dime
     }
   }
   // Rollup-less days: with raw_fallback, answer them straight from the
-  // lake. Accumulation mirrors build_day_rollup's counters exactly —
+  // lake. Accumulation mirrors build_day_rollups' counters exactly —
   // service groups count (flows, bytes_up, bytes_down) per classified
   // record; protocol groups sum web bytes into bytes_down — so a fallback
   // day is indistinguishable from a rollup-answered one. The day file is

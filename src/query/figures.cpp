@@ -12,9 +12,9 @@ constexpr double kMB = 1e6;
 
 /// Months in [from, to] that the store has rollup days for, with the days.
 std::map<core::MonthIndex, std::vector<core::CivilDate>> months_present(
-    const RollupStore& store, Dimension dim, core::CivilDate from, core::CivilDate to) {
+    const RollupStore& store, core::CivilDate from, core::CivilDate to) {
   std::map<core::MonthIndex, std::vector<core::CivilDate>> months;
-  for (const core::CivilDate day : store.days(dim)) {
+  for (const core::CivilDate day : store.days()) {
     if (day < from || to < day) continue;
     months[core::MonthIndex{day}].push_back(day);
   }
@@ -22,9 +22,9 @@ std::map<core::MonthIndex, std::vector<core::CivilDate>> months_present(
 }
 
 template <typename Row, typename Fn>
-std::vector<Row> per_month(const RollupStore& store, Dimension dim, core::CivilDate from,
-                           core::CivilDate to, core::ThreadPool* pool, Fn&& fill) {
-  const auto months = months_present(store, dim, from, to);
+std::vector<Row> per_month(const RollupStore& store, core::CivilDate from, core::CivilDate to,
+                           core::ThreadPool* pool, Fn&& fill) {
+  const auto months = months_present(store, from, to);
   std::vector<const std::vector<core::CivilDate>*> day_lists;
   std::vector<Row> rows(months.size());
   std::size_t i = 0;
@@ -77,7 +77,7 @@ std::vector<analytics::ProtocolShareRow> protocol_shares(const RollupStore& stor
                                                          core::CivilDate from, core::CivilDate to,
                                                          core::ThreadPool* pool) {
   return per_month<analytics::ProtocolShareRow>(
-      store, Dimension::kProtocol, from, to, pool,
+      store, from, to, pool,
       [&](analytics::ProtocolShareRow& row, const std::vector<core::CivilDate>& days) {
         std::array<std::uint64_t, analytics::kWebProtocolCount> bytes{};
         std::uint64_t total = 0;
@@ -102,7 +102,7 @@ std::vector<analytics::VolumeTrendRow> volume_trend(const RollupStore& store,
                                                     core::CivilDate from, core::CivilDate to,
                                                     core::ThreadPool* pool) {
   return per_month<analytics::VolumeTrendRow>(
-      store, Dimension::kService, from, to, pool,
+      store, from, to, pool,
       [&](analytics::VolumeTrendRow& row, const std::vector<core::CivilDate>& days) {
         std::array<TechRollup, analytics::kAccessTechCount> techs;
         std::size_t day_count = 0;

@@ -1,6 +1,7 @@
 #include "query/rollup.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "analytics/figures.hpp"
 #include "core/bytes.hpp"
@@ -12,12 +13,13 @@ namespace edgewatch::query {
 namespace {
 
 constexpr char kMagic[4] = {'E', 'W', 'R', 'U'};
-constexpr std::uint8_t kVersion1 = 1;
+constexpr std::uint8_t kVersion2 = 2;
 constexpr std::size_t kFileHeaderSize = 5;
 constexpr std::size_t kSectionHeaderSize = 9;  // u8 id | u32le len | u32le crc
 
-// Section ids. kSecHeader opens the file, kSecTrailer closes it; the five
-// data sections map 1:1 onto the Column bits.
+// Section ids. kSecHeader opens the file, kSecTrailer closes it. The other
+// ids are dimension << 4 | kind; the five data kinds map 1:1 onto the
+// Column bits.
 constexpr std::uint8_t kSecHeader = 1;
 constexpr std::uint8_t kSecKeys = 2;
 constexpr std::uint8_t kSecCounters = 3;
@@ -29,6 +31,12 @@ constexpr std::uint8_t kSecTrailer = 8;
 
 constexpr std::uint32_t kMaxSectionBody = 1u << 28;  // 256 MiB sanity bound
 constexpr std::uint32_t kMaxGroups = 1u << 22;       // ~4M ASNs is the ceiling
+
+bool known_section(std::uint8_t id) noexcept {
+  const std::uint8_t kind = id & 0x0F;
+  return id == kSecHeader || id == kSecTrailer ||
+         ((id >> 4) < kDimensionCount && kind >= kSecKeys && kind <= kSecSubscribers);
+}
 
 std::uint32_t column_for_section(std::uint8_t id) noexcept {
   switch (id) {
@@ -60,6 +68,13 @@ void put_sketch(core::ByteWriter& out, const Sketch& sketch) {
   out.bytes(body.view());
 }
 
+bool default_params(const core::HyperLogLog& s) noexcept {
+  return s.precision() == core::HyperLogLog::kDefaultPrecision;
+}
+bool default_params(const core::QuantileSketch& s) noexcept {
+  return s.relative_accuracy() == core::QuantileSketch::kDefaultAccuracy;
+}
+
 template <typename Sketch>
 core::Result<Sketch> get_sketch(core::ByteReader& r) {
   const std::uint64_t len = storage::get_varint(r);
@@ -68,16 +83,8 @@ core::Result<Sketch> get_sketch(core::ByteReader& r) {
   core::ByteReader inner{bytes};
   auto sketch = Sketch::deserialize(inner);
   if (!sketch) return sketch.error();
-  if (inner.remaining() != 0) return core::Errc::kCorrupt;
+  if (inner.remaining() != 0 || !default_params(*sketch)) return core::Errc::kCorrupt;
   return sketch;
-}
-
-GroupRollup make_group(const SketchParams& params) {
-  GroupRollup g;
-  g.clients = core::HyperLogLog{params.hll_precision};
-  g.servers = core::HyperLogLog{params.hll_precision};
-  g.rtt_ms = core::QuantileSketch{params.quantile_accuracy};
-  return g;
 }
 
 }  // namespace
@@ -107,168 +114,137 @@ void DayRollup::merge(const DayRollup& other) {
   }
 }
 
-DayRollup build_day_rollup(const analytics::DayAggregate& aggregate, Dimension dim,
-                           const services::ServiceCatalog& catalog, const asn::Rib* rib,
-                           const SketchParams& params,
-                           const analytics::ActivityCriteria& criteria) {
-  DayRollup rollup;
-  rollup.day = aggregate.date;
-  rollup.dimension = dim;
-  for (auto& tech : rollup.subscribers) {
-    tech.down_bytes = core::QuantileSketch{params.quantile_accuracy};
-    tech.up_bytes = core::QuantileSketch{params.quantile_accuracy};
+DayRollups build_day_rollups(const analytics::DayAggregate& aggregate,
+                             const services::ServiceCatalog& catalog, const asn::Rib* rib) {
+  DayRollups rollups;
+  for (std::size_t d = 0; d < kDimensionCount; ++d) {
+    rollups[d].day = aggregate.date;
+    rollups[d].dimension = static_cast<Dimension>(d);
   }
-  const auto group = [&](std::uint32_t key) -> GroupRollup& {
-    const auto it = rollup.groups.find(key);
-    if (it != rollup.groups.end()) return it->second;
-    return rollup.groups.emplace(key, make_group(params)).first->second;
-  };
+  DayRollup& service = rollups[static_cast<std::size_t>(Dimension::kService)];
+  DayRollup& protocol = rollups[static_cast<std::size_t>(Dimension::kProtocol)];
+  DayRollup& server_asn = rollups[static_cast<std::size_t>(Dimension::kServerAsn)];
 
-  switch (dim) {
-    case Dimension::kService: {
-      for (const auto& [ip, sub] : aggregate.subscribers) {
-        for (std::size_t s = 0; s < services::kServiceCount; ++s) {
-          const auto& traffic = sub.per_service[s];
-          if (traffic.flows == 0 && traffic.total() == 0) continue;
-          auto& g = group(static_cast<std::uint32_t>(s));
-          g.flows += traffic.flows;
-          g.bytes_up += traffic.bytes_up;
-          g.bytes_down += traffic.bytes_down;
-          if (analytics::uses_service(sub, catalog, static_cast<services::ServiceId>(s))) {
-            g.clients.add(ip);
-          }
-        }
-        if (sub.active(criteria)) {
-          auto& tech = rollup.subscribers[static_cast<std::size_t>(sub.access)];
-          ++tech.active;
-          tech.sum_down += sub.bytes_down;
-          tech.sum_up += sub.bytes_up;
-          tech.down_bytes.add(static_cast<double>(sub.bytes_down));
-          tech.up_bytes.add(static_cast<double>(sub.bytes_up));
-        }
+  for (const auto& [ip, sub] : aggregate.subscribers) {
+    for (std::size_t s = 0; s < services::kServiceCount; ++s) {
+      const auto& traffic = sub.per_service[s];
+      if (traffic.flows == 0 && traffic.total() == 0) continue;
+      auto& g = service.groups[static_cast<std::uint32_t>(s)];
+      g.flows += traffic.flows;
+      g.bytes_up += traffic.bytes_up;
+      g.bytes_down += traffic.bytes_down;
+      if (analytics::uses_service(sub, catalog, static_cast<services::ServiceId>(s))) {
+        g.clients.add(ip);
       }
-      for (const auto& [ip, stats] : aggregate.server_ips) {
-        for (std::size_t s = 0; s < services::kServiceCount; ++s) {
-          if (stats.serves(static_cast<services::ServiceId>(s))) {
-            group(static_cast<std::uint32_t>(s)).servers.add(ip);
-          }
-        }
-      }
-      for (std::size_t s = 0; s < services::kServiceCount; ++s) {
-        if (aggregate.rtt_min_ms[s].empty()) continue;
-        auto& g = group(static_cast<std::uint32_t>(s));
-        for (const double ms : aggregate.rtt_min_ms[s]) g.rtt_ms.add(ms);
-      }
-      break;
     }
-    case Dimension::kProtocol: {
-      // web_bytes is up+down combined (§5.1); the sum lands in bytes_down
-      // so bytes_total() reports it and bytes_up stays 0.
-      for (std::size_t p = 1; p < analytics::kWebProtocolCount; ++p) {
-        if (aggregate.web_bytes[p] == 0) continue;
-        group(static_cast<std::uint32_t>(p)).bytes_down = aggregate.web_bytes[p];
-      }
-      break;
-    }
-    case Dimension::kServerAsn: {
-      for (const auto& [ip, stats] : aggregate.server_ips) {
-        const std::uint32_t asn = rib ? rib->origin_asn(ip).value_or(0) : 0;
-        auto& g = group(asn);
-        g.bytes_down += stats.bytes;
-        g.servers.add(ip);
-      }
-      break;
+    if (sub.active()) {
+      auto& tech = service.subscribers[static_cast<std::size_t>(sub.access)];
+      ++tech.active;
+      tech.sum_down += sub.bytes_down;
+      tech.sum_up += sub.bytes_up;
+      tech.down_bytes.add(static_cast<double>(sub.bytes_down));
+      tech.up_bytes.add(static_cast<double>(sub.bytes_up));
     }
   }
-  return rollup;
+  for (const auto& [ip, stats] : aggregate.server_ips) {
+    for (std::size_t s = 0; s < services::kServiceCount; ++s) {
+      if (stats.serves(static_cast<services::ServiceId>(s))) {
+        service.groups[static_cast<std::uint32_t>(s)].servers.add(ip);
+      }
+    }
+    auto& g = server_asn.groups[rib ? rib->origin_asn(ip).value_or(0) : 0];
+    g.bytes_down += stats.bytes;
+    g.servers.add(ip);
+  }
+  for (std::size_t s = 0; s < services::kServiceCount; ++s) {
+    if (aggregate.rtt_min_ms[s].empty()) continue;
+    auto& g = service.groups[static_cast<std::uint32_t>(s)];
+    for (const double ms : aggregate.rtt_min_ms[s]) g.rtt_ms.add(ms);
+  }
+  // web_bytes is up+down combined (§5.1); the sum lands in bytes_down so
+  // bytes_total() reports it and bytes_up stays 0.
+  for (std::size_t p = 1; p < analytics::kWebProtocolCount; ++p) {
+    if (aggregate.web_bytes[p] == 0) continue;
+    protocol.groups[static_cast<std::uint32_t>(p)].bytes_down = aggregate.web_bytes[p];
+  }
+  return rollups;
 }
 
-std::vector<std::byte> encode_rollup(const DayRollup& rollup) {
+std::vector<std::byte> encode_rollup(const DayRollups& rollups) {
   core::ByteWriter out;
   for (const char c : kMagic) out.u8(static_cast<std::uint8_t>(c));
-  out.u8(kVersion1);
-
-  // Sketch parameters, recovered from the first non-default-constructed
-  // sketch so decode can rebuild empty groups consistently.
-  SketchParams params;
-  if (!rollup.groups.empty()) {
-    const auto& g = rollup.groups.begin()->second;
-    params.hll_precision = g.clients.precision();
-    params.quantile_accuracy = g.rtt_ms.relative_accuracy();
-  }
+  out.u8(kVersion2);
 
   std::uint32_t sections = 0;
-  const bool service_dim = rollup.dimension == Dimension::kService;
-  {
-    core::ByteWriter body;
-    body.u8(static_cast<std::uint8_t>(rollup.dimension));
-    body.u32le(static_cast<std::uint32_t>(rollup.day.year));
-    body.u8(rollup.day.month);
-    body.u8(rollup.day.day);
-    body.u64le(rollup.source.size);
-    body.u64le(static_cast<std::uint64_t>(rollup.source.mtime_ns));
-    body.u32le(rollup.source.seal_seq);
-    body.u32le(static_cast<std::uint32_t>(rollup.groups.size()));
-    body.u8(params.hll_precision);
-    body.u64le(std::bit_cast<std::uint64_t>(params.quantile_accuracy));
-    body.u32le(service_dim ? kAllColumns
-                           : (kAllColumns & ~static_cast<std::uint32_t>(kColSubscribers)));
-    put_section(out, kSecHeader, body.view());
-    ++sections;
-  }
-  {
-    core::ByteWriter body;
-    for (const auto& [key, _] : rollup.groups) body.u32le(key);
-    put_section(out, kSecKeys, body.view());
-    ++sections;
-  }
-  {
-    core::ByteWriter body;
-    for (const auto& [_, g] : rollup.groups) body.u64le(g.flows);
-    for (const auto& [_, g] : rollup.groups) body.u64le(g.bytes_up);
-    for (const auto& [_, g] : rollup.groups) body.u64le(g.bytes_down);
-    put_section(out, kSecCounters, body.view());
-    ++sections;
-  }
-  const auto sketch_section = [&](std::uint8_t id, auto member) {
-    core::ByteWriter body;
-    for (const auto& [_, g] : rollup.groups) put_sketch(body, g.*member);
+  const auto section = [&](std::uint8_t id, const core::ByteWriter& body) {
     put_section(out, id, body.view());
     ++sections;
   };
-  sketch_section(kSecClients, &GroupRollup::clients);
-  sketch_section(kSecServers, &GroupRollup::servers);
-  sketch_section(kSecRtt, &GroupRollup::rtt_ms);
-  if (service_dim) {
-    core::ByteWriter body;
-    for (const auto& tech : rollup.subscribers) {
-      body.u64le(tech.active);
-      body.u64le(tech.sum_down);
-      body.u64le(tech.sum_up);
-      put_sketch(body, tech.down_bytes);
-      put_sketch(body, tech.up_bytes);
-    }
-    put_section(out, kSecSubscribers, body.view());
-    ++sections;
-  }
   {
+    const DayRollup& first = rollups.front();
     core::ByteWriter body;
-    body.u32le(sections);
-    put_section(out, kSecTrailer, body.view());
+    body.u32le(static_cast<std::uint32_t>(first.day.year));
+    body.u8(first.day.month);
+    body.u8(first.day.day);
+    body.u64le(first.source.size);
+    body.u64le(static_cast<std::uint64_t>(first.source.mtime_ns));
+    body.u32le(first.source.seal_seq);
+    for (const DayRollup& rollup : rollups) {
+      body.u32le(static_cast<std::uint32_t>(rollup.groups.size()));
+    }
+    section(kSecHeader, body);
   }
+  for (std::size_t d = 0; d < kDimensionCount; ++d) {
+    const DayRollup& rollup = rollups[d];
+    const auto id = [d](std::uint8_t kind) { return static_cast<std::uint8_t>(d << 4 | kind); };
+    {
+      core::ByteWriter body;
+      for (const auto& [key, _] : rollup.groups) body.u32le(key);
+      section(id(kSecKeys), body);
+    }
+    {
+      core::ByteWriter body;
+      for (const auto& [_, g] : rollup.groups) body.u64le(g.flows);
+      for (const auto& [_, g] : rollup.groups) body.u64le(g.bytes_up);
+      for (const auto& [_, g] : rollup.groups) body.u64le(g.bytes_down);
+      section(id(kSecCounters), body);
+    }
+    const auto sketch_section = [&](std::uint8_t kind, auto member) {
+      core::ByteWriter body;
+      for (const auto& [_, g] : rollup.groups) put_sketch(body, g.*member);
+      section(id(kind), body);
+    };
+    sketch_section(kSecClients, &GroupRollup::clients);
+    sketch_section(kSecServers, &GroupRollup::servers);
+    sketch_section(kSecRtt, &GroupRollup::rtt_ms);
+    if (static_cast<Dimension>(d) == Dimension::kService) {
+      core::ByteWriter body;
+      for (const auto& tech : rollup.subscribers) {
+        body.u64le(tech.active);
+        body.u64le(tech.sum_down);
+        body.u64le(tech.sum_up);
+        put_sketch(body, tech.down_bytes);
+        put_sketch(body, tech.up_bytes);
+      }
+      section(id(kSecSubscribers), body);
+    }
+  }
+  core::ByteWriter trailer;
+  trailer.u32le(sections);
+  put_section(out, kSecTrailer, trailer.view());
   return std::move(out).take();
 }
 
-core::Result<DayRollup> decode_rollup(std::span<const std::byte> data, std::uint32_t columns) {
+core::Result<DayRollup> decode_rollup(std::span<const std::byte> data, Dimension dim,
+                                      std::uint32_t columns) {
   if (data.size() < kFileHeaderSize) return core::Errc::kTruncated;
   for (std::size_t i = 0; i < 4; ++i) {
     if (std::to_integer<char>(data[i]) != kMagic[i]) return core::Errc::kBadMagic;
   }
-  if (std::to_integer<std::uint8_t>(data[4]) != kVersion1) return core::Errc::kBadVersion;
+  if (std::to_integer<std::uint8_t>(data[4]) != kVersion2) return core::Errc::kBadVersion;
 
   DayRollup rollup;
-  SketchParams params;
-  std::vector<std::uint32_t> keys;
+  rollup.dimension = dim;
   std::vector<GroupRollup*> slots;  // groups in key order, for columnar fill
   std::uint32_t group_count = 0;
   std::uint32_t present_columns = 0;
@@ -290,11 +266,15 @@ core::Result<DayRollup> decode_rollup(std::span<const std::byte> data, std::uint
     const auto body = data.subspan(pos + kSectionHeaderSize, body_len);
     pos += kSectionHeaderSize + body_len;
 
-    const bool structural = id == kSecHeader || id == kSecKeys || id == kSecTrailer;
-    const std::uint32_t column = column_for_section(id);
-    const bool wanted = structural || (column & columns) != 0;
-    if (id != kSecTrailer) ++sections_seen;
+    if (!known_section(id)) return core::Errc::kCorrupt;
     if (!have_header && id != kSecHeader) return core::Errc::kCorrupt;
+    if (id != kSecTrailer) ++sections_seen;
+    const bool framing = id == kSecHeader || id == kSecTrailer;
+    const std::uint8_t kind = id & 0x0F;
+    const std::uint32_t column = column_for_section(kind);
+    const bool mine = !framing && (id >> 4) == static_cast<std::uint8_t>(dim);
+    if (mine) present_columns |= column;
+    const bool wanted = framing || (mine && (kind == kSecKeys || (column & columns) != 0));
     if (!wanted) continue;  // projection: skip untouched (possibly unmapped) bytes
 
     // CRC covers id | body_len | body, exactly as written.
@@ -306,35 +286,33 @@ core::Result<DayRollup> decode_rollup(std::span<const std::byte> data, std::uint
     if (crc != stored_crc) return core::Errc::kCorrupt;
 
     core::ByteReader r{body};
-    switch (id) {
+    switch (kind) {
       case kSecHeader: {
         if (have_header) return core::Errc::kCorrupt;
-        const std::uint8_t dim = r.u8();
-        if (dim >= kDimensionCount) return core::Errc::kCorrupt;
-        rollup.dimension = static_cast<Dimension>(dim);
         rollup.day.year = static_cast<std::int32_t>(r.u32le());
         rollup.day.month = r.u8();
         rollup.day.day = r.u8();
         rollup.source.size = r.u64le();
         rollup.source.mtime_ns = static_cast<std::int64_t>(r.u64le());
         rollup.source.seal_seq = r.u32le();
-        group_count = r.u32le();
-        params.hll_precision = r.u8();
-        params.quantile_accuracy = std::bit_cast<double>(r.u64le());
-        present_columns = r.u32le();
-        if (!r.ok() || group_count > kMaxGroups) return core::Errc::kCorrupt;
+        for (std::size_t d = 0; d < kDimensionCount; ++d) {
+          const std::uint32_t count = r.u32le();
+          if (count > kMaxGroups) return core::Errc::kCorrupt;
+          if (d == static_cast<std::size_t>(dim)) group_count = count;
+        }
+        if (!r.ok() || r.remaining() != 0) return core::Errc::kCorrupt;
         have_header = true;
         break;
       }
       case kSecKeys: {
-        keys.resize(group_count);
-        slots.resize(group_count);
+        if (!slots.empty()) return core::Errc::kCorrupt;
+        std::vector<std::uint32_t> keys(group_count);
         for (auto& key : keys) key = r.u32le();
         if (!r.ok() || r.remaining() != 0) return core::Errc::kCorrupt;
-        if (!std::is_sorted(keys.begin(), keys.end())) return core::Errc::kCorrupt;
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-          slots[i] = &rollup.groups.emplace(keys[i], make_group(params)).first->second;
+        if (std::adjacent_find(keys.begin(), keys.end(), std::greater_equal<>()) != keys.end()) {
+          return core::Errc::kCorrupt;  // keys are strictly ascending
         }
+        for (const std::uint32_t key : keys) slots.push_back(&rollup.groups[key]);
         break;
       }
       case kSecCounters: {
@@ -351,7 +329,7 @@ core::Result<DayRollup> decode_rollup(std::span<const std::byte> data, std::uint
         for (auto* g : slots) {
           auto sketch = get_sketch<core::HyperLogLog>(r);
           if (!sketch) return sketch.error();
-          (id == kSecClients ? g->clients : g->servers) = std::move(*sketch);
+          (kind == kSecClients ? g->clients : g->servers) = std::move(*sketch);
         }
         if (r.remaining() != 0) return core::Errc::kCorrupt;
         break;
@@ -390,7 +368,6 @@ core::Result<DayRollup> decode_rollup(std::span<const std::byte> data, std::uint
         return core::Errc::kCorrupt;  // unknown wanted section is unreachable
     }
   }
-  if (!have_header) return core::Errc::kTruncated;
   if (!have_trailer) return core::Errc::kTruncated;  // torn write: no receipt
   rollup.columns = columns & present_columns;
   return rollup;

@@ -1,18 +1,20 @@
 // Day rollups: the sketch-based summaries the query engine answers from
 // instead of re-scanning raw flow logs (Flowyager-style hierarchical
 // summaries, Saidi et al. 2020). One rollup file summarizes one civil day
-// along one dimension; sketches merge losslessly across days, so any time
-// range collapses to a handful of section reads plus sketch merges.
+// along all three dimensions; sketches merge losslessly across days, so any
+// time range collapses to a handful of section reads plus sketch merges.
 //
-// On-disk format `.ewr` v1 ("EWRU") reuses the lake's durability idioms:
+// On-disk format `.ewr` v2 ("EWRU") reuses the lake's section idiom:
 //
 //   file    := magic "EWRU" | u8 version | section*
 //   section := u8 id | u32le body_len | u32le crc32c(id | body_len | body)
 //              | body
 //
-// Sections (kHeader first, kTrailer last):
-//   header      day, dimension, source-lake FileIdentity (staleness check),
-//               group count, sketch parameters
+// The header comes first and the trailer last; between them, each
+// dimension's sections in Dimension order. A data section's id is
+// dimension << 4 | kind.
+//   header      day, source-lake FileIdentity (staleness check), group
+//               count of each dimension
 //   keys        u32le group keys, ascending (columnar: one array)
 //   counters    u64le flows[] | bytes_up[] | bytes_down[]  (three arrays)
 //   clients     per group: varint length | HyperLogLog       (distinct subscribers)
@@ -23,10 +25,13 @@
 //   trailer     section count; written last, so a torn write is detected
 //               even before any section CRC is checked
 //
+// Every sketch uses its type's default parameters, so empty groups need no
+// recorded parameters; a sketch with any other parameters reads as corrupt.
+//
 // The layout is columnar at section granularity: a query that needs only
-// counters never reads (or faults in, via mmap) the sketch sections.
-// decode_rollup() checks the CRC of every section it materializes; sections
-// outside the projection are skipped untouched.
+// one dimension's counters never reads (or faults in, via mmap) the other
+// sections. decode_rollup() checks the CRC of every section it
+// materializes; sections outside the projection are skipped untouched.
 #pragma once
 
 #include <array>
@@ -47,7 +52,7 @@
 
 namespace edgewatch::query {
 
-/// The pre-aggregation axis of one rollup file.
+/// A pre-aggregation axis: one of the three summaries in a rollup file.
 enum class Dimension : std::uint8_t {
   kService = 0,   ///< group key = services::ServiceId
   kProtocol = 1,  ///< group key = dpi::WebProtocol (bytes only)
@@ -111,10 +116,9 @@ struct TechRollup {
   }
 };
 
-/// One day along one dimension — the unit the store persists and the
-/// engine merges. merge() folds another day (or another PoP's same day)
-/// in; sketch merges are exact, so rollup(range) == rollup of the
-/// concatenated days.
+/// One day along one dimension — the unit the engine loads and merges.
+/// merge() folds another day (or another PoP's same day) in; sketch merges
+/// are exact, so rollup(range) == rollup of the concatenated days.
 struct DayRollup {
   core::CivilDate day{};
   Dimension dimension = Dimension::kService;
@@ -126,30 +130,30 @@ struct DayRollup {
   void merge(const DayRollup& other);
 };
 
-/// Sketch parameters of a build: fixed per store so day sketches merge.
-struct SketchParams {
-  std::uint8_t hll_precision = core::HyperLogLog::kDefaultPrecision;
-  double quantile_accuracy = core::QuantileSketch::kDefaultAccuracy;
-};
+/// One day's rollups, indexed by Dimension: the contents of one .ewr file.
+using DayRollups = std::array<DayRollup, kDimensionCount>;
 
-/// Build one day's rollup along `dim` from its stage-one aggregate (the
-/// same DayAggregate the figure analytics consume — including one merged
-/// from parallel partials). `rib` maps server IPs to origin ASNs for the
-/// kServerAsn dimension (unrouted IPs group under ASN 0); unused otherwise.
-[[nodiscard]] DayRollup build_day_rollup(
-    const analytics::DayAggregate& aggregate, Dimension dim,
+/// Build one day's rollups from its stage-one aggregate (the same
+/// DayAggregate the figure analytics consume — including one merged from
+/// parallel partials). `rib` maps server IPs to origin ASNs for the
+/// kServerAsn dimension (unrouted IPs group under ASN 0). Active
+/// subscribers follow the default ActivityCriteria.
+[[nodiscard]] DayRollups build_day_rollups(
+    const analytics::DayAggregate& aggregate,
     const services::ServiceCatalog& catalog = services::ServiceCatalog::standard(),
-    const asn::Rib* rib = nullptr, const SketchParams& params = {},
-    const analytics::ActivityCriteria& criteria = {});
+    const asn::Rib* rib = nullptr);
 
-/// Serialize a rollup to the .ewr wire format.
-[[nodiscard]] std::vector<std::byte> encode_rollup(const DayRollup& rollup);
+/// Serialize one day's rollups to the .ewr wire format. The file records
+/// the day and source identity of the service rollup; the three share them.
+[[nodiscard]] std::vector<std::byte> encode_rollup(const DayRollups& rollups);
 
-/// Parse a .ewr file, materializing only the sections selected by
-/// `columns` (the keys, header and trailer are always read). Errors:
+/// Parse dimension `dim` of a .ewr file, materializing only the sections
+/// selected by `columns` (the header, keys and trailer are always read;
+/// other dimensions' sections are skipped unchecked). Errors:
 /// kBadMagic/kBadVersion for foreign files, kTruncated for a missing
 /// trailer (torn write), kCorrupt for any CRC or structural failure.
 [[nodiscard]] core::Result<DayRollup> decode_rollup(std::span<const std::byte> data,
+                                                    Dimension dim,
                                                     std::uint32_t columns = kAllColumns);
 
 }  // namespace edgewatch::query

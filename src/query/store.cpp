@@ -34,26 +34,22 @@ StoreObs& store_obs() {
   return m;
 }
 
+// Temp file + rename, so a reader never maps a partial rollup. No fsync: a
+// rollup lost or torn by a crash reads as stale and is rebuilt.
 core::Result<void> write_atomically(const std::filesystem::path& path,
                                     std::span<const std::byte> data) {
   const std::filesystem::path tmp = path.string() + ".tmp";
   auto file = storage::make_posix_file();
   if (auto r = file->open_at(tmp, 0); !r) return r;
-  if (auto r = file->write(data); !r) {
-    (void)file->close();
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    return r;
-  }
-  if (auto r = file->sync(); !r) return r;
-  if (auto r = file->close(); !r) return r;
+  core::Result<void> written = file->write(data);
+  if (auto closed = file->close(); written && !closed) written = closed;
   std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return core::Errc::kIoError;
+  if (written) {
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) written = core::Errc::kIoError;
   }
-  return {};
+  if (!written) std::filesystem::remove(tmp, ec);
+  return written;
 }
 
 }  // namespace
@@ -62,106 +58,83 @@ RollupStore::RollupStore(std::filesystem::path dir, const storage::DataLake& lak
                          const services::ServiceCatalog& catalog, const asn::Rib* rib)
     : dir_(std::move(dir)), lake_(lake), catalog_(catalog), rib_(rib) {}
 
-std::string RollupStore::rollup_filename(core::CivilDate day, Dimension dim) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "rollup_%04d-%02u-%02u.%s.ewr", day.year,
-                static_cast<unsigned>(day.month), static_cast<unsigned>(day.day),
-                std::string(to_string(dim)).c_str());
-  return buf;
+std::string RollupStore::rollup_filename(core::CivilDate day) {
+  return "rollup_" + day.to_string() + ".ewr";
 }
 
-std::filesystem::path RollupStore::rollup_path(core::CivilDate day, Dimension dim) const {
-  return dir_ / rollup_filename(day, dim);
+std::filesystem::path RollupStore::rollup_path(core::CivilDate day) const {
+  return dir_ / rollup_filename(day);
 }
 
-bool RollupStore::fresh(core::CivilDate day, Dimension dim) const {
+bool RollupStore::fresh(core::CivilDate day) const {
   const storage::FileIdentity source = lake_.day_identity(day);
   if (!source.exists()) return false;  // no lake day: nothing to be fresh against
-  auto mapped = storage::MappedFile::open(rollup_path(day, dim));
+  auto mapped = storage::MappedFile::open(rollup_path(day));
   if (!mapped) return false;
-  // Full-mask decode so every section CRC is verified: "fresh" promises the
-  // file is both current (identity matches the lake day) and intact, so a
-  // torn, foreign, or bit-flipped rollup reads as stale and build() heals
-  // it. Queries still load with a narrow mask; only freshness pays for the
-  // full check.
-  auto rollup = decode_rollup(mapped->bytes(), kAllColumns);
-  return rollup && rollup->source == source;
+  // Full-mask decode of every dimension, so every section CRC is verified:
+  // "fresh" promises the file is both current (identity matches the lake
+  // day) and intact, so a torn, foreign, or bit-flipped rollup reads as
+  // stale and build() heals it. Queries still load one dimension with a
+  // narrow mask; only freshness pays for the full check.
+  for (std::size_t d = 0; d < kDimensionCount; ++d) {
+    auto rollup = decode_rollup(mapped->bytes(), static_cast<Dimension>(d), kAllColumns);
+    if (!rollup || rollup->source != source) return false;
+  }
+  return true;
 }
 
-RollupStore::DayOutcome RollupStore::build_day(core::CivilDate day,
-                                               const BuildOptions& options) const {
-  DayOutcome out;
-  std::vector<Dimension> stale;
-  for (std::size_t d = 0; d < kDimensionCount; ++d) {
-    const auto dim = static_cast<Dimension>(d);
-    if (!options.force && fresh(day, dim)) {
-      ++out.reused;
-    } else {
-      stale.push_back(dim);
-    }
-  }
-  if (stale.empty()) return out;
-
+core::Result<bool> RollupStore::build_day(core::CivilDate day) const {
+  if (fresh(day)) return false;
   // Capture the identity *before* scanning: if the lake file is appended to
   // mid-build, the rollup records the pre-append identity and the next
   // build() pass sees it as stale again — never the other way around.
   const storage::FileIdentity source = lake_.day_identity(day);
   // One ScanScratch per worker thread, reused across every day this worker
-  // builds: the column decode buffers warm up once per
-  // build() instead of reallocating per day (and, before the scratch-passing
-  // aggregate_day existed, per block).
+  // builds: the column decode buffers warm up once per build() instead of
+  // reallocating per day.
   thread_local storage::ScanScratch scratch;
   const auto scan = analytics::aggregate_day(lake_, day, scratch, nullptr, catalog_);
   if (scan.scan.errc != core::Errc::kOk && scan.scan.records_delivered == 0) {
-    out.failed += stale.size();
-    out.errc = scan.scan.errc;
-    return out;
+    return scan.scan.errc;
   }
-  for (const Dimension dim : stale) {
-    DayRollup rollup =
-        build_day_rollup(scan.aggregate, dim, catalog_, rib_, options.sketch, options.criteria);
-    rollup.source = source;
-    const auto bytes = encode_rollup(rollup);
-    if (auto written = write_atomically(rollup_path(day, dim), bytes)) {
-      ++out.built;
-    } else {
-      ++out.failed;
-      out.errc = written.error();
-    }
+  DayRollups rollups = build_day_rollups(scan.aggregate, catalog_, rib_);
+  for (DayRollup& rollup : rollups) rollup.source = source;
+  if (auto written = write_atomically(rollup_path(day), encode_rollup(rollups)); !written) {
+    return written.error();
   }
-  return out;
+  return true;
 }
 
-BuildReport RollupStore::build(core::ThreadPool& pool, const BuildOptions& options) {
+BuildReport RollupStore::build(core::ThreadPool& pool) {
   const auto all = lake_.days();
-  return build(all, pool, options);
+  return build(all, pool);
 }
 
-BuildReport RollupStore::build(std::span<const core::CivilDate> days, core::ThreadPool& pool,
-                               const BuildOptions& options) {
+BuildReport RollupStore::build(std::span<const core::CivilDate> days, core::ThreadPool& pool) {
   obs::Span build_span(*store_obs().build_span);
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
+  // A build killed mid-write leaves its temp files behind; no reader ever
+  // opens them, so they are only clutter.
+  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
+    if (entry.path().extension() == ".tmp") std::filesystem::remove(entry.path(), ec);
+  }
 
   // One pool task per day (per-day work is serial — day fan-out already
   // saturates the pool, and nesting parallel_for would deadlock).
-  std::vector<std::future<DayOutcome>> futures;
+  std::vector<std::future<core::Result<bool>>> futures;
   futures.reserve(days.size());
   for (const core::CivilDate day : days) {
-    futures.push_back(pool.submit([this, day, &options] { return build_day(day, options); }));
+    futures.push_back(pool.submit([this, day] { return build_day(day); }));
   }
   BuildReport report;
   for (std::size_t i = 0; i < futures.size(); ++i) {
-    const DayOutcome out = futures[i].get();
-    report.built += out.built;
-    report.reused += out.reused;
-    report.failed += out.failed;
-    if (out.errc != core::Errc::kOk) report.errors.emplace_back(days[i], out.errc);
+    const core::Result<bool> out = futures[i].get();
+    (!out ? report.failed : *out ? report.built : report.reused) += kDimensionCount;
+    if (!out) report.errors.emplace_back(days[i], out.error());
     if constexpr (obs::kEnabled) {
       auto& m = store_obs();
-      if (out.built != 0) m.built->add(static_cast<std::uint64_t>(out.built));
-      if (out.reused != 0) m.reused->add(static_cast<std::uint64_t>(out.reused));
-      if (out.failed != 0) m.failed->add(static_cast<std::uint64_t>(out.failed));
+      (!out ? m.failed : *out ? m.built : m.reused)->add(1);
     }
   }
   return report;
@@ -169,21 +142,18 @@ BuildReport RollupStore::build(std::span<const core::CivilDate> days, core::Thre
 
 core::Result<DayRollup> RollupStore::load(core::CivilDate day, Dimension dim,
                                           std::uint32_t columns) const {
-  auto mapped = storage::MappedFile::open(rollup_path(day, dim));
+  auto mapped = storage::MappedFile::open(rollup_path(day));
   if (!mapped) return mapped.error();
-  return decode_rollup(mapped->bytes(), columns);
+  return decode_rollup(mapped->bytes(), dim, columns);
 }
 
-std::vector<core::CivilDate> RollupStore::days(Dimension dim) const {
+std::vector<core::CivilDate> RollupStore::days() const {
   std::vector<core::CivilDate> out;
   std::error_code ec;
-  if (!std::filesystem::is_directory(dir_, ec)) return out;
-  const std::string suffix = "." + std::string(to_string(dim)) + ".ewr";
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
+    // rollup_YYYY-MM-DD.ewr
     const std::string name = entry.path().filename().string();
-    // rollup_YYYY-MM-DD.<dimension>.ewr
-    if (name.size() != 17 + suffix.size() || name.rfind("rollup_", 0) != 0) continue;
-    if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) continue;
+    if (name.size() != 21 || !name.starts_with("rollup_") || !name.ends_with(".ewr")) continue;
     int year = 0;
     unsigned month = 0, dday = 0;
     if (std::sscanf(name.c_str() + 7, "%4d-%2u-%2u", &year, &month, &dday) != 3) continue;

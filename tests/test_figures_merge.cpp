@@ -143,14 +143,10 @@ TEST(FiguresMerge, RollupBuilderIdenticalOnMergedPartials) {
   // serial aggregate, for every dimension.
   auto& c = merge_corpus();
   for (std::size_t i = 0; i < c.whole.size(); ++i) {
-    for (std::size_t d = 0; d < ew::query::kDimensionCount; ++d) {
-      const auto dim = static_cast<ew::query::Dimension>(d);
-      const auto from_whole = ew::query::encode_rollup(ew::query::build_day_rollup(
-          c.whole[i], dim, ew::services::ServiceCatalog::standard(), c.scenario.rib.get()));
-      const auto from_merged = ew::query::encode_rollup(ew::query::build_day_rollup(
-          c.merged[i], dim, ew::services::ServiceCatalog::standard(), c.scenario.rib.get()));
-      EXPECT_EQ(from_whole, from_merged)
-          << "day " << i << " dim " << ew::query::to_string(dim);
-    }
+    const auto from_whole = ew::query::encode_rollup(ew::query::build_day_rollups(
+        c.whole[i], ew::services::ServiceCatalog::standard(), c.scenario.rib.get()));
+    const auto from_merged = ew::query::encode_rollup(ew::query::build_day_rollups(
+        c.merged[i], ew::services::ServiceCatalog::standard(), c.scenario.rib.get()));
+    EXPECT_EQ(from_whole, from_merged) << "day " << i;
   }
 }

@@ -354,7 +354,9 @@ void expect_engines_agree(const ew::services::RuleEngine& compiled,
     const auto a = compiled.classify(d);
     const auto b = legacy.classify(d);
     EXPECT_EQ(a.has_value(), b.has_value()) << "domain '" << d << "'";
-    if (a && b) EXPECT_EQ(*a, *b) << "domain '" << d << "'";
+    if (a && b) {
+      EXPECT_EQ(*a, *b) << "domain '" << d << "'";
+    }
   }
 }
 

@@ -34,7 +34,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::string slurp(const fs::path& path) {
+// Only the live-registry tests read files back; the EW_OBS=OFF build has none.
+[[maybe_unused]] std::string slurp(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
   out << in.rdbuf();

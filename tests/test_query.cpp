@@ -1,6 +1,7 @@
 // The rollup store and query engine (query::): .ewr format roundtrip and
 // damage detection, staleness-driven incremental builds sharing the lake's
-// FileIdentity, column projection, and — the acceptance criterion — golden
+// FileIdentity, column projection, the cache contract under torn writes
+// and killed builds, and — the acceptance criterion — golden
 // comparisons proving that top-k / distinct / quantile answers from
 // rollups match exact full-scan recomputation within the sketches'
 // documented error bounds on paper-scenario synthetic data.
@@ -14,6 +15,9 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analytics/figures.hpp"
@@ -32,6 +36,7 @@ namespace ew = edgewatch;
 using ew::core::CivilDate;
 using ew::core::Errc;
 using ew::query::DayRollup;
+using ew::query::DayRollups;
 using ew::query::Dimension;
 using ew::query::RollupStore;
 
@@ -113,26 +118,31 @@ double exact_nearest_rank(std::vector<double> values, double q) {
 
 TEST(Rollup, EncodeDecodeRoundtrip) {
   auto& c = corpus();
+  const DayRollups rollups = ew::query::build_day_rollups(
+      c.aggregates[0], ew::services::ServiceCatalog::standard(), c.scenario.rib.get());
+  const auto bytes = ew::query::encode_rollup(rollups);
+  DayRollups back;
   for (std::size_t d = 0; d < ew::query::kDimensionCount; ++d) {
     const auto dim = static_cast<Dimension>(d);
-    const DayRollup rollup = ew::query::build_day_rollup(
-        c.aggregates[0], dim, ew::services::ServiceCatalog::standard(), c.scenario.rib.get());
-    const auto bytes = ew::query::encode_rollup(rollup);
-    const auto back = ew::query::decode_rollup(bytes);
-    ASSERT_TRUE(back.has_value()) << ew::query::to_string(dim);
-    // encode() is deterministic in the rollup contents, so byte equality of
-    // a re-encode is content equality of the decode.
-    EXPECT_EQ(ew::query::encode_rollup(*back), bytes) << ew::query::to_string(dim);
-    EXPECT_FALSE(back->groups.empty());
+    auto decoded = ew::query::decode_rollup(bytes, dim);
+    ASSERT_TRUE(decoded.has_value()) << ew::query::to_string(dim);
+    EXPECT_EQ(decoded->dimension, dim);
+    EXPECT_FALSE(decoded->groups.empty()) << ew::query::to_string(dim);
+    back[d] = std::move(*decoded);
   }
+  // encode() is deterministic in the rollup contents, so byte equality of
+  // a re-encode is content equality of the decode.
+  EXPECT_EQ(ew::query::encode_rollup(back), bytes);
 }
 
 TEST(Rollup, ColumnProjectionSkipsSketchSections) {
   auto& c = corpus();
-  const DayRollup full = ew::query::build_day_rollup(c.aggregates[0], Dimension::kService);
-  const auto bytes = ew::query::encode_rollup(full);
+  const DayRollups rollups = ew::query::build_day_rollups(c.aggregates[0]);
+  const DayRollup& full = rollups[static_cast<std::size_t>(Dimension::kService)];
+  const auto bytes = ew::query::encode_rollup(rollups);
 
-  const auto counters_only = ew::query::decode_rollup(bytes, ew::query::kColCounters);
+  const auto counters_only =
+      ew::query::decode_rollup(bytes, Dimension::kService, ew::query::kColCounters);
   ASSERT_TRUE(counters_only.has_value());
   EXPECT_EQ(counters_only->columns, ew::query::kColCounters);
   ASSERT_EQ(counters_only->groups.size(), full.groups.size());
@@ -144,40 +154,58 @@ TEST(Rollup, ColumnProjectionSkipsSketchSections) {
     EXPECT_TRUE(group.rtt_ms.empty());
   }
 
-  const auto rtt_only = ew::query::decode_rollup(bytes, ew::query::kColRtt);
+  const auto rtt_only = ew::query::decode_rollup(bytes, Dimension::kService, ew::query::kColRtt);
   ASSERT_TRUE(rtt_only.has_value());
   for (const auto& [key, group] : rtt_only->groups) {
     EXPECT_EQ(group.rtt_ms.count(), full.groups.at(key).rtt_ms.count());
     EXPECT_EQ(group.flows, 0u);
   }
+
+  // Other dimensions' sections are skipped unchecked: damage in the last
+  // server-ASN section (just before the 13-byte trailer) fails only a load
+  // that reads it.
+  auto damaged = bytes;
+  damaged[damaged.size() - 14] ^= std::byte{0x40};
+  EXPECT_TRUE(ew::query::decode_rollup(damaged, Dimension::kService).has_value());
+  EXPECT_TRUE(
+      ew::query::decode_rollup(damaged, Dimension::kServerAsn, ew::query::kColCounters)
+          .has_value());
+  EXPECT_EQ(ew::query::decode_rollup(damaged, Dimension::kServerAsn).error(), Errc::kCorrupt);
 }
 
 TEST(Rollup, DetectsDamage) {
   auto& c = corpus();
-  const DayRollup rollup = ew::query::build_day_rollup(c.aggregates[0], Dimension::kService);
-  auto bytes = ew::query::encode_rollup(rollup);
+  auto bytes = ew::query::encode_rollup(ew::query::build_day_rollups(c.aggregates[0]));
+  const auto decodes_everywhere = [](const std::vector<std::byte>& file) {
+    for (std::size_t d = 0; d < ew::query::kDimensionCount; ++d) {
+      if (!ew::query::decode_rollup(file, static_cast<Dimension>(d))) return false;
+    }
+    return true;
+  };
+  ASSERT_TRUE(decodes_everywhere(bytes));
 
   {  // flipped byte inside a section body -> CRC mismatch
     auto bad = bytes;
     bad[bytes.size() / 2] ^= std::byte{0x40};
-    const auto r = ew::query::decode_rollup(bad);
-    EXPECT_FALSE(r.has_value());
+    EXPECT_FALSE(decodes_everywhere(bad));
   }
   {  // torn write: trailer missing -> kTruncated
     const auto torn = std::vector<std::byte>(bytes.begin(), bytes.end() - 20);
-    const auto r = ew::query::decode_rollup(torn);
+    const auto r = ew::query::decode_rollup(torn, Dimension::kProtocol);
     ASSERT_FALSE(r.has_value());
     EXPECT_EQ(r.error(), Errc::kTruncated);
   }
   {  // foreign file
     auto alien = bytes;
     alien[0] = std::byte{'X'};
-    EXPECT_EQ(ew::query::decode_rollup(alien).error(), Errc::kBadMagic);
+    EXPECT_EQ(ew::query::decode_rollup(alien, Dimension::kService).error(), Errc::kBadMagic);
   }
-  {  // future version
-    auto vnext = bytes;
-    vnext[4] = std::byte{9};
-    EXPECT_EQ(ew::query::decode_rollup(vnext).error(), Errc::kBadVersion);
+  {  // future version, and the per-dimension files of format v1
+    for (const std::byte version : {std::byte{9}, std::byte{1}}) {
+      auto other = bytes;
+      other[4] = version;
+      EXPECT_EQ(ew::query::decode_rollup(other, Dimension::kService).error(), Errc::kBadVersion);
+    }
   }
 }
 
@@ -188,6 +216,15 @@ TEST(RollupStore, BuildIsIncrementalViaFileIdentity) {
   const std::size_t files = c.days.size() * ew::query::kDimensionCount;
   EXPECT_EQ(c.first_build.built, files);
   EXPECT_EQ(c.first_build.failed, 0u);
+  // One file per lake day, and no temp file left behind.
+  std::set<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(c.store->dir())) {
+    names.insert(entry.path().filename().string());
+  }
+  std::set<std::string> want;
+  for (const CivilDate day : c.days) want.insert(RollupStore::rollup_filename(day));
+  EXPECT_EQ(names, want);
+  EXPECT_EQ(c.store->days(), c.days);
 
   // Second pass: everything fresh, nothing re-aggregated.
   ew::core::ThreadPool pool(4);
@@ -202,12 +239,12 @@ TEST(RollupStore, BuildIsIncrementalViaFileIdentity) {
   const ew::synth::WorkloadGenerator gen{c.scenario};
   ASSERT_TRUE(c.lake->append(day, gen.day_records(c.days[4])));
   EXPECT_NE(c.lake->day_identity(day), before);
-  EXPECT_FALSE(c.store->fresh(day, Dimension::kService));
+  EXPECT_FALSE(c.store->fresh(day));
 
   const auto incremental = c.store->build(pool);
   EXPECT_EQ(incremental.built, ew::query::kDimensionCount);
   EXPECT_EQ(incremental.reused, files - ew::query::kDimensionCount);
-  EXPECT_TRUE(c.store->fresh(day, Dimension::kService));
+  EXPECT_TRUE(c.store->fresh(day));
 
   // Restore the corpus day for the golden tests below (content changed, so
   // rebuild from the refreshed aggregate too).
@@ -235,19 +272,156 @@ TEST(RollupStore, LoadErrorsAreTyped) {
 
   // A corrupted rollup file is reported, and build() heals it.
   const CivilDate day = c.days[1];
-  const auto path = c.store->rollup_path(day, Dimension::kProtocol);
+  const auto path = c.store->rollup_path(day);
   {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
     ASSERT_TRUE(f.is_open());
     f.seekp(static_cast<std::streamoff>(std::filesystem::file_size(path) / 2));
     f.write("\xde\xad", 2);
   }
-  EXPECT_FALSE(c.store->load(day, Dimension::kProtocol).has_value());
-  EXPECT_FALSE(c.store->fresh(day, Dimension::kProtocol));
+  const auto loads_everywhere = [&] {
+    for (std::size_t d = 0; d < ew::query::kDimensionCount; ++d) {
+      if (!c.store->load(day, static_cast<Dimension>(d))) return false;
+    }
+    return true;
+  };
+  EXPECT_FALSE(loads_everywhere());
+  EXPECT_FALSE(c.store->fresh(day));
   ew::core::ThreadPool pool(2);
   const auto report = c.store->build(pool);
   EXPECT_GE(report.built, 1u);
-  EXPECT_TRUE(c.store->load(day, Dimension::kProtocol).has_value());
+  EXPECT_TRUE(loads_everywhere());
+}
+
+// ------------------------------------------------ crash tests (cache contract)
+
+namespace {
+
+/// A lake of a few small days (a prefix of each generated day) for tests
+/// that touch a rollup at every byte: its rollup files are a few KB.
+struct SmallLake {
+  ew::testing::TempDir dir{"ew_query_small"};
+  ew::synth::Scenario scenario = ew::synth::build_paper_scenario(5, 0.01);
+  ew::storage::DataLake lake{dir.path / "lake"};
+  std::vector<CivilDate> days;
+
+  SmallLake(std::size_t day_count, std::size_t records_per_day) {
+    const ew::synth::WorkloadGenerator gen{scenario};
+    for (std::size_t i = 0; i < day_count; ++i) {
+      days.push_back(CivilDate{2015, 6, static_cast<std::uint8_t>(22 + i)});
+      auto records = gen.day_records(days.back());
+      records.resize(std::min(records.size(), records_per_day));
+      EXPECT_TRUE(lake.append(days.back(), records));
+    }
+  }
+
+  RollupStore store(const std::string& name) const {
+    return RollupStore{dir.path / name, lake, ew::services::ServiceCatalog::standard(),
+                       scenario.rib.get()};
+  }
+};
+
+std::vector<std::byte> read_bytes(const std::filesystem::path& path) {
+  std::vector<std::byte> out(std::filesystem::file_size(path));
+  std::ifstream(path, std::ios::binary)
+      .read(reinterpret_cast<char*>(out.data()), static_cast<std::streamsize>(out.size()));
+  return out;
+}
+
+/// Replaces the file instead of truncating it: on ext4, a truncate-and-
+/// rewrite forces the data out on close, which would dominate a test that
+/// rewrites a file thousands of times.
+void write_bytes(const std::filesystem::path& path, std::span<const std::byte> bytes) {
+  std::filesystem::remove(path);
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes.data()), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Every file of a directory by name, with its contents.
+std::map<std::string, std::vector<std::byte>> read_dir(const std::filesystem::path& dir) {
+  std::map<std::string, std::vector<std::byte>> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.emplace(entry.path().filename().string(), read_bytes(entry.path()));
+  }
+  return files;
+}
+
+}  // namespace
+
+TEST(RollupStore, CutOrFlippedAtEveryOffsetReadsStale) {
+  const SmallLake small(1, 40);
+  const CivilDate day = small.days[0];
+  RollupStore store = small.store("rollups");
+  ew::core::ThreadPool pool(1);
+  ASSERT_TRUE(store.build(pool).ok());
+  const auto path = store.rollup_path(day);
+  const auto original = read_bytes(path);
+  DayRollups truth;
+  for (std::size_t d = 0; d < ew::query::kDimensionCount; ++d) {
+    auto loaded = store.load(day, static_cast<Dimension>(d));
+    ASSERT_TRUE(loaded.has_value());
+    truth[d] = std::move(*loaded);
+  }
+
+  // A load that succeeds must answer exactly what was built: swapping it in
+  // for its dimension re-encodes to the original file.
+  const auto loads = [&](std::size_t offset) {
+    std::size_t ok = 0;
+    for (std::size_t d = 0; d < ew::query::kDimensionCount; ++d) {
+      auto loaded = store.load(day, static_cast<Dimension>(d));
+      if (!loaded) continue;
+      ++ok;
+      std::swap(truth[d], *loaded);
+      EXPECT_EQ(ew::query::encode_rollup(truth), original) << "offset " << offset << " dim " << d;
+      std::swap(truth[d], *loaded);
+    }
+    return ok;
+  };
+  for (std::size_t offset = 0; offset < original.size(); ++offset) {
+    // A torn write: the file ends at `offset`.
+    write_bytes(path, std::span(original).first(offset));
+    EXPECT_FALSE(store.fresh(day)) << "cut at " << offset;
+    EXPECT_EQ(loads(offset), 0u) << "cut at " << offset;
+    // Damage in place: the byte at `offset` flipped.
+    auto flipped = original;
+    flipped[offset] ^= std::byte{0xFF};
+    write_bytes(path, flipped);
+    EXPECT_FALSE(store.fresh(day)) << "flip at " << offset;
+    EXPECT_LT(loads(offset), ew::query::kDimensionCount) << "flip at " << offset;
+  }
+
+  const auto report = store.build(pool);
+  EXPECT_EQ(report.built, ew::query::kDimensionCount);
+  EXPECT_EQ(read_bytes(path), original);
+  EXPECT_TRUE(store.fresh(day));
+}
+
+TEST(RollupStore, RebuildAfterKilledBuildMatchesUninterrupted) {
+  const SmallLake small(4, 40);
+  ew::core::ThreadPool pool(2);
+  RollupStore whole = small.store("whole");
+  ASSERT_TRUE(whole.build(pool).ok());
+
+  // What a build killed midway can leave: the first days written, the last
+  // of them torn (its data never reached the disk), the others missing, and
+  // temp files both complete (killed before the rename) and torn.
+  RollupStore killed = small.store("killed");
+  ASSERT_TRUE(killed.build(std::span(small.days).first(2), pool).ok());
+  const auto torn = killed.rollup_path(small.days[1]);
+  std::filesystem::resize_file(torn, std::filesystem::file_size(torn) / 2);
+  const auto complete = read_bytes(whole.rollup_path(small.days[0]));
+  write_bytes(killed.rollup_path(small.days[0]).string() + ".tmp", complete);
+  const auto partial = read_bytes(whole.rollup_path(small.days[2]));
+  write_bytes(killed.rollup_path(small.days[2]).string() + ".tmp",
+              std::span(partial).first(partial.size() / 3));
+
+  const auto report = killed.build(pool);
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(report.built, 3 * ew::query::kDimensionCount);
+  EXPECT_EQ(report.reused, 1 * ew::query::kDimensionCount);
+  const auto files = read_dir(killed.dir());
+  for (const auto& [name, _] : files) EXPECT_FALSE(name.ends_with(".tmp")) << name;
+  EXPECT_EQ(files, read_dir(whole.dir()));
 }
 
 // ------------------------------------------------------ golden queries
