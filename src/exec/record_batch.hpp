@@ -86,10 +86,11 @@ struct RecordBatch {
 
   std::span<const std::int64_t> ts;          ///< first_packet, µs (always present)
   std::span<const std::int64_t> dur;         ///< last_packet − first_packet
-  /// Global ServiceId per row, resolved against the catalog the block was
-  /// *written* with (always present: it is a filter column). Advisory: a
-  /// consumer whose catalog may differ from the writer's must classify from
-  /// l7 + the name dictionary instead.
+  /// Global ServiceId per row: the writer's classify_flow(l7, name) verdict
+  /// with the standard catalog (always present: it is a filter column). The
+  /// scan filter, the zone maps and the query engine's raw fallback read
+  /// it; stage one (DayAggregator) classifies l7 + the name dictionary at
+  /// aggregation time instead.
   std::span<const std::uint8_t> service;
   std::span<const std::uint8_t> proto;       ///< TransportProto (always present)
   std::span<const std::uint8_t> access, l7, web, name_source;

@@ -219,7 +219,7 @@ void Probe::on_export(flow::FlowRecord&& record) {
     if (sink_) sink_(std::move(record));
   };
   if constexpr (obs::kEnabled) {
-    if ((counters_.records_exported & kExportSampleMask) == 0) {
+    if (counters_.records_exported % kExportSampleStride == 0) {
       auto& reg = obs::Registry::global();
       const std::uint64_t t0 = reg.now_ns();
       do_export();

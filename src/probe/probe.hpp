@@ -172,7 +172,9 @@ class Probe {
   /// counters_ backwards; the registry stays monotonic). Stage histograms
   /// are fed by sampled clocks — see kStageSampleMask.
   static constexpr std::uint64_t kStageSampleMask = 1023;  ///< time 1 in 1024
-  static constexpr std::uint64_t kExportSampleMask = 63;   ///< time 1 in 64
+  /// Time one export in 61. The stride is odd, so the samples cannot all
+  /// land on the power-of-two record counts at which a sink's buffer grows.
+  static constexpr std::uint64_t kExportSampleStride = 61;
   struct ObsHooks {
     obs::Counter* frames = nullptr;
     obs::Counter* decode_failures = nullptr;

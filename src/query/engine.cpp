@@ -125,46 +125,35 @@ BucketOutcome merge_bucket(const RollupStore& store, const QuerySpec& spec, Dime
   }
   // Rollup-less days: with raw_fallback, answer them straight from the
   // lake. Accumulation mirrors build_day_rollups' counters exactly —
-  // service groups count (flows, bytes_up, bytes_down) per classified
-  // record; protocol groups sum web bytes into bytes_down — so a fallback
-  // day is indistinguishable from a rollup-answered one. The day file is
-  // the time partition (no time filter pushed), but a group-restricted
-  // service query pushes its service mask below the block decoder:
-  // blocks whose zone map lacks the service are pruned undecompressed.
+  // service groups count (flows, bytes_up, bytes_down) per record under
+  // its stored verdict; protocol groups sum web bytes into bytes_down — so
+  // a fallback day is indistinguishable from a rollup-answered one. The day
+  // file is the time partition (no time filter pushed), but a
+  // group-restricted service query pushes its service mask below the block
+  // decoder: blocks whose zone map lacks the service are pruned
+  // undecompressed.
   //
   // Consumption is batch-at-a-time (scan_day_batches): the projection is
-  // narrowed to the columns each dimension actually reads, service
-  // classification runs once per dictionary entry instead of once per row,
-  // and no FlowRecord is ever materialized.
+  // narrowed to the columns each dimension actually reads and no
+  // FlowRecord is ever materialized. The service dimension reads the
+  // blocks' service column, the verdict the lake writer made once per
+  // distinct name — the same column the service mask filters on — so the
+  // fallback runs no classifier and a row is counted under the verdict
+  // that selected it.
   if (raw_fallback_applies(spec, dim) && !out.missing.empty()) {
     std::vector<core::CivilDate> still_missing;
-    std::vector<services::ServiceId> dict_service;  // per-batch dict classification cache
     for (const core::CivilDate day : out.missing) {
       storage::ScanPredicate pred;
-      pred.catalog = &store.catalog();
       namespace sf = storage::scan_fields;
-      pred.fields = dim == Dimension::kService
-                        ? (sf::kUpBytes | sf::kDownBytes | sf::kL7 | sf::kServerName)
-                        : (sf::kWeb | sf::kUpBytes | sf::kDownBytes);
+      pred.fields = dim == Dimension::kService ? (sf::kUpBytes | sf::kDownBytes)
+                                               : (sf::kWeb | sf::kUpBytes | sf::kDownBytes);
       if (dim == Dimension::kService && spec.group && *spec.group < services::kServiceCount) {
         pred.service_mask = 1u << *spec.group;
       }
       const auto deliver = [&](const exec::RecordBatch& b) {
         if (dim == Dimension::kService) {
-          dict_service.clear();
-          dict_service.reserve(b.name_dict.size());
-          for (const auto name : b.name_dict) {
-            dict_service.push_back(name.empty() ? services::ServiceId::kOther
-                                                : store.catalog().classify_domain(name));
-          }
           b.for_each_row([&](std::size_t i) {
-            const auto l7 = b.l7.empty() ? dpi::L7Protocol{}
-                                         : static_cast<dpi::L7Protocol>(b.l7[i]);
-            const services::ServiceId svc =
-                dpi::is_p2p(l7)        ? services::ServiceId::kPeerToPeer
-                : b.name_idx.empty()   ? services::ServiceId::kOther
-                                       : dict_service[b.name_idx[i]];
-            GroupRollup& g = merged.groups[static_cast<std::uint32_t>(svc)];
+            GroupRollup& g = merged.groups[b.service[i]];
             ++g.flows;
             g.bytes_up += b.up_bytes.empty() ? 0 : b.up_bytes[i];
             g.bytes_down += b.dn_bytes.empty() ? 0 : b.dn_bytes[i];

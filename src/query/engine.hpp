@@ -67,7 +67,9 @@ struct QuerySpec {
   /// pushed-down ScanPredicate instead of reporting them missing. Exact
   /// metrics only (kBytes/kFlows, service or protocol dimension): a
   /// service-restricted query prunes whole blocks via zone maps, so the
-  /// fallback touches a fraction of the day file. Days that stay
+  /// fallback touches a fraction of the day file. Service groups come from
+  /// the lake's stored service column, the verdict its writer made per
+  /// distinct name; no classifier runs at query time. Days that stay
   /// unanswerable (no lake file either, or an approximate metric) are
   /// still reported missing.
   bool raw_fallback = false;

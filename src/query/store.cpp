@@ -16,11 +16,16 @@ namespace {
 
 // Build-progress instrumentation: counters advance per completed day (not
 // once at the end), so a scrape mid-build shows how far a long rebuild got.
+// The per-day spans split a day's build into its freshness probe, the scan
+// + aggregation (analytics_day_aggregate) and the rollup encode + write.
 struct StoreObs {
   obs::Counter* built;
   obs::Counter* reused;
   obs::Counter* failed;
   obs::SpanSite* build_span;
+  obs::SpanSite* day_span;
+  obs::SpanSite* fresh_span;
+  obs::SpanSite* write_span;
 };
 
 StoreObs& store_obs() {
@@ -29,7 +34,10 @@ StoreObs& store_obs() {
     return StoreObs{&reg.counter("rollup_days_built_total"),
                     &reg.counter("rollup_days_reused_total"),
                     &reg.counter("rollup_days_failed_total"),
-                    &reg.span_site("rollup_build")};
+                    &reg.span_site("rollup_build"),
+                    &reg.span_site("rollup_build_day"),
+                    &reg.span_site("rollup_fresh"),
+                    &reg.span_site("rollup_write")};
   }();
   return m;
 }
@@ -84,7 +92,11 @@ bool RollupStore::fresh(core::CivilDate day) const {
 }
 
 core::Result<bool> RollupStore::build_day(core::CivilDate day) const {
+  auto& m = store_obs();
+  obs::Span day_span(*m.day_span);
+  obs::Span fresh_span(*m.fresh_span);
   if (fresh(day)) return false;
+  fresh_span.finish();
   // Capture the identity *before* scanning: if the lake file is appended to
   // mid-build, the rollup records the pre-append identity and the next
   // build() pass sees it as stale again — never the other way around.
@@ -99,6 +111,7 @@ core::Result<bool> RollupStore::build_day(core::CivilDate day) const {
   }
   DayRollups rollups = build_day_rollups(scan.aggregate, catalog_, rib_);
   for (DayRollup& rollup : rollups) rollup.source = source;
+  obs::Span write_span(*m.write_span);
   if (auto written = write_atomically(rollup_path(day), encode_rollup(rollups)); !written) {
     return written.error();
   }

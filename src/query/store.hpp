@@ -78,7 +78,6 @@ class RollupStore {
 
   [[nodiscard]] const std::filesystem::path& dir() const noexcept { return dir_; }
   [[nodiscard]] const storage::DataLake& lake() const noexcept { return lake_; }
-  [[nodiscard]] const services::ServiceCatalog& catalog() const noexcept { return catalog_; }
 
  private:
   /// true: rebuilt; false: already fresh; an error: the day failed.

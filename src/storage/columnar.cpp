@@ -155,24 +155,63 @@ struct SegmentSink {
   }
 };
 
+/// Service-verdict placeholder for a name no non-P2P row has carried yet.
+constexpr std::uint8_t kUnclassified = 0xff;
+static_assert(services::kServiceCount < kUnclassified);
+
+/// Interns `get(record)` for every record into a first-appearance
+/// dictionary: `entries` receives the distinct values (views into
+/// `records`), `codes[i]` row i's index into it.
+template <typename Get>
+void intern_strings(std::span<const flow::FlowRecord> records, EncodeScratch& es,
+                    std::vector<std::uint64_t>& codes, std::vector<std::string_view>& entries,
+                    Get&& get) {
+  es.dict_codes.clear();
+  entries.clear();
+  codes.resize(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::string_view sv = get(records[i]);
+    const auto [it, inserted] =
+        es.dict_codes.try_emplace(sv, static_cast<std::uint32_t>(entries.size()));
+    if (inserted) entries.push_back(sv);
+    codes[i] = it->second;
+  }
+}
+
 void encode_columnar_block_impl(std::span<const flow::FlowRecord> records,
                                 const services::ServiceCatalog& catalog, core::ByteWriter& out,
                                 EncodeScratch& es) {
   const std::size_t n = records.size();
 
+  // Pass 0: the block's server-name dictionary. Its codes serve twice: as
+  // the name column's row indexes and as the key of the per-name service
+  // verdict below, so each row's name is hashed once.
+  intern_strings(records, es, es.name_code, es.name_entries,
+                 [](const flow::FlowRecord& r) { return std::string_view{r.server_name}; });
+
   // Pass 1: service ids, the service dictionary (first-appearance order)
   // and the zone map. The service dictionary stays inline: at most
-  // kServiceCount+1 bytes.
+  // kServiceCount+1 bytes. A P2P row is kPeerToPeer whatever its name;
+  // every other row takes its name's verdict, and the rule engine runs once
+  // per distinct name the first time a non-P2P row carries it.
   ZoneMap zone;
   zone.record_count = static_cast<std::uint32_t>(n);
   es.service_code.resize(n);
+  es.name_service.assign(es.name_entries.size(), kUnclassified);
   std::array<std::uint8_t, services::kServiceCount> svc_dict{};
   std::uint8_t svc_count = 0;
   std::array<std::uint8_t, services::kServiceCount> code_of{};
   code_of.fill(0xff);
   for (std::size_t i = 0; i < n; ++i) {
     const auto& r = records[i];
-    const auto sid = static_cast<std::uint8_t>(catalog.classify_flow(r.l7, r.server_name));
+    std::uint8_t sid = static_cast<std::uint8_t>(services::ServiceId::kPeerToPeer);
+    if (!dpi::is_p2p(r.l7)) {
+      std::uint8_t& verdict = es.name_service[es.name_code[i]];
+      if (verdict == kUnclassified) {
+        verdict = static_cast<std::uint8_t>(catalog.classify_flow(r.l7, r.server_name));
+      }
+      sid = verdict;
+    }
     if (code_of[sid] == 0xff) {
       code_of[sid] = svc_count;
       svc_dict[svc_count++] = sid;
@@ -309,34 +348,22 @@ void encode_columnar_block_impl(std::span<const flow::FlowRecord> records,
   // String dictionaries (server_name, content_type): the block's distinct
   // values in first-appearance order, stored in full; per-row indexes go
   // through the value codec.
-  const auto string_dict = [&](std::uint8_t dict_id, std::uint8_t idx_id, auto&& get) {
-    auto& codes = es.dict_codes;
-    codes.clear();
-    es.dict_entries.clear();
-    es.u64.resize(n);
-    std::uint32_t count = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::string_view sv = get(records[i]);
-      auto [it, inserted] = codes.try_emplace(sv, count);
-      if (inserted) {
-        es.dict_entries.push_back(sv);
-        ++count;
-      }
-      es.u64[i] = it->second;
-    }
+  const auto string_dict = [&](std::uint8_t dict_id, std::uint8_t idx_id,
+                               std::span<const std::string_view> entries,
+                               std::span<const std::uint64_t> codes) {
     es.stream.clear();
-    put_varint(es.stream, count);
-    for (const auto sv : es.dict_entries) {
+    put_varint(es.stream, entries.size());
+    for (const auto sv : entries) {
       put_varint(es.stream, sv.size());
       es.stream.string(sv);
     }
     sink.add(dict_id, es.stream.view());
-    sink.add_values(idx_id, es.u64);
+    sink.add_values(idx_id, codes);
   };
-  string_dict(kColNameDict, kColNameIdx,
-              [](const auto& r) { return std::string_view{r.server_name}; });
-  string_dict(kColCtDict, kColCtIdx,
-              [](const auto& r) { return std::string_view{r.content_type}; });
+  string_dict(kColNameDict, kColNameIdx, es.name_entries, es.name_code);
+  intern_strings(records, es, es.u64, es.dict_entries,
+                 [](const flow::FlowRecord& r) { return std::string_view{r.content_type}; });
+  string_dict(kColCtDict, kColCtIdx, es.dict_entries, es.u64);
 
   // Assemble: prefix | zone map | service dict | directory | payloads.
   out.u8(kColumnarTag);
@@ -453,8 +480,8 @@ bool ScanPredicate::matches(const flow::FlowRecord& record) const {
   if (ts < time_min_us || ts > time_max_us) return false;
   if (proto_mask != 0 && (proto_mask & (1u << proto_bit(record.proto))) == 0) return false;
   if (service_mask != 0) {
-    const auto& cat = catalog != nullptr ? *catalog : services::ServiceCatalog::standard();
-    const auto id = cat.classify_flow(record.l7, record.server_name);
+    const auto id =
+        services::ServiceCatalog::standard().classify_flow(record.l7, record.server_name);
     if ((service_mask & (1u << static_cast<unsigned>(id))) == 0) return false;
   }
   return true;

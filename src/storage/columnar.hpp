@@ -103,11 +103,6 @@ struct ScanPredicate {
   std::uint32_t service_mask = 0;
   /// Bit per proto_bit(TransportProto); 0 = any transport.
   std::uint32_t proto_mask = 0;
-  /// Classifier matches() uses when service_mask is set; nullptr =
-  /// services::ServiceCatalog::standard(). Lake scans filter on the blocks'
-  /// materialized service column instead (written with the standard
-  /// catalog).
-  const services::ServiceCatalog* catalog = nullptr;
   /// Projection (scan_fields bits): which record fields the consumer will
   /// read. kAll decodes everything; a narrower mask lets blocks skip the
   /// unreferenced column segments entirely. Orthogonal to the row filters
@@ -131,7 +126,9 @@ struct ScanPredicate {
   }
 
   /// Row-level match for already-materialized records: the post-decode
-  /// oracle the golden tests compare pushdown against.
+  /// oracle the golden tests compare pushdown against. It classifies with
+  /// services::ServiceCatalog::standard(), the catalog the lake writes its
+  /// service column with; lake scans filter on that stored column.
   [[nodiscard]] bool matches(const flow::FlowRecord& record) const;
 
   /// Convenience: restrict to one service.
@@ -201,8 +198,13 @@ struct EncodeScratch {
   std::vector<std::uint8_t> u8;            ///< u8 column staging
   std::vector<std::uint8_t> service_code;  ///< pass-1 per-row dict codes
   core::ByteWriter stream;                 ///< byte-stream staging (fixed cols, dicts)
-  /// String-dictionary staging: first-appearance entries (views into the
-  /// records being encoded) and the interning map.
+  /// The block's server-name dictionary (views into the records being
+  /// encoded), each row's code into it, and each entry's service verdict.
+  std::vector<std::string_view> name_entries;
+  std::vector<std::uint64_t> name_code;
+  std::vector<std::uint8_t> name_service;
+  /// Content-type dictionary entries, and the interning map both
+  /// dictionaries are built with.
   std::vector<std::string_view> dict_entries;
   core::FlatHashMap<std::string_view, std::uint32_t, core::StringHash> dict_codes;
   std::vector<std::byte> payloads;
@@ -242,8 +244,10 @@ inline constexpr unsigned kColumnSegmentCount = 32;
 
 /// Transpose `records` into a columnar body appended to `out`. `catalog`
 /// materializes the per-record service ids (dictionary-coded) and the zone
-/// map's service bitmap. `scratch` is reused across calls, so a writer that
-/// keeps one per encode context allocates nothing in the steady state.
+/// map's service bitmap: one verdict per distinct server name of the block,
+/// except that P2P rows are always ServiceId::kPeerToPeer. `scratch` is
+/// reused across calls, so a writer that keeps one per encode context
+/// allocates nothing in the steady state.
 void encode_columnar_block(std::span<const flow::FlowRecord> records,
                            const services::ServiceCatalog& catalog, core::ByteWriter& out,
                            EncodeScratch& scratch);

@@ -4,10 +4,14 @@
 // the very records that were appended, predicate pushdown has to deliver
 // exactly what ScanPredicate::matches selects from them, the parallel
 // scanner has to reproduce the serial one, and the query engine's raw-lake
-// fallback has to be indistinguishable from a rollup-answered day.
+// fallback has to be indistinguishable from a rollup-answered day. The
+// stored service column must hold each row's own flow verdict, although the
+// encoder classifies each name only once per block.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <string>
 #include <filesystem>
 #include <vector>
 
@@ -68,6 +72,48 @@ std::string encode_stream(const std::vector<FlowRecord>& records) {
 std::vector<FlowRecord> paper_day(CivilDate day) {
   const ew::synth::WorkloadGenerator gen{ew::synth::build_paper_scenario(7, 0.2)};
   return gen.day_records(day);
+}
+
+/// A day in which the same server names ride P2P rows (named by DN-Hunter)
+/// and TLS rows, some rows carry no name, and every name repeats across the
+/// lake's 4096-record block boundary. In the first block each name first
+/// appears on a P2P row; the second block lists the names in reverse, so
+/// each gets another dictionary code than in the first, and each first
+/// appears on a TLS row.
+std::vector<FlowRecord> shared_name_day(CivilDate day) {
+  const std::array<std::string, 5> names = {"www.youtube.com", "", "www.facebook.com",
+                                            "cdn.unlisted-example.net", "www.netflix.com"};
+  constexpr std::size_t kBlock = ew::storage::DataLake::kBlockRecords;
+  constexpr std::size_t kRows = kBlock + 1500;
+  std::vector<FlowRecord> out;
+  out.reserve(kRows);
+  const auto start = ew::core::Timestamp::from_date(day);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const bool second = i >= kBlock;
+    const std::size_t j = second ? i - kBlock : i;
+    FlowRecord r;
+    r.client_ip = ew::core::IPv4Address{10, 0, static_cast<std::uint8_t>(i >> 8),
+                                        static_cast<std::uint8_t>(i)};
+    r.server_ip = ew::core::IPv4Address{93, 184, 216, static_cast<std::uint8_t>(j % 5)};
+    r.proto = ew::core::TransportProto::kTcp;
+    r.client_port = static_cast<std::uint16_t>(40000 + i % 2000);
+    r.server_port = 443;
+    r.first_packet = start + static_cast<std::int64_t>(i) * 1'000'000;
+    r.last_packet = r.first_packet + 5'000'000;
+    r.up.packets = 3 + i % 7;
+    r.up.bytes = 100 + i;
+    r.down.packets = 5 + i % 11;
+    r.down.bytes = 1000 + 7 * i;
+    r.server_name = names[second ? 4 - j % 5 : j % 5];
+    const bool p2p = (j / 5) % 3 == (second ? 2u : 0u);
+    r.l7 = p2p ? ew::dpi::L7Protocol::kBittorrent : ew::dpi::L7Protocol::kTls;
+    r.web = p2p ? ew::dpi::WebProtocol::kNotWeb : ew::dpi::WebProtocol::kTls;
+    r.name_source = r.server_name.empty() ? ew::flow::NameSource::kNone
+                    : p2p                 ? ew::flow::NameSource::kDnsHunter
+                                          : ew::flow::NameSource::kTlsSni;
+    out.push_back(std::move(r));
+  }
+  return out;
 }
 
 /// The reference model: DayAggregator::add over in-memory records, no lake.
@@ -226,6 +272,69 @@ TEST(ColumnarGolden, QueryRawFallbackMatchesRollupAnswers) {
         for (std::size_t i = 0; i < got_one.rows.size(); ++i) {
           EXPECT_EQ(got_one.rows[i].value, want_one.rows[i].value);
         }
+      }
+    }
+  }
+}
+
+TEST(ColumnarGolden, ServiceColumnHoldsEachRowsFlowVerdict) {
+  // The encoder classifies each distinct name once per block. A row's
+  // stored service must still be its own classify_flow(l7, name): P2P
+  // whatever the name, kOther for no name, the name's service otherwise —
+  // whichever row carried the name first, in either block.
+  const auto& catalog = ew::services::ServiceCatalog::standard();
+  ASSERT_EQ(catalog.classify_flow(ew::dpi::L7Protocol::kTls, "www.youtube.com"),
+            ew::services::ServiceId::kYouTube);
+  const CivilDate day{2016, 4, 20};
+  const auto records = shared_name_day(day);
+  TempDir lake_dir, full_dir, empty_dir;
+  ew::storage::DataLake lake(lake_dir.path);
+  ASSERT_TRUE(lake.append(day, records).has_value());
+  ASSERT_EQ(lake.load_day_blocks(day).blocks().size(), 2u);
+
+  std::size_t rows = 0;
+  std::array<std::size_t, ew::services::kServiceCount> per_service{};
+  const auto scan = lake.scan_day_batches(day, [&](const ew::exec::RecordBatch& b) {
+    b.for_each_row([&](std::size_t i) {
+      const auto l7 = static_cast<ew::dpi::L7Protocol>(b.l7[i]);
+      const std::string_view name = b.name_dict[b.name_idx[i]];
+      EXPECT_EQ(b.service[i], static_cast<std::uint8_t>(catalog.classify_flow(l7, name)))
+          << "row " << rows << " l7 " << ew::dpi::to_string(l7) << " name '" << name << "'";
+      ++per_service[b.service[i]];
+      ++rows;
+    });
+  });
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(rows, records.size());
+  for (const auto svc : {ew::services::ServiceId::kYouTube, ew::services::ServiceId::kFacebook,
+                         ew::services::ServiceId::kNetflix, ew::services::ServiceId::kPeerToPeer,
+                         ew::services::ServiceId::kOther}) {
+    EXPECT_GT(per_service[static_cast<std::size_t>(svc)], 0u) << static_cast<int>(svc);
+  }
+
+  // The raw fallback reads that column; the rollup classifies names at
+  // aggregation time. Per service, both must give the same answer.
+  ThreadPool pool(2);
+  ew::query::RollupStore full(full_dir.path, lake);
+  ASSERT_TRUE(full.build(pool).errors.empty());
+  ew::query::RollupStore empty(empty_dir.path, lake);
+  for (const auto metric : {ew::query::Metric::kBytes, ew::query::Metric::kFlows}) {
+    for (std::uint32_t svc = 0; svc < ew::services::kServiceCount; ++svc) {
+      ew::query::QuerySpec spec;
+      spec.metric = metric;
+      spec.dimension = ew::query::Dimension::kService;
+      spec.from = spec.to = day;
+      spec.group = svc;
+      const auto want = ew::query::run_query(full, spec);
+      spec.raw_fallback = true;
+      const auto got = ew::query::run_query(empty, spec);
+      ASSERT_TRUE(want.ok());
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got.days_scanned_raw, 1u);
+      ASSERT_EQ(got.rows.size(), want.rows.size()) << "service " << svc;
+      for (std::size_t i = 0; i < got.rows.size(); ++i) {
+        EXPECT_EQ(got.rows[i].key, want.rows[i].key);
+        EXPECT_EQ(got.rows[i].value, want.rows[i].value) << "service " << svc;
       }
     }
   }
