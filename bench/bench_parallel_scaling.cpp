@@ -1,7 +1,6 @@
-// Parallel-engine scaling harness (run by scripts/bench.sh). Unlike the
-// gbench binaries this is a plain main() that measures the two parallel
-// paths end to end and writes machine-readable results to
-// BENCH_pipeline.json:
+// Parallel-engine scaling harness (run by scripts/bench.sh). A plain
+// main() that measures the two parallel paths end to end and writes
+// machine-readable results to BENCH_pipeline.json:
 //
 //   - probe ingest: serial Probe vs ShardedProbe at 1/2/4/8 shards over a
 //     replayed traffic mix (records/sec + speedup vs serial);

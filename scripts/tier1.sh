@@ -19,6 +19,13 @@
 #                                    # proves the suite is hermetic (no two
 #                                    # test processes share a temp path)
 #
+# The suite includes the paper checks (tests/test_paper.cpp, ctest label
+# `paper`): Table 1, Figs. 2-11 and the §2 ablations against the paper's
+# numbers. After a build, run only those, with their paper-vs-measured
+# rows, by
+#
+#   ctest --preset default -L paper -V
+#
 # The sanitizer passes exist for the robustness work: the fault-injection
 # matrix, the corruption tests, and the fuzz sweeps only prove memory
 # safety when out-of-bounds reads and UB actually abort the run — and the

@@ -2,7 +2,7 @@
 
 namespace edgewatch::asn {
 
-void PrefixTrie::insert(core::IPv4Prefix prefix, std::uint32_t value) {
+void Rib::add_route(core::IPv4Prefix prefix, std::uint32_t asn) {
   std::uint32_t node = 0;
   const std::uint32_t bits = prefix.base().value();
   for (std::uint8_t depth = 0; depth < prefix.length(); ++depth) {
@@ -16,10 +16,10 @@ void PrefixTrie::insert(core::IPv4Prefix prefix, std::uint32_t value) {
     node = next;
   }
   if (nodes_[node].value < 0) ++prefixes_;
-  nodes_[node].value = value;
+  nodes_[node].value = asn;
 }
 
-std::optional<std::uint32_t> PrefixTrie::lookup(core::IPv4Address addr) const noexcept {
+std::optional<std::uint32_t> Rib::origin_asn(core::IPv4Address addr) const noexcept {
   std::int64_t best = nodes_[0].value;
   std::uint32_t node = 0;
   const std::uint32_t bits = addr.value();
@@ -32,26 +32,6 @@ std::optional<std::uint32_t> PrefixTrie::lookup(core::IPv4Address addr) const no
   }
   if (best < 0) return std::nullopt;
   return static_cast<std::uint32_t>(best);
-}
-
-void Rib::add_route(core::IPv4Prefix prefix, std::uint32_t asn) {
-  trie_.insert(prefix, asn);
-  routes_.emplace_back(prefix, asn);
-}
-
-std::optional<std::uint32_t> Rib::origin_asn_linear(core::IPv4Address addr) const noexcept {
-  int best_len = -1;
-  std::uint32_t best_asn = 0;
-  for (const auto& [prefix, asn] : routes_) {
-    // >= so a later duplicate announcement wins, matching trie overwrite
-    // semantics.
-    if (prefix.contains(addr) && static_cast<int>(prefix.length()) >= best_len) {
-      best_len = prefix.length();
-      best_asn = asn;
-    }
-  }
-  if (best_len < 0) return std::nullopt;
-  return best_asn;
 }
 
 const AsnDirectory& AsnDirectory::standard() {

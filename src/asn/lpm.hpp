@@ -2,11 +2,10 @@
 // "we use the Routing Information Base for each month ... to map IP
 // addresses to ASNs").
 //
-// The trie is a classic uncompressed binary trie with nodes pooled in a
+// The RIB is a classic uncompressed binary trie with nodes pooled in a
 // vector (index links, no pointer chasing allocations). A /24-dense RIB of
 // ~1M routes fits comfortably; lookups walk at most 32 nodes. Correctness
-// is property-tested against a brute-force scan in tests/test_asn.cpp and
-// the trie-vs-scan tradeoff is measured in bench_ablation_lpm.
+// is property-tested against a brute-force scan in tests/test_asn.cpp.
 #pragma once
 
 #include <cstdint>
@@ -20,18 +19,19 @@
 
 namespace edgewatch::asn {
 
-class PrefixTrie {
+/// One RIB snapshot: prefix → origin ASN.
+class Rib {
  public:
-  PrefixTrie() { nodes_.push_back(Node{}); }
+  Rib() { nodes_.push_back(Node{}); }
 
-  /// Insert or overwrite the value for a prefix.
-  void insert(core::IPv4Prefix prefix, std::uint32_t value);
+  /// Insert or overwrite the origin ASN of a prefix.
+  void add_route(core::IPv4Prefix prefix, std::uint32_t asn);
 
   /// Longest-prefix match; nullopt when no covering prefix exists.
-  [[nodiscard]] std::optional<std::uint32_t> lookup(core::IPv4Address addr) const noexcept;
+  [[nodiscard]] std::optional<std::uint32_t> origin_asn(core::IPv4Address addr) const noexcept;
 
+  /// Distinct prefixes announced (an overwrite does not count twice).
   [[nodiscard]] std::size_t prefix_count() const noexcept { return prefixes_; }
-  [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
 
  private:
   struct Node {
@@ -40,31 +40,6 @@ class PrefixTrie {
   };
   std::vector<Node> nodes_;
   std::size_t prefixes_ = 0;
-};
-
-/// One RIB snapshot: prefix → origin ASN, plus a linear copy for the
-/// brute-force ablation baseline.
-class Rib {
- public:
-  void add_route(core::IPv4Prefix prefix, std::uint32_t asn);
-
-  [[nodiscard]] std::optional<std::uint32_t> origin_asn(core::IPv4Address addr) const noexcept {
-    return trie_.lookup(addr);
-  }
-
-  /// Linear-scan LPM over the stored routes: the ablation baseline.
-  [[nodiscard]] std::optional<std::uint32_t> origin_asn_linear(
-      core::IPv4Address addr) const noexcept;
-
-  [[nodiscard]] std::size_t route_count() const noexcept { return routes_.size(); }
-  [[nodiscard]] const std::vector<std::pair<core::IPv4Prefix, std::uint32_t>>& routes()
-      const noexcept {
-    return routes_;
-  }
-
- private:
-  PrefixTrie trie_;
-  std::vector<std::pair<core::IPv4Prefix, std::uint32_t>> routes_;
 };
 
 /// Names for the autonomous systems appearing in Fig. 11's breakdowns.
