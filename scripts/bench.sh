@@ -23,14 +23,13 @@ FRAGMENTS=build/bench_fragments
 if [ ! -d build ]; then
   cmake --preset default
 fi
-cmake --build build --target bench_parallel_scaling bench_probe_hotpath bench_query_latency bench_overload bench_scan_selectivity bench_batch_scan bench_obs_overhead bench_write_path -j "$(nproc)"
+cmake --build build --target bench_parallel_scaling bench_probe_hotpath bench_overload bench_scan_selectivity bench_batch_scan bench_obs_overhead bench_write_path -j "$(nproc)"
 
 mkdir -p "$FRAGMENTS"
 ./build/bench/bench_parallel_scaling "$CONVERSATIONS" "$REPEATS" \
   "$FRAGMENTS/parallel_scaling.json"
 ./build/bench/bench_probe_hotpath "$CONVERSATIONS" "$REPEATS" \
   "$FRAGMENTS/probe_hotpath.json"
-./build/bench/bench_query_latency 25 "$REPEATS" "$FRAGMENTS/query_latency.json"
 # Overload sweep is about shed *ratios*, not throughput — a few hundred
 # conversations give a full Healthy→Shedding curve without minutes of spin.
 ./build/bench/bench_overload 400 "$REPEATS" "$FRAGMENTS/overload.json"

@@ -48,8 +48,7 @@ double hll_alpha(std::size_t m) noexcept {
 // ------------------------------------------------------------ HyperLogLog
 
 HyperLogLog::HyperLogLog(std::uint8_t precision)
-    : precision_(std::clamp(precision, kMinPrecision, kMaxPrecision)),
-      registers_(std::size_t{1} << precision_, 0) {}
+    : precision_(std::clamp(precision, kMinPrecision, kMaxPrecision)) {}
 
 std::uint64_t HyperLogLog::hash_value(const void* data, std::size_t size) noexcept {
   // Fixed key: estimates must be identical across runs, machines and the
@@ -59,6 +58,7 @@ std::uint64_t HyperLogLog::hash_value(const void* data, std::size_t size) noexce
 }
 
 void HyperLogLog::add_hash(std::uint64_t hash) noexcept {
+  if (registers_.empty()) registers_.resize(register_count());
   const auto index = static_cast<std::size_t>(hash >> (64 - precision_));
   const std::uint64_t rest = hash << precision_;
   const auto rank = static_cast<std::uint8_t>(
@@ -66,17 +66,29 @@ void HyperLogLog::add_hash(std::uint64_t hash) noexcept {
   registers_[index] = std::max(registers_[index], rank);
 }
 
-bool HyperLogLog::empty() const noexcept {
-  return std::all_of(registers_.begin(), registers_.end(), [](std::uint8_t r) { return r == 0; });
-}
-
 double HyperLogLog::estimate() const noexcept {
+  if (registers_.empty()) return 0;
   const auto m = static_cast<double>(registers_.size());
-  double inverse_sum = 0;
+  // With every register r <= 53 - p, each term 2^-r is a multiple of
+  // 2^-(53-p) and the m terms add up to at most 2^p, so the sum counted in
+  // units of 2^-(53-p) is an integer <= 2^53: a u64 sum converts to double
+  // exactly, and equals the sequential double sum (whose partial sums are
+  // all exact too) bit for bit. A shift past q yields 0; such a register
+  // sends the sketch down the general loop.
+  const int q = 53 - precision_;
+  const std::uint64_t unit = std::uint64_t{1} << q;
+  std::uint64_t units = 0;
+  std::uint8_t largest = 0;
   std::size_t zeros = 0;
   for (const auto r : registers_) {
-    inverse_sum += std::ldexp(1.0, -static_cast<int>(r));
+    units += unit >> r;
+    largest = std::max(largest, r);
     zeros += r == 0;
+  }
+  double inverse_sum = std::ldexp(static_cast<double>(units), -q);
+  if (largest > q) {
+    inverse_sum = 0;
+    for (const auto r : registers_) inverse_sum += std::ldexp(1.0, -static_cast<int>(r));
   }
   const double raw = hll_alpha(registers_.size()) * m * m / inverse_sum;
   if (raw <= 2.5 * m && zeros > 0) {
@@ -87,14 +99,18 @@ double HyperLogLog::estimate() const noexcept {
 
 bool HyperLogLog::merge(const HyperLogLog& other) noexcept {
   if (precision_ != other.precision_) return false;
-  for (std::size_t i = 0; i < registers_.size(); ++i) {
+  if (registers_.empty()) {
+    registers_ = other.registers_;
+    return true;
+  }
+  for (std::size_t i = 0; i < other.registers_.size(); ++i) {
     registers_[i] = std::max(registers_[i], other.registers_[i]);
   }
   return true;
 }
 
 double HyperLogLog::standard_error() const noexcept {
-  return 1.04 / std::sqrt(static_cast<double>(registers_.size()));
+  return 1.04 / std::sqrt(static_cast<double>(register_count()));
 }
 
 void HyperLogLog::serialize(ByteWriter& out) const {
@@ -123,8 +139,9 @@ Result<HyperLogLog> HyperLogLog::deserialize(ByteReader& in) {
   }
   HyperLogLog hll{precision};
   const std::uint64_t pairs = get_uvarint(in);
-  const std::size_t m = hll.registers_.size();
+  const std::size_t m = hll.register_count();
   if (pairs > m) return Errc::kCorrupt;
+  if (pairs > 0) hll.registers_.resize(m);
   const auto max_rank = static_cast<std::uint8_t>(64 - precision + 1);
   std::size_t pos = 0;
   for (std::uint64_t i = 0; i < pairs; ++i) {

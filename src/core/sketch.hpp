@@ -61,8 +61,10 @@ class HyperLogLog {
   bool merge(const HyperLogLog& other) noexcept;
 
   [[nodiscard]] std::uint8_t precision() const noexcept { return precision_; }
-  [[nodiscard]] std::size_t register_count() const noexcept { return registers_.size(); }
-  [[nodiscard]] bool empty() const noexcept;
+  [[nodiscard]] std::size_t register_count() const noexcept {
+    return std::size_t{1} << precision_;
+  }
+  [[nodiscard]] bool empty() const noexcept { return registers_.empty(); }
 
   /// Relative standard error of estimate(): 1.04 / sqrt(2^precision).
   [[nodiscard]] double standard_error() const noexcept;
@@ -81,6 +83,10 @@ class HyperLogLog {
   static std::uint64_t hash_value(const void* data, std::size_t size) noexcept;
 
   std::uint8_t precision_;
+  /// Empty until the first write (add_hash, a merge of a non-empty sketch,
+  /// a deserialize that reads a pair), then register_count() bytes of which
+  /// at least one is non-zero. So an empty sketch costs no allocation, and
+  /// the defaulted operator== compares sketches, not allocation states.
   std::vector<std::uint8_t> registers_;
 };
 

@@ -1,6 +1,7 @@
 #include "query/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <future>
 #include <map>
 #include <string>
@@ -32,17 +33,41 @@ constexpr const char* metric_name(Metric m) noexcept {
   return "unknown";
 }
 
-// RAII latency timer for run_query: one histogram series per metric kind,
-// so sketch-backed quantile queries don't hide behind cheap counter ones.
-// Covers every return path, including the empty-range early-out.
+constexpr std::size_t kMetricCount = static_cast<std::size_t>(Metric::kActiveSubscribers) + 1;
+
+// run_query's obs handles, registered on first use: the query counter and
+// one latency histogram series per metric kind, so sketch-backed quantile
+// queries don't hide behind cheap counter ones.
+struct QueryObs {
+  obs::Registry* registry;
+  obs::Counter* total;
+  std::array<obs::Histogram*, kMetricCount> latency;
+};
+
+const QueryObs& query_obs() {
+  static const QueryObs m = [] {
+    auto& reg = obs::Registry::global();
+    QueryObs o{&reg, &reg.counter("query_total"), {}};
+    for (std::size_t i = 0; i < kMetricCount; ++i) {
+      o.latency[i] = &reg.histogram(
+          "query_latency_ns", {},
+          std::string("metric=\"") + metric_name(static_cast<Metric>(i)) + "\"");
+    }
+    return o;
+  }();
+  return m;
+}
+
+// RAII latency timer for run_query. Covers every return path, including
+// the empty-range early-out.
 class QueryTimer {
  public:
   explicit QueryTimer(Metric m) {
     if constexpr (obs::kEnabled) {
-      registry_ = &obs::Registry::global();
-      registry_->counter("query_total").add(1);
-      hist_ = &registry_->histogram("query_latency_ns", {},
-                                    std::string("metric=\"") + metric_name(m) + "\"");
+      const QueryObs& o = query_obs();
+      o.total->add(1);
+      registry_ = o.registry;
+      hist_ = o.latency[static_cast<std::size_t>(m)];
       start_ = registry_->now_ns();
     }
   }

@@ -22,6 +22,7 @@
 
 #include "analytics/figures.hpp"
 #include "analytics/parallel.hpp"
+#include "core/hash.hpp"
 #include "core/thread_pool.hpp"
 #include "query/engine.hpp"
 #include "query/figures.hpp"
@@ -133,6 +134,21 @@ TEST(Rollup, EncodeDecodeRoundtrip) {
   // encode() is deterministic in the rollup contents, so byte equality of
   // a re-encode is content equality of the decode.
   EXPECT_EQ(ew::query::encode_rollup(back), bytes);
+}
+
+TEST(Rollup, EncodedBytesMatchGolden) {
+  // The .ewr bytes of the corpus' fourteen days, chained through one
+  // CRC32C. Rollup files are a cache keyed by the lake file's identity,
+  // not by the code that wrote them, so a change to any sketch's wire
+  // bytes (or to the groups built) must show up here first.
+  auto& c = corpus();
+  std::uint32_t crc = 0;
+  for (const auto& aggregate : c.aggregates) {
+    const auto bytes = ew::query::encode_rollup(ew::query::build_day_rollups(
+        aggregate, ew::services::ServiceCatalog::standard(), c.scenario.rib.get()));
+    crc = ew::core::crc32c(bytes, crc);
+  }
+  EXPECT_EQ(crc, 0xe1969bf2u) << std::hex << crc;
 }
 
 TEST(Rollup, ColumnProjectionSkipsSketchSections) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -37,15 +38,147 @@ std::vector<std::byte> serialize(const auto& sketch) {
   return std::move(w).take();
 }
 
+/// The estimator as first written: one ldexp per register, summed in
+/// order. HyperLogLog::estimate() must reproduce it bit for bit.
+double reference_estimate(const std::vector<std::uint8_t>& registers) {
+  const auto m = static_cast<double>(registers.size());
+  double inverse_sum = 0;
+  std::size_t zeros = 0;
+  for (const auto r : registers) {
+    inverse_sum += std::ldexp(1.0, -static_cast<int>(r));
+    zeros += r == 0;
+  }
+  double alpha = 0.7213 / (1.0 + 1.079 / m);
+  if (registers.size() == 16) alpha = 0.673;
+  if (registers.size() == 32) alpha = 0.697;
+  if (registers.size() == 64) alpha = 0.709;
+  const double raw = alpha * m * m / inverse_sum;
+  if (raw <= 2.5 * m && zeros > 0) return m * std::log(m / static_cast<double>(zeros));
+  return raw;
+}
+
+/// A sketch holding exactly `registers`, built through the wire format
+/// (u8 precision | varint pairs | (varint zero_run, u8 value)*).
+HyperLogLog sketch_of(std::uint8_t precision, const std::vector<std::uint8_t>& registers) {
+  ByteWriter w;
+  const auto varint = [&w](std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) w.u8(static_cast<std::uint8_t>(v) | 0x80);
+    w.u8(static_cast<std::uint8_t>(v));
+  };
+  w.u8(precision);
+  varint(static_cast<std::uint64_t>(std::count_if(registers.begin(), registers.end(),
+                                                  [](std::uint8_t r) { return r != 0; })));
+  std::uint64_t zero_run = 0;
+  for (const auto r : registers) {
+    if (r == 0) {
+      ++zero_run;
+      continue;
+    }
+    varint(zero_run);
+    w.u8(r);
+    zero_run = 0;
+  }
+  const auto bytes = std::move(w).take();
+  ByteReader reader{bytes};
+  auto sketch = HyperLogLog::deserialize(reader);
+  EXPECT_TRUE(sketch.has_value());
+  EXPECT_EQ(serialize(*sketch), bytes);
+  return sketch ? *sketch : HyperLogLog{precision};
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ HyperLogLog
 
 TEST(HyperLogLog, EmptyEstimatesZero) {
-  HyperLogLog hll;
-  EXPECT_TRUE(hll.empty());
-  EXPECT_DOUBLE_EQ(hll.estimate(), 0.0);
-  EXPECT_EQ(hll.register_count(), 4096u);
+  // An empty sketch holds no registers; it must stay empty (or leave the
+  // other side unchanged) through every path that does not write one.
+  for (int p = HyperLogLog::kMinPrecision; p <= HyperLogLog::kMaxPrecision; ++p) {
+    const auto precision = static_cast<std::uint8_t>(p);
+    const std::size_t m = std::size_t{1} << p;
+    const HyperLogLog fresh{precision};
+    EXPECT_TRUE(fresh.empty());
+    EXPECT_EQ(fresh.register_count(), m);
+    EXPECT_DOUBLE_EQ(fresh.estimate(), 0.0);
+    // Serialized, an empty sketch is the bytes of m zero registers.
+    EXPECT_EQ(serialize(fresh), (std::vector{std::byte{precision}, std::byte{0}}));
+
+    const HyperLogLog decoded = sketch_of(precision, std::vector<std::uint8_t>(m, 0));
+    EXPECT_TRUE(decoded.empty());
+    EXPECT_EQ(decoded, fresh);
+    EXPECT_EQ(decoded.register_count(), m);
+
+    HyperLogLog both{precision};
+    EXPECT_TRUE(both.merge(fresh));
+    EXPECT_TRUE(both.empty());
+    EXPECT_EQ(both.register_count(), m);
+    EXPECT_EQ(both.estimate(), 0.0);
+
+    HyperLogLog x{precision};
+    for (std::uint64_t i = 0; i < 50; ++i) x.add(i);
+    HyperLogLog into_x = x;
+    EXPECT_TRUE(into_x.merge(fresh));
+    EXPECT_EQ(into_x, x);
+    HyperLogLog x_into_empty{precision};
+    EXPECT_TRUE(x_into_empty.merge(x));
+    EXPECT_EQ(x_into_empty, x);
+    EXPECT_FALSE(x_into_empty.empty());
+    EXPECT_EQ(x_into_empty.register_count(), m);
+    EXPECT_EQ(x_into_empty.estimate(), x.estimate());
+  }
+}
+
+
+TEST(HyperLogLog, EstimateIsBitIdenticalToSequentialLdexpSum) {
+  // Register patterns at every precision: sparse to full, geometric ranks
+  // as real hashes give and uniform ranks, the boundary rank 53 - p (the
+  // largest the integer sum takes) and ranks above it (the general loop).
+  std::mt19937_64 rng(24);
+  for (int p = HyperLogLog::kMinPrecision; p <= HyperLogLog::kMaxPrecision; ++p) {
+    const auto precision = static_cast<std::uint8_t>(p);
+    const std::size_t m = std::size_t{1} << p;
+    const int max_rank = 64 - p + 1;
+    const int boundary = 53 - p;
+    for (const double density : {0.001, 0.05, 0.5, 0.9, 1.0}) {
+      // `high`: the largest rank drawn; a non-zero one is also planted.
+      for (const int high : {0, boundary, boundary + 1, max_rank}) {
+        const int cap = high == 0 ? boundary : high;
+        std::bernoulli_distribution set(density);
+        std::geometric_distribution<int> geometric(0.5);
+        std::uniform_int_distribution<int> uniform(1, cap);
+        std::vector<std::uint8_t> registers(m, 0);
+        for (auto& r : registers) {
+          if (!set(rng)) continue;
+          const int rank = rng() % 2 ? 1 + geometric(rng) : uniform(rng);
+          r = static_cast<std::uint8_t>(std::min(rank, cap));
+        }
+        if (high != 0) registers[rng() % m] = static_cast<std::uint8_t>(high);
+        const HyperLogLog hll = sketch_of(precision, registers);
+        const double want = reference_estimate(registers);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(hll.estimate()), std::bit_cast<std::uint64_t>(want))
+            << "p=" << p << " density=" << density << " high=" << high << ": "
+            << hll.estimate() << " vs " << want;
+        EXPECT_EQ(hll.register_count(), m);
+      }
+    }
+    // Sketches filled by add() as well: the path every rollup takes.
+    for (const std::uint64_t n : {1u, 100u, 5'000u, 300'000u}) {
+      HyperLogLog hll{precision};
+      std::vector<std::uint8_t> registers(m, 0);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const std::uint64_t hash = rng();
+        hll.add_hash(hash);
+        const std::uint64_t rest = hash << p;
+        const int rank = rest == 0 ? max_rank : std::countl_zero(rest) + 1;
+        auto& r = registers[hash >> (64 - p)];
+        r = std::max(r, static_cast<std::uint8_t>(rank));
+      }
+      EXPECT_EQ(hll, sketch_of(precision, registers)) << "p=" << p << " n=" << n;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(hll.estimate()),
+                std::bit_cast<std::uint64_t>(reference_estimate(registers)))
+          << "p=" << p << " n=" << n;
+    }
+  }
 }
 
 TEST(HyperLogLog, SmallCardinalitiesAreNearExact) {
