@@ -12,10 +12,16 @@
 //   - frame decode throughput (headers parsed in place);
 //   - the end-to-end serial probe, the number the 2x acceptance gate reads.
 //
+// The fragment records its host as perfbench's history does: CPUs this
+// process may run on, CPU model, build type and git commit.
+//
 // Usage: bench_probe_hotpath [conversations] [repeats] [out.json]
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -86,6 +92,51 @@ double best_seconds(int repeats, Fn&& fn) {
     best = std::min(best, std::chrono::duration<double>(Clock::now() - t0).count());
   }
   return best;
+}
+
+// ------------------------------------------------------------------- host
+
+/// CPUs this process may run on (its affinity mask, as perfbench counts).
+unsigned cpu_count() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof set, &set) == 0) return static_cast<unsigned>(CPU_COUNT(&set));
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const auto begin = line.find_first_not_of(" \t", colon + 1);
+    return begin == std::string::npos ? std::string{} : line.substr(begin);
+  }
+  return "unknown";
+}
+
+/// HEAD of the source tree this binary was built from, with "-dirty" when
+/// tracked files differ from it; "" outside git.
+std::string git_commit() {
+  std::string sha;
+  if (FILE* p = popen("git -C \"" EW_SOURCE_DIR
+                      "\" describe --always --dirty --abbrev=40 --exclude='*' 2>/dev/null",
+                      "r")) {
+    char buf[80] = {};
+    if (std::fgets(buf, sizeof buf, p) != nullptr) sha = buf;
+    pclose(p);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) sha.pop_back();
+  return sha;
+}
+
+std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
 }
 
 struct Sample {
@@ -224,10 +275,10 @@ int main(int argc, char** argv) {
   const int conversations = argc > 1 ? std::atoi(argv[1]) : 600;
   const int repeats = argc > 2 ? std::atoi(argv[2]) : 3;
   const auto out_path = argc > 3 ? std::string(argv[3]) : std::string("BENCH_pipeline.json");
-  const unsigned hw = std::thread::hardware_concurrency();
+  const unsigned nproc = cpu_count();
 
-  std::printf("probe hot-path bench: %d conversations, %d repeats, %u hardware threads\n",
-              conversations, repeats, hw);
+  std::printf("probe hot-path bench: %d conversations, %d repeats, %u CPUs\n", conversations,
+              repeats, nproc);
 
   const auto frames = make_traffic_mix(conversations);
   std::vector<ew::net::DecodedPacket> packets;
@@ -334,7 +385,10 @@ int main(int argc, char** argv) {
   std::string json = "{\n  \"bench\": \"probe_hotpath\",\n";
   json += "  \"conversations\": " + std::to_string(conversations) + ",\n";
   json += "  \"frames\": " + std::to_string(frames.size()) + ",\n";
-  json += "  \"hardware_concurrency\": " + std::to_string(hw) + ",\n";
+  json += "  \"host\": {\"nproc\": " + std::to_string(nproc) +
+          ", \"cpu\": " + json_string(cpu_model()) +
+          ", \"build_type\": " + json_string(EW_BUILD_TYPE) +
+          ", \"git_commit\": " + json_string(git_commit()) + "},\n";
   json += "  \"samples\": [\n" + samples + "\n  ]\n}\n";
   if (FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fwrite(json.data(), 1, json.size(), f);

@@ -1,6 +1,7 @@
 #include "flow/table.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 namespace edgewatch::flow {
@@ -24,16 +25,17 @@ FlowState* FlowTable::ingest(const net::DecodedPacket& pkt) {
       key = as_sent.reversed();
       from_client = false;
     }
-    FlowState state;
-    state.record.client_ip = key.src_ip;
-    state.record.server_ip = key.dst_ip;
-    state.record.client_port = key.src_port;
-    state.record.server_port = key.dst_port;
-    state.record.proto = proto;
-    state.record.first_packet = pkt.timestamp;
-    state.record.last_packet = pkt.timestamp;
-    state.record.ingest_seq = next_ingest_seq_;
-    it = flows_.emplace(key, std::move(state)).first;
+    const std::uint32_t slot = acquire_slot();
+    FlowRecord& record = state_at(slot).record;
+    record.client_ip = key.src_ip;
+    record.server_ip = key.dst_ip;
+    record.client_port = key.src_port;
+    record.server_port = key.dst_port;
+    record.proto = proto;
+    record.first_packet = pkt.timestamp;
+    record.last_packet = pkt.timestamp;
+    record.ingest_seq = next_ingest_seq_;
+    it = flows_.emplace(key, slot).first;
     ++counters_.flows_created;
 
     if (flows_.size() > config_.max_flows) {
@@ -42,15 +44,16 @@ FlowState* FlowTable::ingest(const net::DecodedPacket& pkt) {
         const auto victim = checkpoints_.front();
         checkpoints_.pop_front();
         auto vit = flows_.find(victim.key);
-        if (vit != flows_.end() && vit->second.record.last_packet <= victim.seen) {
-          export_flow(victim.key, FlowCloseReason::kIdleTimeout);
+        if (vit != flows_.end() && vit != it &&
+            state_at(vit->second).record.last_packet <= victim.seen) {
+          export_flow(vit, FlowCloseReason::kIdleTimeout);
           ++counters_.forced_evictions;
         }
       }
     }
   }
 
-  FlowState& state = it->second;
+  FlowState& state = state_at(it->second);
   const std::uint64_t payload = pkt.transport_payload_declared();
   auto& dir = from_client ? state.record.up : state.record.down;
   dir.add(payload, pkt.ip.total_length);
@@ -65,6 +68,34 @@ FlowState* FlowTable::ingest(const net::DecodedPacket& pkt) {
   checkpoints_.push_back({it->first, state.record.last_packet});
   ++next_ingest_seq_;  // auto mode; externally driven tables overwrite it
   return &state;
+}
+
+std::uint32_t FlowTable::acquire_slot() {
+  if (!free_slots_.empty()) {
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  if (chunks_.empty() || chunks_.back().size() == kChunkSize) {
+    chunks_.emplace_back().reserve(kChunkSize);  // never grows past this: states stay put
+  }
+  chunks_.back().emplace_back();
+  return static_cast<std::uint32_t>(((chunks_.size() - 1) << kChunkBits) +
+                                    chunks_.back().size() - 1);
+}
+
+void FlowTable::release_slot(std::uint32_t slot) noexcept {
+  // Destroy and rebuild rather than assign: a moved-into string keeps its
+  // old heap buffer, a destroyed one frees it.
+  FlowState& state = state_at(slot);
+  std::destroy_at(&state);
+  std::construct_at(&state);
+  free_slots_.push_back(slot);
+}
+
+void FlowTable::clear_slab() noexcept {
+  chunks_.clear();
+  free_slots_.clear();
 }
 
 namespace {
@@ -227,12 +258,12 @@ void FlowTable::advance(core::Timestamp now) {
   while (!checkpoints_.empty()) {
     const Checkpoint& cp = checkpoints_.front();
     if (now - cp.seen < min_timeout) break;
-    auto it = flows_.find(cp.key);
+    const auto it = flows_.find(cp.key);
     if (it == flows_.end()) {
       checkpoints_.pop_front();
       continue;
     }
-    const FlowState& state = it->second;
+    const FlowState& state = state_at(it->second);
     const std::int64_t timeout =
         state.closed ? config_.closed_linger_us : idle_timeout(cp.key.proto);
     // The oldest checkpoint has not yet timed out: nothing else can have.
@@ -242,7 +273,7 @@ void FlowTable::advance(core::Timestamp now) {
       const FlowCloseReason reason =
           state.closed ? state.record.close_reason : FlowCloseReason::kIdleTimeout;
       if (!state.closed) ++counters_.expired_idle;
-      export_flow(cp.key, reason);
+      export_flow(it, reason);
     }
     // Either exported, or the flow was active more recently than this
     // checkpoint — a fresher checkpoint exists further back in the queue.
@@ -262,11 +293,11 @@ FlowRecord FlowTable::take_record(FlowState& state, FlowCloseReason reason) {
   return record;
 }
 
-void FlowTable::export_flow(const core::FiveTuple& key, FlowCloseReason reason) {
-  auto it = flows_.find(key);
-  if (it == flows_.end()) return;
-  FlowRecord record = take_record(it->second, reason);
+void FlowTable::export_flow(FlowIndex::iterator it, FlowCloseReason reason) {
+  const std::uint32_t slot = it->second;
+  FlowRecord record = take_record(state_at(slot), reason);
   flows_.erase(it);
+  release_slot(slot);
   ++counters_.flows_exported;
   if (sink_) sink_(std::move(record));
 }
@@ -274,37 +305,27 @@ void FlowTable::export_flow(const core::FiveTuple& key, FlowCloseReason reason) 
 void FlowTable::flush(FlowCloseReason reason) {
   // Export in flow-arrival order (ingest_seq is unique per flow), so the
   // flush output is a pure function of the packets seen and never of the
-  // hash table's internal layout. Three phases: one sequential sweep over
-  // the slots collects (ingest_seq, slot) pairs; the pairs are sorted; each
-  // record is moved out of its slot in that order. The slots stay occupied
-  // until one clear() at the end: erasing per record would rescan the
-  // emptying control bytes for the next full slot, and erasing by key would
-  // re-probe the table once per flow.
-  using Entry = std::pair<std::uint64_t, decltype(flows_)::iterator>;
+  // index's or the slab's layout. Three phases: one sequential sweep over
+  // the index collects (ingest_seq, index slot) pairs; the pairs are
+  // sorted; each record is moved out of its state in that order. New flows
+  // fill the slab in arrival order, so the sorted walk reads it nearly
+  // sequentially. The index slots stay occupied until one clear() at the
+  // end: erasing per record would rescan the emptying control bytes for
+  // the next full slot, and erasing by key would re-probe the index once
+  // per flow.
+  using Entry = std::pair<std::uint64_t, FlowIndex::iterator>;
   std::vector<Entry> order;
   order.reserve(flows_.size());
   for (auto it = flows_.begin(); it != flows_.end(); ++it) {
-    order.emplace_back(it->second.record.ingest_seq, it);
+    order.emplace_back(state_at(it->second).record.ingest_seq, it);
   }
   std::sort(order.begin(), order.end(),
             [](const Entry& a, const Entry& b) { return a.first < b.first; });
 
-  // The sorted order visits the slots at random. One export costs about
-  // one DRAM miss (~100 ns), so fetching four flows ahead starts each miss
-  // a few exports before the record is read. The key and record span the
-  // slot's first four cache lines.
-  constexpr std::size_t kPrefetchAhead = 4;
-  constexpr std::size_t kPrefetchLines = 4;
   std::size_t handed = 0;  // flows whose record reached the sink
   try {
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (i + kPrefetchAhead < order.size()) {
-        const auto* slot = reinterpret_cast<const char*>(&*order[i + kPrefetchAhead].second);
-        for (std::size_t line = 0; line < kPrefetchLines; ++line) {
-          __builtin_prefetch(slot + line * 64);
-        }
-      }
-      FlowRecord record = take_record(order[i].second->second, reason);
+    for (const auto& [seq, it] : order) {
+      FlowRecord record = take_record(state_at(it->second), reason);
       ++handed;
       ++counters_.flows_exported;
       if (sink_) sink_(std::move(record));
@@ -313,16 +334,22 @@ void FlowTable::flush(FlowCloseReason reason) {
     // The sink threw: drop the flows already handed over (the throwing one
     // included, as export_flow does), so the table holds exactly the flows
     // not yet exported and a second flush exports nothing twice.
-    for (std::size_t i = 0; i < handed; ++i) flows_.erase(order[i].second);
+    for (std::size_t i = 0; i < handed; ++i) {
+      release_slot(order[i].second->second);
+      flows_.erase(order[i].second);
+    }
     throw;
   }
   flows_.clear();
+  clear_slab();
   checkpoints_.clear();
 }
 
 void FlowTable::restore_flow(const core::FiveTuple& key, FlowState state) {
   const core::Timestamp seen = state.record.last_packet;
-  flows_[key] = std::move(state);
+  const auto [it, inserted] = flows_.try_emplace(key, 0);
+  if (inserted) it->second = acquire_slot();
+  state_at(it->second) = std::move(state);
   checkpoints_.push_back({key, seen});
 }
 
@@ -333,15 +360,16 @@ void FlowTable::finalize_restore() {
               const auto ia = flows_.find(a.key);
               const auto ib = flows_.find(b.key);
               const std::uint64_t sa =
-                  ia != flows_.end() ? ia->second.record.ingest_seq : 0;
+                  ia != flows_.end() ? state_at(ia->second).record.ingest_seq : 0;
               const std::uint64_t sb =
-                  ib != flows_.end() ? ib->second.record.ingest_seq : 0;
+                  ib != flows_.end() ? state_at(ib->second).record.ingest_seq : 0;
               return sa < sb;
             });
 }
 
 void FlowTable::reset() {
   flows_.clear();
+  clear_slab();
   checkpoints_.clear();
   counters_ = Counters{};
 }

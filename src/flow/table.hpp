@@ -7,6 +7,12 @@
 // (key, last_seen) onto a FIFO; advance() pops entries whose checkpoint
 // passed the timeout and re-checks the live flow before evicting, giving
 // O(1) amortized maintenance without timers.
+//
+// Storage is split in two: a small hash index maps each flow key to a
+// 4-byte slot number, and the FlowStates live in a slab of fixed-size
+// chunks that never move. Growing the index moves slot numbers, never a
+// state, and a new flow takes the most recently freed slot (or the next
+// unused one), so the live states stay packed in roughly arrival order.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +21,7 @@
 #include <optional>
 #include <span>
 #include <string_view>
+#include <vector>
 
 #include "core/flat_hash_map.hpp"
 #include "core/function_ref.hpp"
@@ -28,20 +35,19 @@
 
 namespace edgewatch::flow {
 
+/// Expiry and memory bounds. The table sizes its index and slab from the
+/// flows it sees; nothing is reserved up front.
 struct FlowTableConfig {
+  /// A flow silent this long is exported with close reason kIdleTimeout.
   std::int64_t tcp_idle_timeout_us = 300 * core::Timestamp::kMicrosPerSecond;
   std::int64_t udp_idle_timeout_us = 120 * core::Timestamp::kMicrosPerSecond;
   /// Grace period after FIN/RST before the entry is reaped, so stray
   /// retransmissions do not resurrect the flow as a new record.
   std::int64_t closed_linger_us = 5 * core::Timestamp::kMicrosPerSecond;
   /// Hard cap on concurrent flows; above it, the oldest-checkpoint flows
-  /// are force-expired (probes must bound memory).
+  /// are force-expired as idle (probes must bound memory). Their slab slots
+  /// are reused by the next new flows.
   std::size_t max_flows = 1'000'000;
-  /// Slots pre-reserved at construction. A probe knows it will track
-  /// thousands of concurrent flows; growing there from an empty table
-  /// rehash-moves every live FlowState several times over. ~1.5 MB at the
-  /// default — noise next to the per-flow state itself.
-  std::size_t reserve_flows = 4096;
   /// Per-flow DPI reassembly budget: how many client-stream bytes may be
   /// buffered while waiting for a split first-flight to complete.
   std::size_t dpi_buffer_limit = 8192;
@@ -51,9 +57,8 @@ struct FlowTableConfig {
 /// Live per-flow state. The embedded record accumulates as packets arrive.
 ///
 /// Member order is the hot path's memory layout: the fields every TCP
-/// packet reads or writes sit first, so inside a map slot they share a
-/// cache line with the FiveTuple key — the lookup's key comparison has
-/// already paid for the line by the time the state machine runs. Colder
+/// packet reads or writes sit first, on the state's first cache line in the
+/// table's slab (the key stays in the index, on a line of its own). Colder
 /// members (DPI buffer, RTT queue) sink to the tail.
 struct FlowState {
   // TCP sequence tracking for anomaly counters (ref [29]): next expected
@@ -141,7 +146,6 @@ class FlowTable {
 
   explicit FlowTable(FlowTableConfig config, ExportSink sink)
       : config_(config), sink_(sink) {
-    flows_.reserve(config_.reserve_flows);
     dpi_classify_ns_ = &obs::Registry::global().histogram("dpi_classify_ns");
   }
 
@@ -150,10 +154,10 @@ class FlowTable {
   /// derived from who sent the first packet (or the SYN).
   FlowState* ingest(const net::DecodedPacket& pkt);
 
-  /// Warm the cache lines the next ingest() of this packet would probe
-  /// (control group + primary slot). Pure hint, no observable effect; used
-  /// by the probe's pipelined replay to overlap the slot fetch with the
-  /// previous packet's state machine.
+  /// Warm the cache lines the next ingest() of this packet would probe in
+  /// the index (control group + primary slot). Pure hint, no observable
+  /// effect; used by the probe's pipelined replay to overlap the index
+  /// fetch with the previous packet's state machine.
   void prefetch_flow(const core::FiveTuple& as_sent) const noexcept {
     flows_.prefetch(EitherOrientation{as_sent});
   }
@@ -198,9 +202,10 @@ class FlowTable {
   // Checkpoint/restore support (probe crash recovery). A checkpoint is
   // the set of live flows plus the counters; the expiry FIFO is rebuilt on
   // restore from each flow's last-activity time.
+  /// Visits the live flows in index order.
   void for_each_flow(
       const std::function<void(const core::FiveTuple&, const FlowState&)>& fn) const {
-    for (const auto& [key, state] : flows_) fn(key, state);
+    for (const auto& [key, slot] : flows_) fn(key, state_at(slot));
   }
   /// Reinsert a flow saved by for_each_flow, re-arming its expiry
   /// checkpoint. Replaces any live flow under the same key.
@@ -215,10 +220,32 @@ class FlowTable {
   void reset();
 
  private:
+  using FlowIndex = core::FlatHashMap<core::FiveTuple, std::uint32_t, FlowKeyHash>;
+
   struct Checkpoint {
     core::FiveTuple key;
     core::Timestamp seen;
   };
+
+  /// States per slab chunk: 1,024 × ~320 B, so a chunk is a few hundred KB
+  /// and a probe tracking tens of thousands of flows holds a few dozen.
+  static constexpr unsigned kChunkBits = 10;
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
+
+  [[nodiscard]] FlowState& state_at(std::uint32_t slot) noexcept {
+    return chunks_[slot >> kChunkBits][slot & (kChunkSize - 1)];
+  }
+  [[nodiscard]] const FlowState& state_at(std::uint32_t slot) const noexcept {
+    return chunks_[slot >> kChunkBits][slot & (kChunkSize - 1)];
+  }
+  /// A slot holding a default FlowState: the last one freed, else the next
+  /// never-used one.
+  std::uint32_t acquire_slot();
+  /// Resets the slot's state (freeing its strings and buffers) and puts the
+  /// slot on the free list.
+  void release_slot(std::uint32_t slot) noexcept;
+  /// Drops every state and chunk.
+  void clear_slab() noexcept;
 
   void handle_tcp(FlowState& state, const net::DecodedPacket& pkt, bool from_client);
   void run_dpi(FlowState& state, const net::DecodedPacket& pkt, bool from_client);
@@ -226,7 +253,8 @@ class FlowTable {
   /// Move the finished record out of `state`: the DN-Hunter hint fills an
   /// empty server_name, and a still-open flow gets `reason`.
   [[nodiscard]] static FlowRecord take_record(FlowState& state, FlowCloseReason reason);
-  void export_flow(const core::FiveTuple& key, FlowCloseReason reason);
+  /// Exports the flow at `it` and removes it from the index and the slab.
+  void export_flow(FlowIndex::iterator it, FlowCloseReason reason);
   [[nodiscard]] std::int64_t idle_timeout(core::TransportProto proto) const noexcept {
     return proto == core::TransportProto::kTcp ? config_.tcp_idle_timeout_us
                                                : config_.udp_idle_timeout_us;
@@ -234,12 +262,16 @@ class FlowTable {
 
   FlowTableConfig config_;
   ExportSink sink_;
-  // Keyed by the client→server orientation of the first packet, hashed
-  // orientation-insensitively (FlowKeyHash) so a packet from either side
-  // resolves in a single probe sequence. Open addressing: one probe usually
-  // touches a single cache line instead of chasing a bucket list, which is
-  // where the per-packet budget goes.
-  core::FlatHashMap<core::FiveTuple, FlowState, FlowKeyHash> flows_;
+  // Flow key → slab slot. Keyed by the client→server orientation of the
+  // first packet, hashed orientation-insensitively (FlowKeyHash) so a
+  // packet from either side resolves in a single probe sequence. Open
+  // addressing over 20-byte slots: one probe usually touches a single
+  // cache line, and a rehash moves slot numbers, never states.
+  FlowIndex flows_;
+  // The slab: chunks of kChunkSize states, each reserved once and filled
+  // in place, so a state never moves while its flow lives.
+  std::vector<std::vector<FlowState>> chunks_;
+  std::vector<std::uint32_t> free_slots_;  ///< LIFO: the warmest slot first
   std::deque<Checkpoint> checkpoints_;
   Counters counters_;
   std::uint64_t next_ingest_seq_ = 0;

@@ -113,7 +113,7 @@ void Probe::process(std::span<const net::Frame> frames) {
       if constexpr (obs::kEnabled) {
         // Sampled decode-stage clock; the common iteration pays one
         // predictable branch.
-        if (((i + 1) & kStageSampleMask) == 0) {
+        if ((i + 1) % kStageSampleStride == 0) {
           timed_decode = true;
           const std::uint64_t t0 = reg->now_ns();
           ok[(i + 1) & 1] = net::decode_frame_into(frames[i + 1], next);
@@ -137,7 +137,8 @@ void Probe::process(std::span<const net::Frame> frames) {
 
 void Probe::process(const net::DecodedPacket& packet) {
   if constexpr (obs::kEnabled) {
-    if ((++obs_.ticks & kStageSampleMask) == 0) {
+    if (--obs_.until_stage_sample == 0) {
+      obs_.until_stage_sample = kStageSampleStride;
       process_impl<true>(packet);
       return;
     }

@@ -170,8 +170,11 @@ class Probe {
   /// obs:: wiring, resolved once at construction. Counters mirror
   /// counters_ via saturating delta flush (a checkpoint restore may move
   /// counters_ backwards; the registry stays monotonic). Stage histograms
-  /// are fed by sampled clocks — see kStageSampleMask.
-  static constexpr std::uint64_t kStageSampleMask = 1023;  ///< time 1 in 1024
+  /// are fed by sampled clocks — see kStageSampleStride.
+  /// Time the decode, DN-Hunter and flow-table stages on one packet in
+  /// 1021. The stride is prime, so the samples cannot line up with the
+  /// power-of-two counts at which the flow index, the slab or a buffer grows.
+  static constexpr std::uint64_t kStageSampleStride = 1021;
   /// Time one export in 61. The stride is odd, so the samples cannot all
   /// land on the power-of-two record counts at which a sink's buffer grows.
   static constexpr std::uint64_t kExportSampleStride = 61;
@@ -189,7 +192,7 @@ class Probe {
     obs::Histogram* stage_export = nullptr;
     obs::SpanSite* batch = nullptr;
     Counters flushed;          ///< counters_ values already in the registry
-    std::uint64_t ticks = 0;   ///< packet tick driving stage sampling
+    std::uint64_t until_stage_sample = kStageSampleStride;  ///< packets to the next timed one
   };
   ObsHooks obs_;
 };

@@ -10,6 +10,7 @@
 #include "dpi/parsers.hpp"
 #include "flow/table.hpp"
 #include "net/packet.hpp"
+#include "probe/probe.hpp"
 
 namespace ew = edgewatch;
 using ew::core::IPv4Address;
@@ -448,6 +449,208 @@ TEST(FlowTable, RandomInterleavingNeverLeaks) {
     EXPECT_TRUE(r.handshake_completed);
     EXPECT_EQ(r.close_reason, FlowCloseReason::kTcpTeardown);
     EXPECT_EQ(r.server_name, "bulk.example");
+  }
+}
+
+namespace {
+
+// Scripted conversations for the slot-reuse tests. Each one sends its
+// packets in one burst and then falls silent, so it ends by its own RST or
+// FIN, by an idle timeout or by a max_flows eviction while later flows keep
+// arriving and take over the slots it freed.
+struct Conversation {
+  enum class End { kUdpIdle, kReset, kTeardown, kTcpOpen };
+  End end = End::kUdpIdle;
+  std::uint16_t client_port = 0;
+  std::vector<ew::net::Frame> frames;
+  ew::flow::DirectionStats up, down;  // what the record must count
+};
+
+struct ReuseScenario {
+  static constexpr std::uint16_t kConversations = 400;
+  static constexpr std::uint16_t kFirstPort = 10000;
+
+  /// ~25 conversations a second: UDP flows time out after 1 s, closed ones
+  /// linger 0.2 s, and open TCP flows (4 s timeout) pile up past max_flows.
+  static FlowTableConfig config() {
+    FlowTableConfig cfg;
+    cfg.udp_idle_timeout_us = 1'000'000;
+    cfg.tcp_idle_timeout_us = 4'000'000;
+    cfg.closed_linger_us = 200'000;
+    cfg.max_flows = 30;
+    return cfg;
+  }
+
+  static IPv4Address client(std::uint16_t i) {
+    return IPv4Address{10, 2, static_cast<std::uint8_t>(i / 200),
+                       static_cast<std::uint8_t>(i % 200 + 1)};
+  }
+
+  static std::vector<Conversation> make() {
+    ew::core::Xoshiro256 rng{2025};
+    std::vector<Conversation> convs;
+    for (std::uint16_t i = 0; i < kConversations; ++i) {
+      Conversation c;
+      c.end = static_cast<Conversation::End>(ew::core::uniform_below(rng, 4));
+      c.client_port = static_cast<std::uint16_t>(kFirstPort + i);
+      std::int64_t t = static_cast<std::int64_t>(i) * 40'000;
+      const bool tcp = c.end != Conversation::End::kUdpIdle;
+      const auto send = [&](bool from_client, std::uint8_t flags, std::size_t bytes) {
+        PacketBuilder b;
+        b.ts(us(t += 1'000));
+        if (from_client) {
+          b.ip(client(i), kServer);
+          tcp ? b.tcp(c.client_port, 443, 1, 1, flags) : b.udp(c.client_port, 443);
+        } else {
+          b.ip(kServer, client(i));
+          tcp ? b.tcp(443, c.client_port, 1, 1, flags) : b.udp(443, c.client_port);
+        }
+        b.payload(std::vector<std::byte>(bytes, std::byte{0x5a}));
+        c.frames.push_back(b.build());
+        const auto pkt = ew::net::decode_frame(c.frames.back()).value();
+        (from_client ? c.up : c.down).add(pkt.transport_payload_declared(), pkt.ip.total_length);
+      };
+      if (tcp) {
+        send(true, TcpFlags::kSyn, 0);
+        send(false, TcpFlags::kSyn | TcpFlags::kAck, 0);
+      }
+      const auto exchanges = 1 + ew::core::uniform_below(rng, 3);
+      for (std::uint64_t k = 0; k < exchanges; ++k) {
+        send(true, TcpFlags::kAck | TcpFlags::kPsh, 1 + ew::core::uniform_below(rng, 300));
+        send(false, TcpFlags::kAck | TcpFlags::kPsh, ew::core::uniform_below(rng, 900));
+      }
+      if (c.end == Conversation::End::kReset) send(false, TcpFlags::kRst, 0);
+      if (c.end == Conversation::End::kTeardown) {
+        send(true, TcpFlags::kFin | TcpFlags::kAck, 0);
+        send(false, TcpFlags::kFin | TcpFlags::kAck, 0);
+      }
+      convs.push_back(std::move(c));
+    }
+    return convs;
+  }
+
+  static std::vector<ew::net::Frame> frames(const std::vector<Conversation>& convs) {
+    std::vector<ew::net::Frame> all;
+    for (const auto& c : convs) all.insert(all.end(), c.frames.begin(), c.frames.end());
+    return all;
+  }
+
+  /// `record` must be exactly its conversation's flow; `flushed` says whether
+  /// flush() exported it rather than a close or a timeout.
+  static void expect_matches(const std::vector<Conversation>& convs, const FlowRecord& record,
+                             bool flushed) {
+    ASSERT_GE(record.client_port, kFirstPort);
+    ASSERT_LT(record.client_port, kFirstPort + kConversations);
+    const auto i = static_cast<std::uint16_t>(record.client_port - kFirstPort);
+    const Conversation& c = convs[i];
+    SCOPED_TRACE(testing::Message() << "conversation " << i);
+    EXPECT_EQ(record.client_ip, client(i));
+    EXPECT_EQ(record.server_ip, kServer);
+    EXPECT_EQ(record.server_port, 443);
+    EXPECT_EQ(record.proto, c.end == Conversation::End::kUdpIdle ? ew::core::TransportProto::kUdp
+                                                                 : ew::core::TransportProto::kTcp);
+    EXPECT_EQ(record.up.packets, c.up.packets);
+    EXPECT_EQ(record.up.bytes, c.up.bytes);
+    EXPECT_EQ(record.up.bytes_with_hdr, c.up.bytes_with_hdr);
+    EXPECT_EQ(record.down.packets, c.down.packets);
+    EXPECT_EQ(record.down.bytes, c.down.bytes);
+    EXPECT_EQ(record.down.bytes_with_hdr, c.down.bytes_with_hdr);
+    EXPECT_EQ(record.first_packet, c.frames.front().timestamp);
+    EXPECT_EQ(record.last_packet, c.frames.back().timestamp);
+    EXPECT_EQ(record.handshake_completed, c.end != Conversation::End::kUdpIdle);
+    switch (c.end) {
+      case Conversation::End::kReset:
+        EXPECT_EQ(record.close_reason, FlowCloseReason::kTcpReset);
+        break;
+      case Conversation::End::kTeardown:
+        EXPECT_EQ(record.close_reason, FlowCloseReason::kTcpTeardown);
+        break;
+      default:
+        EXPECT_EQ(record.close_reason,
+                  flushed ? FlowCloseReason::kProbeFlush : FlowCloseReason::kIdleTimeout);
+        break;
+    }
+  }
+};
+
+}  // namespace
+
+TEST(FlowTable, ReusedSlotsExportEachConversationExactly) {
+  const auto convs = ReuseScenario::make();
+  Harness h{ReuseScenario::config()};
+  for (const auto& c : convs) {
+    for (const auto& f : c.frames) h.feed(f);
+  }
+  const auto& counters = h.table.counters();
+  // Every way a flow can end mid-stream happened, so later flows reused
+  // the freed slots; and flows are still live for the flush.
+  EXPECT_GT(counters.expired_idle, 0u);
+  EXPECT_GT(counters.closed_reset, 0u);
+  EXPECT_GT(counters.closed_teardown, 0u);
+  EXPECT_GT(counters.forced_evictions, 0u);
+  const std::size_t before_flush = h.records.size();
+  ASSERT_GE(h.table.active_flows(), 10u);
+
+  h.table.flush();
+  ASSERT_EQ(h.records.size(), ReuseScenario::kConversations);  // one record per conversation
+  EXPECT_EQ(counters.flows_created, ReuseScenario::kConversations);
+  std::vector<bool> seen(ReuseScenario::kConversations, false);
+  for (std::size_t i = 0; i < h.records.size(); ++i) {
+    const FlowRecord& r = h.records[i];
+    ReuseScenario::expect_matches(convs, r, i >= before_flush);
+    const auto conv = static_cast<std::size_t>(r.client_port - ReuseScenario::kFirstPort);
+    EXPECT_FALSE(seen[conv]) << "conversation " << conv << " exported twice";
+    seen[conv] = true;
+  }
+  // The flush exports in arrival order, whichever slots the flows took.
+  for (std::size_t i = before_flush + 1; i < h.records.size(); ++i) {
+    EXPECT_LT(h.records[i - 1].ingest_seq, h.records[i].ingest_seq);
+    EXPECT_LT(h.records[i - 1].client_port, h.records[i].client_port);
+  }
+}
+
+TEST(FlowTable, CheckpointWithSlabHolesContinuesToTheUninterruptedRecords) {
+  const auto convs = ReuseScenario::make();
+  const auto frames = ReuseScenario::frames(convs);
+  ew::probe::ProbeConfig config;
+  config.flow = ReuseScenario::config();
+  const auto run = [&config](std::vector<FlowRecord>& out) {
+    return ew::probe::Probe{config, [&out](FlowRecord&& r) { out.push_back(std::move(r)); }};
+  };
+
+  std::vector<FlowRecord> uninterrupted;
+  {
+    auto probe = run(uninterrupted);
+    probe.process(std::span<const ew::net::Frame>(frames));
+    probe.finish();
+  }
+  ASSERT_EQ(uninterrupted.size(), ReuseScenario::kConversations);
+
+  // Checkpoint mid-capture: flows have ended and freed slots that newer
+  // flows only partly took over, and dozens of flows are live.
+  const std::size_t cut = frames.size() / 2;
+  std::vector<FlowRecord> resumed;
+  std::vector<std::byte> image;
+  {
+    auto before = run(resumed);
+    before.process(std::span<const ew::net::Frame>(frames).first(cut));
+    ASSERT_GT(before.table().counters().flows_exported, 0u);
+    ASSERT_GE(before.table().active_flows(), 10u);
+    image = before.checkpoint_image();
+  }
+  const std::size_t exported_before = resumed.size();
+  {
+    auto after = run(resumed);
+    ASSERT_TRUE(after.restore_image(image).ok());
+    after.process(std::span<const ew::net::Frame>(frames).subspan(cut));
+    after.finish();
+  }
+  ASSERT_GT(resumed.size(), exported_before);
+  ASSERT_EQ(resumed.size(), uninterrupted.size());
+  for (std::size_t i = 0; i < resumed.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "record " << i);
+    EXPECT_EQ(resumed[i].to_csv_row(), uninterrupted[i].to_csv_row());
+    EXPECT_EQ(resumed[i].ingest_seq, uninterrupted[i].ingest_seq);
   }
 }
 
