@@ -1,6 +1,6 @@
 #include "dns/message.hpp"
 
-#include <cctype>
+#include "core/ascii.hpp"
 
 namespace edgewatch::dns {
 
@@ -9,23 +9,24 @@ namespace {
 constexpr std::size_t kMaxNameLength = 255;
 constexpr int kMaxPointerHops = 16;  // loop protection
 
-/// Decode a (possibly compressed) name starting at the reader's cursor.
+/// Decode a (possibly compressed) name starting at the reader's cursor into
+/// `out`, lower-cased, without the trailing dot normalize_name() strips.
 /// Consumes exactly the in-place bytes of the name (pointers are followed
 /// without moving the primary cursor past them).
-std::optional<std::string> read_name(core::ByteReader& r) {
-  std::string name;
+bool read_name(core::ByteReader& r, std::string& out) {
+  out.clear();
   int hops = 0;
   // After the first pointer, continue on a secondary cursor.
   core::ByteReader follow = r;
   core::ByteReader* cur = &r;
   while (true) {
     const std::uint8_t len = cur->u8();
-    if (!cur->ok()) return std::nullopt;
+    if (!cur->ok()) return false;
     if (len == 0) break;
     if ((len & 0xc0) == 0xc0) {
       const std::uint8_t lo = cur->u8();
-      if (!cur->ok()) return std::nullopt;
-      if (++hops > kMaxPointerHops) return std::nullopt;
+      if (!cur->ok()) return false;
+      if (++hops > kMaxPointerHops) return false;
       const std::size_t target = (static_cast<std::size_t>(len & 0x3f) << 8) | lo;
       if (cur == &r) {
         follow = r;  // capture the buffer; position set below
@@ -36,14 +37,39 @@ std::optional<std::string> read_name(core::ByteReader& r) {
       cur->seek(target);
       continue;
     }
-    if ((len & 0xc0) != 0) return std::nullopt;  // reserved label types
+    if ((len & 0xc0) != 0) return false;  // reserved label types
     const auto label = cur->string(len);
-    if (!cur->ok()) return std::nullopt;
-    if (!name.empty()) name.push_back('.');
-    name.append(label);
-    if (name.size() > kMaxNameLength) return std::nullopt;
+    if (!cur->ok()) return false;
+    if (!out.empty()) out.push_back('.');
+    core::append_ascii_lower(out, label);
+    if (out.size() > kMaxNameLength) return false;
   }
-  return normalize_name(name);
+  if (!out.empty() && out.back() == '.') out.pop_back();
+  return true;
+}
+
+/// The next record slot of `items` (the `used`-th), reusing a parked or
+/// left-over element so its strings keep their buffers.
+template <typename T>
+T& next_slot(std::vector<T>& items, std::vector<T>& spare, std::size_t& used) {
+  if (used == items.size()) {
+    if (spare.empty()) {
+      items.emplace_back();
+    } else {
+      items.push_back(std::move(spare.back()));
+      spare.pop_back();
+    }
+  }
+  return items[used++];
+}
+
+/// Park the elements past `used` in `spare`.
+template <typename T>
+void park_tail(std::vector<T>& items, std::vector<T>& spare, std::size_t used) {
+  while (items.size() > used) {
+    spare.push_back(std::move(items.back()));
+    items.pop_back();
+  }
 }
 
 void write_name(core::ByteWriter& w, std::string_view name) {
@@ -62,18 +88,13 @@ void write_name(core::ByteWriter& w, std::string_view name) {
 }  // namespace
 
 std::string normalize_name(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    out.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
+  std::string out = core::to_ascii_lower(name);
   if (!out.empty() && out.back() == '.') out.pop_back();
   return out;
 }
 
-std::optional<Message> parse(std::span<const std::byte> payload) {
+bool parse_into(std::span<const std::byte> payload, Message& msg) {
   core::ByteReader r{payload};
-  Message msg;
   msg.id = r.u16();
   const std::uint16_t flags = r.u16();
   msg.is_response = (flags & 0x8000) != 0;
@@ -81,32 +102,32 @@ std::optional<Message> parse(std::span<const std::byte> payload) {
   const std::uint16_t qdcount = r.u16();
   const std::uint16_t ancount = r.u16();
   r.skip(4);  // NSCOUNT + ARCOUNT (authority/additional sections ignored)
-  if (!r.ok()) return std::nullopt;
+  if (!r.ok()) return false;
 
+  std::size_t used = 0;
   for (std::uint16_t i = 0; i < qdcount; ++i) {
-    auto name = read_name(r);
-    if (!name) return std::nullopt;
-    Question q;
-    q.name = std::move(*name);
+    Question& q = next_slot(msg.questions, msg.spare_questions, used);
+    if (!read_name(r, q.name)) return false;
     q.qtype = r.u16();
     q.qclass = r.u16();
-    if (!r.ok()) return std::nullopt;
-    msg.questions.push_back(std::move(q));
+    if (!r.ok()) return false;
   }
+  park_tail(msg.questions, msg.spare_questions, used);
 
+  used = 0;
   for (std::uint16_t i = 0; i < ancount; ++i) {
-    auto name = read_name(r);
-    if (!name) return std::nullopt;
-    Answer a;
-    a.name = std::move(*name);
+    Answer& a = next_slot(msg.answers, msg.spare_answers, used);
+    if (!read_name(r, a.name)) return false;
     const std::uint16_t rtype = r.u16();
     r.skip(2);  // class
     a.ttl = r.u32();
     const std::uint16_t rdlength = r.u16();
-    if (!r.ok()) return std::nullopt;
+    if (!r.ok()) return false;
+    a.address = core::IPv4Address{};
+    a.cname.clear();
     switch (rtype) {
       case 1:
-        if (rdlength != 4) return std::nullopt;
+        if (rdlength != 4) return false;
         a.type = RecordType::kA;
         a.address = core::IPv4Address{r.u32()};
         break;
@@ -114,10 +135,8 @@ std::optional<Message> parse(std::span<const std::byte> payload) {
         a.type = RecordType::kCname;
         // RDATA is a (possibly compressed) name; bound the sub-read.
         const std::size_t end = r.position() + rdlength;
-        auto cname = read_name(r);
-        if (!cname) return std::nullopt;
-        a.cname = std::move(*cname);
-        if (r.position() > end) return std::nullopt;
+        if (!read_name(r, a.cname)) return false;
+        if (r.position() > end) return false;
         r.seek(end);
         break;
       }
@@ -130,9 +149,15 @@ std::optional<Message> parse(std::span<const std::byte> payload) {
         r.skip(rdlength);
         break;
     }
-    if (!r.ok()) return std::nullopt;
-    msg.answers.push_back(std::move(a));
+    if (!r.ok()) return false;
   }
+  park_tail(msg.answers, msg.spare_answers, used);
+  return true;
+}
+
+std::optional<Message> parse(std::span<const std::byte> payload) {
+  Message msg;
+  if (!parse_into(payload, msg)) return std::nullopt;
   return msg;
 }
 

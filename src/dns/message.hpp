@@ -31,6 +31,8 @@ struct Question {
   std::string name;  ///< Lower-cased, no trailing dot.
   std::uint16_t qtype = 1;
   std::uint16_t qclass = 1;
+
+  friend bool operator==(const Question&, const Question&) = default;
 };
 
 struct Answer {
@@ -39,6 +41,8 @@ struct Answer {
   std::uint32_t ttl = 0;
   core::IPv4Address address;  ///< Valid iff type == kA.
   std::string cname;          ///< Valid iff type == kCname.
+
+  friend bool operator==(const Answer&, const Answer&) = default;
 };
 
 struct Message {
@@ -47,13 +51,25 @@ struct Message {
   std::uint8_t rcode = 0;
   std::vector<Question> questions;
   std::vector<Answer> answers;
+  /// Scratch, not part of the message: parse_into() parks the records a
+  /// shorter message left over here, string buffers and all, and takes
+  /// them back for the next longer one.
+  std::vector<Question> spare_questions;
+  std::vector<Answer> spare_answers;
 
   [[nodiscard]] bool ok_response() const noexcept { return is_response && rcode == 0; }
 };
 
-/// Parse a DNS message from a UDP payload. Returns nullopt on malformed
-/// input (including compression-pointer loops). Unknown record types are
-/// retained with type kOther and their RDATA skipped.
+/// Parse a DNS message from a UDP payload into `msg`, overwriting it.
+/// Names are lower-cased as they are read. The message's vectors and
+/// strings are reused, so a caller that keeps one scratch Message parses
+/// without heap allocation once its buffers fit the traffic. Returns false
+/// on malformed input (including compression-pointer loops); `msg` then
+/// holds an unspecified partial parse. Unknown record types are retained
+/// with type kOther and their RDATA skipped.
+[[nodiscard]] bool parse_into(std::span<const std::byte> payload, Message& msg);
+
+/// parse_into() on a fresh Message; nullopt on malformed input.
 [[nodiscard]] std::optional<Message> parse(std::span<const std::byte> payload);
 
 /// Serialize a response message. Names are emitted uncompressed; the parser
@@ -66,7 +82,7 @@ struct Message {
                                       std::span<const core::IPv4Address> addrs,
                                       std::uint32_t ttl = 300);
 
-/// Case-normalize a DNS name: lower-case, strip one trailing dot.
+/// Case-normalize a DNS name: ASCII lower-case, strip one trailing dot.
 [[nodiscard]] std::string normalize_name(std::string_view name);
 
 }  // namespace edgewatch::dns

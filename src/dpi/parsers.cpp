@@ -1,20 +1,12 @@
 #include "dpi/parsers.hpp"
 
 #include <algorithm>
-#include <cctype>
+
+#include "core/ascii.hpp"
 
 namespace edgewatch::dpi {
 
-namespace {
-
-std::string to_lower(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) out.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  return out;
-}
-
-}  // namespace
+using core::to_ascii_lower;
 
 // ------------------------------------------------------------------ TLS
 
@@ -65,7 +57,7 @@ std::optional<TlsClientHello> parse_client_hello(std::span<const std::byte> payl
       const std::uint8_t name_type = er.u8();
       const std::uint16_t name_len = er.u16();
       if (er.ok() && name_type == 0) {
-        hello.sni = to_lower(er.string(name_len));
+        hello.sni = to_ascii_lower(er.string(name_len));
       }
     } else if (ext_type == 0x0010) {  // ALPN
       core::ByteReader er{r.bytes(ext_len)};
@@ -242,21 +234,19 @@ std::optional<HttpRequest> parse_http_request(std::span<const std::byte> payload
                                                                      : eol - pos);
     if (line.empty()) break;  // end of headers
     const auto colon = line.find(':');
-    if (colon != std::string_view::npos) {
-      auto name = to_lower(line.substr(0, colon));
-      if (name == "host") {
-        auto value = line.substr(colon + 1);
-        while (!value.empty() && value.front() == ' ') value.remove_prefix(1);
-        while (!value.empty() && (value.back() == ' ' || value.back() == '\r')) {
-          value.remove_suffix(1);
-        }
-        const auto port = value.rfind(':');
-        if (port != std::string_view::npos &&
-            value.find_first_not_of("0123456789", port + 1) == std::string_view::npos) {
-          value = value.substr(0, port);
-        }
-        req.host = to_lower(value);
+    if (colon != std::string_view::npos &&
+        core::equals_ascii_lower(line.substr(0, colon), "host")) {
+      auto value = line.substr(colon + 1);
+      while (!value.empty() && value.front() == ' ') value.remove_prefix(1);
+      while (!value.empty() && (value.back() == ' ' || value.back() == '\r')) {
+        value.remove_suffix(1);
       }
+      const auto port = value.rfind(':');
+      if (port != std::string_view::npos &&
+          value.find_first_not_of("0123456789", port + 1) == std::string_view::npos) {
+        value = value.substr(0, port);
+      }
+      req.host = to_ascii_lower(value);
     }
     if (eol == std::string_view::npos) break;
     pos = eol + 2;
@@ -308,13 +298,14 @@ std::optional<HttpResponse> parse_http_response(std::span<const std::byte> paylo
         text.substr(pos, eol == std::string_view::npos ? text.size() - pos : eol - pos);
     if (line.empty()) break;
     const auto colon = line.find(':');
-    if (colon != std::string_view::npos && to_lower(line.substr(0, colon)) == "content-type") {
+    if (colon != std::string_view::npos &&
+        core::equals_ascii_lower(line.substr(0, colon), "content-type")) {
       auto value = line.substr(colon + 1);
       while (!value.empty() && value.front() == ' ') value.remove_prefix(1);
       const auto semi = value.find(';');
       if (semi != std::string_view::npos) value = value.substr(0, semi);
       while (!value.empty() && value.back() == ' ') value.remove_suffix(1);
-      resp.content_type = to_lower(value);
+      resp.content_type = to_ascii_lower(value);
     }
     if (eol == std::string_view::npos) break;
     pos = eol + 2;
@@ -404,7 +395,7 @@ std::optional<std::string> parse_fbzero_sni(std::span<const std::byte> payload) 
   const std::uint16_t len = r.u16();
   auto name = r.string(len);
   if (!r.ok()) return std::nullopt;
-  return to_lower(name);
+  return to_ascii_lower(name);
 }
 
 // ----------------------------------------------------------------- P2P

@@ -354,17 +354,14 @@ void FlowTable::restore_flow(const core::FiveTuple& key, FlowState state) {
 }
 
 void FlowTable::finalize_restore() {
-  std::sort(checkpoints_.begin(), checkpoints_.end(),
-            [this](const Checkpoint& a, const Checkpoint& b) {
-              if (a.seen != b.seen) return a.seen < b.seen;
-              const auto ia = flows_.find(a.key);
-              const auto ib = flows_.find(b.key);
-              const std::uint64_t sa =
-                  ia != flows_.end() ? state_at(ia->second).record.ingest_seq : 0;
-              const std::uint64_t sb =
-                  ib != flows_.end() ? state_at(ib->second).record.ingest_seq : 0;
-              return sa < sb;
-            });
+  checkpoints_.sort([this](const Checkpoint& a, const Checkpoint& b) {
+    if (a.seen != b.seen) return a.seen < b.seen;
+    const auto ia = flows_.find(a.key);
+    const auto ib = flows_.find(b.key);
+    const std::uint64_t sa = ia != flows_.end() ? state_at(ia->second).record.ingest_seq : 0;
+    const std::uint64_t sb = ib != flows_.end() ? state_at(ib->second).record.ingest_seq : 0;
+    return sa < sb;
+  });
 }
 
 void FlowTable::reset() {

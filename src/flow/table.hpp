@@ -16,13 +16,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
 
+#include "core/block_queue.hpp"
 #include "core/flat_hash_map.hpp"
 #include "core/function_ref.hpp"
 #include "core/time.hpp"
@@ -272,7 +272,7 @@ class FlowTable {
   // in place, so a state never moves while its flow lives.
   std::vector<std::vector<FlowState>> chunks_;
   std::vector<std::uint32_t> free_slots_;  ///< LIFO: the warmest slot first
-  std::deque<Checkpoint> checkpoints_;
+  core::BlockQueue<Checkpoint> checkpoints_;
   Counters counters_;
   std::uint64_t next_ingest_seq_ = 0;
 

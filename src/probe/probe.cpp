@@ -18,6 +18,13 @@ Probe::Probe(ProbeConfig config, RecordSink sink)
   obs_.dns_responses = &reg.counter("probe_dns_responses_total");
   obs_.records_exported = &reg.counter("probe_records_exported_total");
   obs_.records_named_by_dns = &reg.counter("probe_records_named_by_dns_total");
+  obs_.dnhunter_hits = &reg.counter("dnhunter_hits_total");
+  obs_.dnhunter_misses = &reg.counter("dnhunter_misses_total");
+  obs_.dnhunter_expired = &reg.counter("dnhunter_expired_total");
+  obs_.dnhunter_evictions = &reg.counter("dnhunter_lru_evictions_total");
+  obs_.dnhunter_entries = &reg.gauge("dnhunter_entries");
+  obs_.dnhunter_clients = &reg.gauge("dnhunter_clients");
+  obs_.dnhunter_free_slots = &reg.gauge("dnhunter_free_slots");
   obs_.stage_decode = &reg.histogram("probe_stage_ns", {}, "stage=\"decode\"");
   obs_.stage_flow = &reg.histogram("probe_stage_ns", {}, "stage=\"flow_table\"");
   obs_.stage_dnhunter = &reg.histogram("probe_stage_ns", {}, "stage=\"dnhunter\"");
@@ -41,6 +48,29 @@ void Probe::obs_flush() noexcept {
     push(obs_.records_exported, counters_.records_exported, obs_.flushed.records_exported);
     push(obs_.records_named_by_dns, counters_.records_named_by_dns,
          obs_.flushed.records_named_by_dns);
+    const auto& dc = dnhunter_.counters();
+    auto& df = obs_.dnhunter_flushed;
+    push(obs_.dnhunter_hits, dc.hits, df.hits);
+    push(obs_.dnhunter_misses, dc.misses, df.misses);
+    push(obs_.dnhunter_expired, dc.expired, df.expired);
+    push(obs_.dnhunter_evictions, dc.lru_evictions, df.lru_evictions);
+    // Gauges move by this probe's change, so shards and probes add up.
+    const auto publish = [](obs::Gauge* gauge, std::size_t now, std::int64_t& published) {
+      const auto value = static_cast<std::int64_t>(now);
+      if (value != published) gauge->add(value - published);
+      published = value;
+    };
+    publish(obs_.dnhunter_entries, dnhunter_.size(), obs_.entries_published);
+    publish(obs_.dnhunter_clients, dnhunter_.clients(), obs_.clients_published);
+    publish(obs_.dnhunter_free_slots, dnhunter_.free_slots(), obs_.free_slots_published);
+  }
+}
+
+Probe::~Probe() {
+  if constexpr (obs::kEnabled) {
+    obs_.dnhunter_entries->add(-obs_.entries_published);
+    obs_.dnhunter_clients->add(-obs_.clients_published);
+    obs_.dnhunter_free_slots->add(-obs_.free_slots_published);
   }
 }
 
@@ -159,8 +189,8 @@ void Probe::process_impl(const net::DecodedPacket& packet) {
   // itself is still accounted for like any other UDP flow below.
   if (packet.udp && packet.udp->src_port == 53 &&
       anonymizer_.is_customer(packet.ip.dst) && !packet.payload.empty()) {
-    if (const auto msg = dns::parse(packet.payload); msg && msg->ok_response()) {
-      dnhunter_.observe_response(packet.ip.dst, *msg, packet.timestamp);
+    if (dns::parse_into(packet.payload, dns_scratch_) && dns_scratch_.ok_response()) {
+      dnhunter_.observe_response(packet.ip.dst, dns_scratch_, packet.timestamp);
       ++counters_.dns_responses;
     }
   }

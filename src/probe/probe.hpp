@@ -48,6 +48,8 @@ class Probe {
   using RecordSink = std::function<void(flow::FlowRecord&&)>;
 
   Probe(ProbeConfig config, RecordSink sink);
+  /// Withdraws this probe's share of the DN-Hunter gauges.
+  ~Probe();
 
   /// Feed one captured frame (decode failures are counted, not fatal).
   void process(const net::Frame& frame);
@@ -161,6 +163,9 @@ class Probe {
   RecordSink sink_;
   anon::CustomerAnonymizer anonymizer_;
   dns::DnHunter dnhunter_;
+  /// Every DNS response parses into this one message, so its vectors and
+  /// strings are reused instead of allocated per response.
+  dns::Message dns_scratch_;
   TableSink table_sink_{this};
   flow::FlowTable table_;
   bool online_ = true;
@@ -186,12 +191,25 @@ class Probe {
     obs::Counter* dns_responses = nullptr;
     obs::Counter* records_exported = nullptr;
     obs::Counter* records_named_by_dns = nullptr;
+    // DN-Hunter explain layer: counters mirror DnHunter::Counters, gauges
+    // sum every live probe's cache (each probe adds its own change).
+    obs::Counter* dnhunter_hits = nullptr;
+    obs::Counter* dnhunter_misses = nullptr;
+    obs::Counter* dnhunter_expired = nullptr;
+    obs::Counter* dnhunter_evictions = nullptr;
+    obs::Gauge* dnhunter_entries = nullptr;
+    obs::Gauge* dnhunter_clients = nullptr;
+    obs::Gauge* dnhunter_free_slots = nullptr;
     obs::Histogram* stage_decode = nullptr;
     obs::Histogram* stage_flow = nullptr;
     obs::Histogram* stage_dnhunter = nullptr;
     obs::Histogram* stage_export = nullptr;
     obs::SpanSite* batch = nullptr;
     Counters flushed;          ///< counters_ values already in the registry
+    dns::DnHunter::Counters dnhunter_flushed;
+    std::int64_t entries_published = 0;  ///< this probe's share of each gauge
+    std::int64_t clients_published = 0;
+    std::int64_t free_slots_published = 0;
     std::uint64_t until_stage_sample = kStageSampleStride;  ///< packets to the next timed one
   };
   ObsHooks obs_;

@@ -1,13 +1,10 @@
 #include "services/rules.hpp"
 
+#include "core/ascii.hpp"
+
 namespace edgewatch::services {
 
-namespace {
-/// Branch-free-ish ASCII lowercasing; hostnames never need locale tables.
-inline char ascii_lower(char c) noexcept {
-  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c + ('a' - 'A')) : c;
-}
-}  // namespace
+using core::ascii_lower;
 
 std::string_view RuleEngine::normalize_into(std::string_view domain, char* stack,
                                             std::size_t stack_size, std::string& heap) {

@@ -1,8 +1,12 @@
 // Tests for core value types, byte cursors, time, hashing, RNG and stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <functional>
 #include <set>
 
+#include "core/block_queue.hpp"
 #include "core/bytes.hpp"
 #include "core/hash.hpp"
 #include "core/rng.hpp"
@@ -394,4 +398,39 @@ TEST(LogGrid, EndpointsAndGrowth) {
   EXPECT_NEAR(g.front(), 1.0, 1e-9);
   EXPECT_NEAR(g.back(), 1000.0, 1e-6);
   EXPECT_NEAR(g[1], 10.0, 1e-6);
+}
+
+TEST(BlockQueue, MatchesDequeAcrossBlocksAndReuse) {
+  // Random push/pop runs grow the queue over many blocks, then drain it
+  // through them while pushing more, so spent blocks are reused; every
+  // front must match a std::deque fed the same way.
+  ew::BlockQueue<std::uint64_t> queue;
+  std::deque<std::uint64_t> reference;
+  ew::Xoshiro256 rng{0x5150};
+  std::uint64_t next = 0;
+  for (int step = 0; step < 50'000; ++step) {
+    if (reference.empty() || ew::uniform_below(rng, 100) < (step < 25'000 ? 55u : 45u)) {
+      queue.push_back(next);
+      reference.push_back(next++);
+    } else {
+      ASSERT_EQ(queue.front(), reference.front());
+      queue.pop_front();
+      reference.pop_front();
+    }
+    ASSERT_EQ(queue.size(), reference.size());
+  }
+  // sort() reorders in place; the queue then drains in sorted order.
+  queue.sort([](std::uint64_t a, std::uint64_t b) { return a > b; });
+  std::sort(reference.begin(), reference.end(), std::greater<>{});
+  while (!reference.empty()) {
+    ASSERT_EQ(queue.front(), reference.front());
+    queue.pop_front();
+    reference.pop_front();
+  }
+  EXPECT_TRUE(queue.empty());
+  queue.push_back(7);
+  queue.clear();
+  EXPECT_TRUE(queue.empty());
+  queue.push_back(8);
+  EXPECT_EQ(queue.front(), 8u);
 }

@@ -62,14 +62,18 @@ TEST(Fuzz, FrameDecoderNeverCrashes) {
 TEST(Fuzz, DnsParserNeverCrashes) {
   ew::core::Xoshiro256 rng{0xD45};
   int parsed = 0;
+  ew::dns::Message reused;  // as the probe parses: one scratch message for all
   for (int i = 0; i < 20'000; ++i) {
     const auto bytes = i % 2 == 0
                            ? seeded_bytes(rng, 128, {0x12, 0x34, 0x80, 0x00, 0x00, 0x01})
                            : random_bytes(rng, 128);
     const auto msg = ew::dns::parse(bytes);
     parsed += msg.has_value();
+    ASSERT_EQ(ew::dns::parse_into(bytes, reused), msg.has_value());
     if (msg) {
       for (const auto& q : msg->questions) EXPECT_LE(q.name.size(), 255u);
+      EXPECT_EQ(reused.questions, msg->questions);
+      EXPECT_EQ(reused.answers, msg->answers);
     }
   }
   // The format is permissive enough that some random inputs parse; the
@@ -213,6 +217,7 @@ TEST(Fuzz, MutatedValidInputsSurviveParsers) {
   const auto hello = ew::dpi::build_client_hello("www.facebook.com", {});
   const ew::core::IPv4Address addrs[] = {ew::core::IPv4Address{1, 2, 3, 4}};
   const auto dns_wire = ew::dns::serialize(ew::dns::make_a_response(7, "x.example.com", addrs));
+  ew::dns::Message reused;
   for (int i = 0; i < 20'000; ++i) {
     auto mutated = i % 2 == 0 ? hello : dns_wire;
     const auto flips = 1 + ew::core::uniform_below(rng, 4);
@@ -221,7 +226,12 @@ TEST(Fuzz, MutatedValidInputsSurviveParsers) {
           static_cast<std::byte>(1u << ew::core::uniform_below(rng, 8));
     }
     (void)ew::dpi::parse_client_hello(mutated);
-    (void)ew::dns::parse(mutated);
+    const auto msg = ew::dns::parse(mutated);
+    ASSERT_EQ(ew::dns::parse_into(mutated, reused), msg.has_value());
+    if (msg) {
+      EXPECT_EQ(reused.questions, msg->questions);
+      EXPECT_EQ(reused.answers, msg->answers);
+    }
   }
 }
 

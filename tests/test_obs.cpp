@@ -26,6 +26,7 @@
 #include "obs/obs.hpp"
 #include "probe/probe.hpp"
 #include "storage/columnar.hpp"
+#include "synth/packets.hpp"
 #include "temp_dir.hpp"
 
 namespace ew = edgewatch;
@@ -401,6 +402,65 @@ TEST(ObsProbe, FlushesCountersToGlobalRegistry) {
   EXPECT_EQ(reg.counter("probe_frames_total").value(), frames_before + 2);
   EXPECT_EQ(reg.counter("probe_records_exported_total").value(), exported_before + records);
   EXPECT_GE(records, 1u);
+}
+
+// The DN-Hunter explain layer: hits, misses, expiries and LRU evictions as
+// counters; entries, clients and free slab slots as gauges that sum over
+// live probes and drop this probe's share when it goes away.
+TEST(ObsProbe, PublishesDnHunterCountersAndGauges) {
+  using ew::core::IPv4Address;
+  using ew::core::Timestamp;
+  obs::Registry& reg = obs::Registry::global();
+  const auto counter = [&](const char* name) { return reg.counter(name).value(); };
+  const auto gauge = [&](const char* name) { return reg.gauge(name).value(); };
+  const std::uint64_t hits = counter("dnhunter_hits_total");
+  const std::uint64_t misses = counter("dnhunter_misses_total");
+  const std::uint64_t expired = counter("dnhunter_expired_total");
+  const std::uint64_t evictions = counter("dnhunter_lru_evictions_total");
+  const std::int64_t entries = gauge("dnhunter_entries");
+  const std::int64_t clients = gauge("dnhunter_clients");
+  const std::int64_t free_slots = gauge("dnhunter_free_slots");
+
+  const IPv4Address client{10, 0, 3, 7};
+  const IPv4Address resolver{8, 8, 8, 8};
+  const IPv4Address first{31, 13, 86, 36};
+  const IPv4Address second{31, 13, 86, 37};
+  const auto seconds = [](std::int64_t s) { return Timestamp::from_seconds(s); };
+  const auto syn = [&](IPv4Address server, std::uint16_t port, std::int64_t at) {
+    return ew::net::PacketBuilder{}
+        .ts(seconds(at))
+        .ip(client, server)
+        .tcp(port, 443, 1, 0, ew::net::TcpFlags::kSyn)
+        .build();
+  };
+  {
+    ew::probe::ProbeConfig config;
+    config.dnhunter.max_entries_per_client = 1;
+    config.dnhunter.entry_ttl_micros = 10 * Timestamp::kMicrosPerSecond;
+    ew::probe::Probe probe{config, [](ew::flow::FlowRecord&&) {}};
+    const IPv4Address to_first[] = {first};
+    const IPv4Address to_second[] = {second};
+    const std::vector<ew::net::Frame> frames = {
+        ew::synth::render_dns_response(client, resolver, "a.example.com", to_first, seconds(1)),
+        // A one-entry cache: the second name evicts the first.
+        ew::synth::render_dns_response(client, resolver, "b.example.com", to_second, seconds(2)),
+        syn(second, 40'001, 3),   // hit
+        syn(first, 40'002, 4),    // miss: evicted
+        syn(second, 40'003, 30),  // miss: expired, its slot freed
+    };
+    probe.process(std::span<const ew::net::Frame>(frames));
+
+    EXPECT_EQ(counter("dnhunter_hits_total") - hits, 1u);
+    EXPECT_EQ(counter("dnhunter_misses_total") - misses, 2u);
+    EXPECT_EQ(counter("dnhunter_expired_total") - expired, 1u);
+    EXPECT_EQ(counter("dnhunter_lru_evictions_total") - evictions, 1u);
+    EXPECT_EQ(gauge("dnhunter_entries") - entries, 0);
+    EXPECT_EQ(gauge("dnhunter_clients") - clients, 1);
+    EXPECT_EQ(gauge("dnhunter_free_slots") - free_slots, 1);
+  }
+  EXPECT_EQ(gauge("dnhunter_entries"), entries);
+  EXPECT_EQ(gauge("dnhunter_clients"), clients);
+  EXPECT_EQ(gauge("dnhunter_free_slots"), free_slots);
 }
 
 #else  // !EW_OBS_ENABLED — the null backend must be inert, not just quiet.
