@@ -11,14 +11,14 @@
 //     Any MISMATCH makes the binary exit 2 (after writing the JSON), so a
 //     smoke run gates the sharded merge's byte identity.
 //
-// hardware_concurrency is recorded next to the numbers: speedups flatten
-// at the physical core count, so a 1-core CI box honestly reports ~1.0x.
+// The host (CPUs, model, build type, commit) is recorded next to the
+// numbers: speedups flatten at the core count, so a 1-core CI box honestly
+// reports ~1.0x.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analytics/parallel.hpp"
@@ -30,6 +30,7 @@
 #include "storage/datalake.hpp"
 #include "synth/generator.hpp"
 #include "synth/packets.hpp"
+#include "host.hpp"
 
 namespace ew = edgewatch;
 
@@ -110,10 +111,8 @@ int main(int argc, char** argv) {
   const int conversations = argc > 1 ? std::atoi(argv[1]) : 600;
   const int repeats = argc > 2 ? std::atoi(argv[2]) : 3;
   const auto out_path = argc > 3 ? std::string(argv[3]) : std::string("BENCH_pipeline.json");
-  const unsigned hw = std::thread::hardware_concurrency();
-
-  std::printf("parallel scaling bench: %d conversations, %d repeats, %u hardware threads\n",
-              conversations, repeats, hw);
+  std::printf("parallel scaling bench: %d conversations, %d repeats, %u CPUs\n", conversations,
+              repeats, ew::bench::cpu_count());
 
   std::string samples;
   bool all_deterministic = true;
@@ -220,7 +219,7 @@ int main(int argc, char** argv) {
   // ----------------------------------------------------------------- emit
   std::string json = "{\n";
   json += "  \"bench\": \"parallel_scaling\",\n";
-  json += "  \"hardware_concurrency\": " + std::to_string(hw) + ",\n";
+  json += ew::bench::host_json_line();
   json += "  \"conversations\": " + std::to_string(conversations) + ",\n";
   json += "  \"frames\": " + std::to_string(frames.size()) + ",\n";
   json += "  \"repeats\": " + std::to_string(repeats) + ",\n";

@@ -34,6 +34,9 @@ class RttEstimator {
 
   [[nodiscard]] std::size_t outstanding() const noexcept { return outstanding_.size(); }
 
+  /// Forget every outstanding segment; the buffer keeps its capacity.
+  void clear() noexcept { outstanding_.clear(); }
+
   struct Segment {
     std::uint32_t seq_begin = 0;
     std::uint32_t seq_end = 0;

@@ -86,10 +86,15 @@ std::uint32_t FlowTable::acquire_slot() {
 
 void FlowTable::release_slot(std::uint32_t slot) noexcept {
   // Destroy and rebuild rather than assign: a moved-into string keeps its
-  // old heap buffer, a destroyed one frees it.
+  // old heap buffer, a destroyed one frees it. The RTT segment buffer is
+  // kept, emptied: nearly every TCP flow fills one, so the next flow in
+  // this slot would only allocate it again.
   FlowState& state = state_at(slot);
+  RttEstimator rtt = std::move(state.rtt);
+  rtt.clear();
   std::destroy_at(&state);
   std::construct_at(&state);
+  state.rtt = std::move(rtt);
   free_slots_.push_back(slot);
 }
 

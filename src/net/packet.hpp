@@ -24,6 +24,23 @@ struct Frame {
   std::vector<std::byte> data;
 };
 
+/// A frame's timestamp and bytes, owned elsewhere: a Frame, or a slice of a
+/// buffer that packs many frames (the sharded probe's batch arenas, a DPDK
+/// ring in the paper's probes). Whatever owns the bytes must outlive the
+/// view.
+struct FrameView {
+  core::Timestamp timestamp;
+  std::span<const std::byte> data;
+
+  FrameView() = default;
+  FrameView(core::Timestamp ts, std::span<const std::byte> bytes) noexcept
+      : timestamp(ts), data(bytes) {}
+  // Implicit: every function that reads a frame takes a view, and a Frame
+  // is one.
+  FrameView(const Frame& frame) noexcept  // NOLINT(google-explicit-constructor)
+      : timestamp(frame.timestamp), data(frame.data) {}
+};
+
 /// A decoded frame. Payload spans reference the original frame buffer,
 /// which must outlive the DecodedPacket.
 struct DecodedPacket {
@@ -56,12 +73,12 @@ struct DecodedPacket {
 
 /// Decode an Ethernet/IPv4/{TCP,UDP} frame. Returns nullopt for non-IPv4,
 /// fragments with nonzero offset are decoded but carry no L4 header.
-[[nodiscard]] std::optional<DecodedPacket> decode_frame(const Frame& frame) noexcept;
+[[nodiscard]] std::optional<DecodedPacket> decode_frame(FrameView frame) noexcept;
 
 /// Same decode into a caller-owned packet, for loops that reuse one buffer
 /// instead of materializing (and moving) a fresh DecodedPacket per frame.
 /// `out` is fully overwritten on success and unspecified on failure.
-[[nodiscard]] bool decode_frame_into(const Frame& frame, DecodedPacket& out) noexcept;
+[[nodiscard]] bool decode_frame_into(FrameView frame, DecodedPacket& out) noexcept;
 
 /// Fluent builder producing valid frames.
 class PacketBuilder {

@@ -4,6 +4,17 @@
 
 namespace edgewatch::probe {
 
+namespace {
+
+/// A caller's capture as a replay source: frame i is frames[i], and flows
+/// take the table's own running count as their ingest seq.
+struct FrameSpan {
+  std::span<const net::Frame> frames;
+  [[nodiscard]] net::FrameView view(std::size_t i) const noexcept { return frames[i]; }
+};
+
+}  // namespace
+
 Probe::Probe(ProbeConfig config, RecordSink sink)
     : config_(config),
       sink_(std::move(sink)),
@@ -74,7 +85,7 @@ Probe::~Probe() {
   }
 }
 
-bool Probe::prepare_frame(const net::Frame& frame) {
+bool Probe::prepare_frame(net::FrameView frame) {
   if (!online_) {
     ++counters_.dropped_offline;
     return false;
@@ -95,7 +106,7 @@ bool Probe::prepare_frame(const net::Frame& frame) {
   return true;
 }
 
-void Probe::process(const net::Frame& frame) {
+void Probe::process(net::FrameView frame) {
   if (!prepare_frame(frame)) return;
   const auto packet = net::decode_frame(frame);
   if (!packet) {
@@ -109,35 +120,54 @@ void Probe::process(const net::Frame& frame) {
 }
 
 void Probe::process(std::span<const net::Frame> frames) {
-  // Software pipeline: each frame's buffer lives in its own heap block, so
-  // a naive loop stalls on DRAM at the first touch of every frame. Here
-  // frame i's state machine overlaps with (a) prefetching frame
-  // i+kAhead's buffer, (b) decoding frame i+1 — decode is a pure function,
+  obs::Span batch_span(*obs_.batch);
+  std::size_t at = 0;
+  replay_frames(FrameSpan{frames}, 0, frames.size(), at);
+  obs_flush();
+}
+
+void Probe::replay(const FrameBatch& batch, std::size_t begin, std::size_t end,
+                   std::size_t& at) {
+  // A shard worker replays runs as short as one frame, so the registry is
+  // flushed as the single-frame path does it: once per 256 frames.
+  [[maybe_unused]] const std::uint64_t frames_before = counters_.frames;
+  replay_frames(batch, begin, end, at);
+  if constexpr (obs::kEnabled) {
+    if ((counters_.frames >> 8) != (frames_before >> 8)) obs_flush();
+  }
+}
+
+template <typename Frames>
+void Probe::replay_frames(const Frames& frames, std::size_t begin, std::size_t end,
+                          std::size_t& at) {
+  // Software pipeline: a naive loop stalls on DRAM at the first touch of
+  // every frame (each of a capture's frames lives in its own heap block).
+  // Here frame i's state machine overlaps with (a) prefetching frame
+  // i+kAhead's bytes, (b) decoding frame i+1 — decode is a pure function,
   // so running it early is unobservable — and (c) warming the flow-table
   // slot frame i+1 will probe. Counters still advance strictly in frame
   // order inside prepare_frame (the only behavioral ordering that exists).
-  obs::Span batch_span(*obs_.batch);
   [[maybe_unused]] obs::Registry* const reg = &obs::Registry::global();
   constexpr std::size_t kAhead = 8;
-  const auto prefetch_frame = [](const net::Frame& f) {
+  const auto prefetch_frame = [](net::FrameView f) {
     if (f.data.empty()) return;
     // Two lines cover the L2-L4 headers plus the payload bytes DPI and the
     // DNS sniffer look at first.
     __builtin_prefetch(f.data.data());
     if (f.data.size() > 64) __builtin_prefetch(f.data.data() + 64);
   };
-  const std::size_t n = frames.size();
-  for (std::size_t i = 0; i < n && i < kAhead; ++i) prefetch_frame(frames[i]);
+  for (std::size_t i = begin; i < end && i < begin + kAhead; ++i) prefetch_frame(frames.view(i));
   // Double-buffered decode: frame i+1 parses into the buffer frame i is not
   // using, so no DecodedPacket is ever moved.
   net::DecodedPacket bufs[2];
   bool ok[2] = {false, false};
-  if (n != 0) ok[0] = net::decode_frame_into(frames[0], bufs[0]);
-  for (std::size_t i = 0; i < n; ++i) {
+  if (begin != end) ok[begin & 1] = net::decode_frame_into(frames.view(begin), bufs[begin & 1]);
+  for (std::size_t i = begin; i < end; ++i) {
+    at = i;
     const net::DecodedPacket& packet = bufs[i & 1];
     const bool decoded = ok[i & 1];
-    if (i + 1 < n) {
-      if (i + kAhead < n) prefetch_frame(frames[i + kAhead]);
+    if (i + 1 < end) {
+      if (i + kAhead < end) prefetch_frame(frames.view(i + kAhead));
       net::DecodedPacket& next = bufs[(i + 1) & 1];
       bool timed_decode = false;
       if constexpr (obs::kEnabled) {
@@ -146,23 +176,24 @@ void Probe::process(std::span<const net::Frame> frames) {
         if ((i + 1) % kStageSampleStride == 0) {
           timed_decode = true;
           const std::uint64_t t0 = reg->now_ns();
-          ok[(i + 1) & 1] = net::decode_frame_into(frames[i + 1], next);
+          ok[(i + 1) & 1] = net::decode_frame_into(frames.view(i + 1), next);
           obs_.stage_decode->record(static_cast<std::int64_t>(reg->now_ns() - t0));
         }
       }
-      if (!timed_decode) ok[(i + 1) & 1] = net::decode_frame_into(frames[i + 1], next);
+      if (!timed_decode) ok[(i + 1) & 1] = net::decode_frame_into(frames.view(i + 1), next);
       if (ok[(i + 1) & 1] && next.ip.transport() != core::TransportProto::kOther) {
         table_.prefetch_flow(next.five_tuple());
       }
     }
-    if (!prepare_frame(frames[i])) continue;
+    if constexpr (requires { frames.seq(i); }) table_.set_next_ingest_seq(frames.seq(i));
+    if (!prepare_frame(frames.view(i))) continue;
     if (!decoded) {
       ++counters_.decode_failures;
       continue;
     }
     process(packet);
   }
-  obs_flush();
+  at = end;
 }
 
 void Probe::process(const net::DecodedPacket& packet) {

@@ -24,6 +24,7 @@
 #include "flow/table.hpp"
 #include "net/packet.hpp"
 #include "obs/obs.hpp"
+#include "probe/frame_batch.hpp"
 
 namespace edgewatch::core {
 class ByteWriter;
@@ -52,7 +53,7 @@ class Probe {
   ~Probe();
 
   /// Feed one captured frame (decode failures are counted, not fatal).
-  void process(const net::Frame& frame);
+  void process(net::FrameView frame);
 
   /// Feed a batch of captured frames, in order. Exactly equivalent to
   /// calling process(frame) on each — decode is a pure function — but
@@ -61,6 +62,14 @@ class Probe {
   /// state machine. This overlaps the per-frame DRAM fetches (the replay
   /// loop's dominant stall) with useful work.
   void process(std::span<const net::Frame> frames);
+
+  /// The sharded probe's shard worker: frames [begin, end) of `batch`
+  /// through the same pipelined loop. A flow a frame creates takes the
+  /// frame's batch seq as its ingest_seq (FlowTable::set_next_ingest_seq),
+  /// a probe-global frame sequence that makes the merged export order
+  /// independent of the shard count. `at` is the frame in hand: if a frame
+  /// throws, it names that frame; on return it equals `end`.
+  void replay(const FrameBatch& batch, std::size_t begin, std::size_t end, std::size_t& at);
 
   /// Flush all open flows (end of trace / graceful shutdown).
   void finish();
@@ -73,12 +82,6 @@ class Probe {
 
   /// Probe software upgrade (paper events C/F change what DPI can label).
   void set_classifier_options(dpi::ClassifierOptions options);
-
-  /// Override the arrival index stamped into the next created flow (see
-  /// FlowTable::set_next_ingest_seq). ShardedProbe drives this with a
-  /// probe-global frame sequence to make its merged export order
-  /// shard-count-independent.
-  void set_next_ingest_seq(std::uint64_t seq) noexcept { table_.set_next_ingest_seq(seq); }
 
   /// Planned-maintenance checkpoint (implemented in checkpoint.cpp): write
   /// the live flow table, DN-Hunter caches and counters to `path` so a
@@ -126,6 +129,12 @@ class Probe {
   /// Flow tracking for a frame prepare_frame() admitted and that decoded.
   void process(const net::DecodedPacket& packet);
 
+  /// The one replay loop behind process(span) and replay(): frames
+  /// [begin, end) of `frames`, which gives `view(i)` and, when the stream
+  /// carries ingest seqs, `seq(i)`. `at` tracks the frame in hand.
+  template <typename Frames>
+  void replay_frames(const Frames& frames, std::size_t begin, std::size_t end, std::size_t& at);
+
   /// Shared per-packet body; Timed adds the sampled stage clocks (only
   /// taken 1 frame in 1024, so the steady_clock reads never show up in
   /// the per-frame budget).
@@ -148,7 +157,7 @@ class Probe {
   /// the frame should proceed to flow tracking. The probe samples nothing
   /// (§2.1: "no traffic sampling is performed"): every frame it admits is
   /// tracked.
-  bool prepare_frame(const net::Frame& frame);
+  bool prepare_frame(net::FrameView frame);
 
   /// Named export callable for the flow table's non-owning FunctionRef
   /// sink. Declared before table_ so it outlives every export. A probe is

@@ -6,21 +6,12 @@ namespace edgewatch::probe {
 
 namespace {
 
-std::uint32_t rd32be(const std::vector<std::byte>& d, std::size_t pos) noexcept {
+std::uint32_t rd32be(std::span<const std::byte> d, std::size_t pos) noexcept {
   std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i) {
     v = (v << 8) | std::to_integer<std::uint32_t>(d[pos + static_cast<std::size_t>(i)]);
   }
   return v;
-}
-
-/// Moves a frame's bytes into a staging slot; the caller's frame gets the
-/// slot's old buffer, emptied, so neither side allocates.
-auto take_buffer(net::Frame& frame) {
-  return [&frame](std::vector<std::byte>& data) {
-    data.swap(frame.data);
-    frame.data.clear();
-  };
 }
 
 bool by_seq(const flow::FlowRecord& a, const flow::FlowRecord& b) noexcept {
@@ -95,13 +86,13 @@ ShardedProbe::ShardedProbe(ShardedProbeConfig config) : config_(std::move(config
 
 ShardedProbe::~ShardedProbe() { (void)finish(); }
 
-std::size_t ShardedProbe::shard_of(const net::Frame& frame) const noexcept {
+std::size_t ShardedProbe::shard_of(net::FrameView frame) const noexcept {
   // Cheap L3/L4 peek — the full decode happens on the worker. Ethernet
   // header is 14 bytes; IPv4 src/dst sit at fixed offsets 26/30 whatever
   // the IHL. Non-IPv4 frames (IPv6, ARP, runts) carry no flow state, so
   // any deterministic shard works; they go to shard 0 for counting.
   if (shards_.size() == 1) return 0;
-  const auto& d = frame.data;
+  const auto d = frame.data;
   if (d.size() < 34) return 0;
   const auto ethertype = (std::to_integer<std::uint16_t>(d[12]) << 8) |
                          std::to_integer<std::uint16_t>(d[13]);
@@ -143,7 +134,7 @@ std::size_t ShardedProbe::shard_of(const net::Frame& frame) const noexcept {
 
 bool ShardedProbe::has_room(Shard& shard, bool block) {
   const auto held = [&shard] {
-    return shard.published.load(std::memory_order_relaxed) + shard.staged.size -
+    return shard.published.load(std::memory_order_relaxed) + shard.staged.size() -
            shard.processed_seen;
   };
   // `processed` only grows, so a stale read errs towards "full": the
@@ -161,9 +152,9 @@ bool ShardedProbe::has_room(Shard& shard, bool block) {
   return true;
 }
 
-ShardedProbe::Batch ShardedProbe::take_batch(Shard& shard) {
+FrameBatch ShardedProbe::take_batch(Shard& shard) {
   if (!shard.free.empty()) {
-    Batch batch = std::move(shard.free.back());
+    FrameBatch batch = std::move(shard.free.back());
     shard.free.pop_back();
     return batch;
   }
@@ -172,7 +163,7 @@ ShardedProbe::Batch ShardedProbe::take_batch(Shard& shard) {
 }
 
 bool ShardedProbe::publish(Shard& shard, bool block) {
-  const std::size_t n = shard.staged.size;
+  const std::size_t n = shard.staged.size();
   if (n == 0) return true;
   Item item;
   item.batch = std::move(shard.staged);
@@ -183,44 +174,42 @@ bool ShardedProbe::publish(Shard& shard, bool block) {
     shard.staged = std::move(item.batch);
     return false;
   }
-  shard.staged = Batch{};
+  shard.staged = FrameBatch{};
   shard.published.store(shard.published.load(std::memory_order_relaxed) + n,
                         std::memory_order_release);
   return true;
 }
 
-template <typename Fill>
-bool ShardedProbe::stage(const net::Frame& frame, bool block, Fill fill) {
-  Shard& shard = *shards_[shard_of(frame)];
-  Batch& batch = shard.staged;
-  // A batch left full by a refused non-blocking push must go first.
-  if (batch.size == batch_ && !publish(shard, block)) return false;
-  if (!has_room(shard, block)) return false;
-  if (batch.slots.empty()) {
-    batch = take_batch(shard);
-    batch.size = 0;
+bool ShardedProbe::stage(net::FrameView frame, bool block) {
+  // Ask for all of the frame's lines before shard_of() reads the first,
+  // so their fetches overlap instead of the copy taking them one by one.
+  for (std::size_t off = 64; off < frame.data.size(); off += 64) {
+    __builtin_prefetch(frame.data.data() + off);
   }
-  if (batch.size == batch.slots.size()) batch.slots.emplace_back();  // grows once, then recycles
-  auto& slot = batch.slots[batch.size++];
-  slot.frame.timestamp = frame.timestamp;
-  fill(slot.frame.data);
-  slot.seq = next_seq_++;
+  Shard& shard = *shards_[shard_of(frame)];
+  FrameBatch& batch = shard.staged;
+  // A batch left full by a refused non-blocking push must go first.
+  if (batch.size() == batch_ && !publish(shard, block)) return false;
+  if (!has_room(shard, block)) return false;
+  if (batch.capacity() == 0) {
+    batch = take_batch(shard);  // a recycled batch keeps its arena
+    batch.clear();
+  }
+  batch.push(frame, next_seq_++);
   // A non-blocking feeder hands every frame over at once. It keeps pace
   // or sheds, so a batch would only hold frames back from an idle worker
   // and let the ring look emptier than the feeder's backlog is.
-  if (!block || batch.size == batch_) (void)publish(shard, block);
+  if (!block || batch.size() == batch_) (void)publish(shard, block);
   return true;
 }
 
-void ShardedProbe::ingest(const net::Frame& frame) {
+void ShardedProbe::ingest(net::FrameView frame) {
   if (finished_) return;
-  (void)stage(frame, /*block=*/true, [&frame](std::vector<std::byte>& data) {
-    data.assign(frame.data.begin(), frame.data.end());
-  });
+  (void)stage(frame, /*block=*/true);
 }
 
-bool ShardedProbe::try_ingest(net::Frame& frame) {
-  return !finished_ && stage(frame, /*block=*/false, take_buffer(frame));
+bool ShardedProbe::try_ingest(net::FrameView frame) {
+  return !finished_ && stage(frame, /*block=*/false);
 }
 
 void ShardedProbe::broadcast(Item::Kind kind, dpi::ClassifierOptions options) {
@@ -288,25 +277,8 @@ core::Result<void> ShardedProbe::restore(
   return {};
 }
 
-void ShardedProbe::handle_frame(Shard& shard, std::uint64_t seq, const net::Frame& frame) {
-  bool state_suspect = false;
-  try {
-    if (config_.frame_inspector) config_.frame_inspector(seq, frame);
-    state_suspect = true;  // from here on, a throw leaves the probe half-mutated
-    shard.probe->set_next_ingest_seq(seq);
-    shard.probe->process(frame);
-    if (config_.snapshot_interval > 0 &&
-        ++shard.frames_since_snapshot >= config_.snapshot_interval) {
-      shard.last_snapshot = shard.probe->checkpoint_image();
-      shard.frames_since_snapshot = 0;
-    }
-    return;
-  } catch (const StateSuspectError&) {
-    state_suspect = true;
-  } catch (...) {
-    // Inspector threw before processing started: probe state untouched.
-  }
-
+void ShardedProbe::quarantine(Shard& shard, std::uint64_t seq, net::FrameView frame,
+                              bool state_suspect) {
   // Poison frame: quarantine it and, if the probe may be half-mutated,
   // roll the shard back to its last good state instead of letting one bad
   // frame take down five years of uptime.
@@ -329,10 +301,53 @@ void ShardedProbe::handle_frame(Shard& shard, std::uint64_t seq, const net::Fram
   if (config_.poison_sink) config_.poison_sink(seq, frame, restored);
 }
 
-void ShardedProbe::beat(Shard& shard) noexcept {
+void ShardedProbe::replay_batch(Shard& shard, const FrameBatch& batch) {
+  const std::size_t n = batch.size();
+  const std::uint64_t interval = config_.snapshot_interval;
+  std::size_t i = 0;
+  while (i < n) {
+    // One run: the whole rest of the batch, cut where a snapshot falls
+    // due; a single frame when an inspector must see each frame first.
+    std::size_t end = config_.frame_inspector ? i + 1 : n;
+    if (interval > 0) {
+      end = std::min<std::size_t>(end, i + (interval - shard.frames_since_snapshot));
+    }
+    std::size_t at = i;
+    bool state_suspect = false;
+    try {
+      if (config_.frame_inspector) config_.frame_inspector(batch.seq(i), batch.view(i));
+      state_suspect = true;  // from here on, a throw leaves the probe half-mutated
+      shard.probe->replay(batch, i, end, at);
+      if (interval > 0 && (shard.frames_since_snapshot += end - i) >= interval) {
+        at = end - 1;  // the snapshot is the run's last frame's: if it throws, so did that frame
+        shard.last_snapshot = shard.probe->checkpoint_image();
+        shard.frames_since_snapshot = 0;
+        at = end;
+      }
+    } catch (const StateSuspectError&) {
+      state_suspect = true;
+    } catch (...) {
+      // An inspector throw comes before processing starts: state untouched.
+    }
+    if (at < end) {  // frame `at` threw; the frames before it are done
+      quarantine(shard, batch.seq(at), batch.view(at), state_suspect);
+      end = at + 1;
+    }
+    finished(shard, end - i);
+    i = end;
+  }
+}
+
+void ShardedProbe::beat(Shard& shard, std::uint64_t n) noexcept {
   // Only this worker writes the heartbeat: a plain store, no RMW.
-  shard.heartbeat.store(shard.heartbeat.load(std::memory_order_relaxed) + 1,
+  shard.heartbeat.store(shard.heartbeat.load(std::memory_order_relaxed) + n,
                         std::memory_order_release);
+}
+
+void ShardedProbe::finished(Shard& shard, std::uint64_t frames) noexcept {
+  shard.processed.store(shard.processed.load(std::memory_order_relaxed) + frames,
+                        std::memory_order_release);
+  beat(shard, frames);
 }
 
 void ShardedProbe::worker_loop(Shard& shard) {
@@ -353,19 +368,12 @@ void ShardedProbe::worker_loop(Shard& shard) {
       continue;
     }
     switch (item->kind) {
-      case Item::Kind::kFrames: {
-        Batch& batch = item->batch;
-        for (std::size_t i = 0; i < batch.size; ++i) {
-          handle_frame(shard, batch.slots[i].seq, batch.slots[i].frame);
-          shard.processed.store(shard.processed.load(std::memory_order_relaxed) + 1,
-                                std::memory_order_release);
-          beat(shard);
-        }
-        // Hand the buffers back before taking the next batch, which keeps
+      case Item::Kind::kFrames:
+        replay_batch(shard, item->batch);
+        // Hand the arena back before taking the next batch, which keeps
         // the batches in circulation within spare's capacity.
-        (void)shard.spare.try_push(std::move(batch));
+        (void)shard.spare.try_push(std::move(item->batch));
         continue;
-      }
       case Item::Kind::kClassifier:
         shard.probe->set_classifier_options(item->options);
         break;
@@ -405,7 +413,7 @@ void ShardedProbe::worker_loop(Shard& shard) {
         break;
       }
     }
-    beat(shard);
+    beat(shard, 1);
   }
   if (abandoned_.load(std::memory_order_acquire)) return;  // killed: no flush
   // Ring closed and drained: flush the shard's open flows. The exports
@@ -429,7 +437,7 @@ void ShardedProbe::abandon() {
   abandoned_.store(true, std::memory_order_release);
   join_workers();
   for (auto& shard : shards_) {
-    shard->staged = Batch{};  // never published: dies with the process
+    shard->staged = FrameBatch{};  // never published: dies with the process
     shard->records.clear();
     shard->records.shrink_to_fit();
   }

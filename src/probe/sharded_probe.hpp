@@ -5,16 +5,25 @@
 // DPI state and DN-Hunter cache — fed through bounded SPSC rings and
 // drained by one worker thread per shard.
 //
-// Handoff: the feeder copies each frame into a per-shard staging batch
-// and publishes a full batch with one ring push. Emptied batches travel
-// back to the feeder over a second ring, so the frame buffers are reused
-// and steady-state feeding copies bytes without allocating. A partial
-// batch is published early at every control event, barrier and finish(),
-// so batching never moves a frame relative to them. try_ingest does not
-// batch: each frame it accepts goes to the worker at once. The bound is
-// counted in frames, not batches: a shard holds at most queue_capacity
-// frames that its worker has not finished, staged ones included, and
-// every frame the worker finishes makes room for one more.
+// Handoff: the feeder copies each frame's bytes into a per-shard staging
+// batch, one byte arena plus a {timestamp, offset, length, seq} entry per
+// frame (FrameBatch), and publishes a full batch with one ring push.
+// Emptied batches travel back to the feeder over a second ring and keep
+// their arenas, so steady-state feeding is one memcpy per frame, with no
+// allocation. A partial batch is published early at every control event,
+// barrier and finish(), so batching never moves a frame relative to them.
+// try_ingest copies the same way but does not batch: each frame it accepts
+// goes to the worker at once, in a batch of one. The bound is counted in
+// frames, not batches: a shard holds at most queue_capacity frames that
+// its worker has not finished, staged ones included.
+//
+// Replay: the worker runs each batch through Probe's software-pipelined
+// loop (prefetch, decode-ahead, flow-slot warm-up) in runs: the whole
+// batch, cut where a snapshot falls due, or one frame at a time when a
+// frame_inspector must see each frame first. Room, the heartbeat and the
+// quarantine all count frames: a run frees room for as many frames as it
+// held, and a frame that throws is quarantined alone, the run resuming
+// after it.
 //
 // Why the customer address is the shard key: every analytics dimension of
 // the paper is per-subscription, and DN-Hunter's cache is per-client by
@@ -62,6 +71,7 @@
 #include "core/spsc_queue.hpp"
 #include "flow/record.hpp"
 #include "net/packet.hpp"
+#include "probe/frame_batch.hpp"
 #include "probe/probe.hpp"
 
 namespace edgewatch::probe {
@@ -92,11 +102,14 @@ struct ShardedProbeConfig {
   /// and where the chaos harness injects poison (throw) and stalls
   /// (block). May throw: a plain exception quarantines the frame (probe
   /// state untouched); StateSuspectError additionally restores the shard
-  /// from its last snapshot.
-  std::function<void(std::uint64_t seq, const net::Frame&)> frame_inspector;
+  /// from its last snapshot. The view's bytes live in the shard's batch
+  /// arena: they are valid for the duration of the call only. With an
+  /// inspector installed, the worker replays one frame at a time.
+  std::function<void(std::uint64_t seq, net::FrameView frame)> frame_inspector;
   /// Invoked on the worker thread when a frame is quarantined.
   /// `state_restored` tells whether the shard rolled back to a snapshot.
-  std::function<void(std::uint64_t seq, const net::Frame&, bool state_restored)> poison_sink;
+  /// The view is valid for the duration of the call only.
+  std::function<void(std::uint64_t seq, net::FrameView frame, bool state_restored)> poison_sink;
   /// Worker-local frames between automatic probe snapshots (the "last good
   /// state" a poison rollback restores). 0 disables snapshots — a poison
   /// frame then resets the shard to empty.
@@ -122,19 +135,21 @@ class ShardedProbe {
   ShardedProbe& operator=(const ShardedProbe&) = delete;
 
   /// Feed one captured frame (single feeder thread). The bytes are copied
-  /// into the owning shard's staging batch. Blocks while the shard holds
-  /// queue_capacity frames.
-  void ingest(const net::Frame& frame);
+  /// into the owning shard's staging batch; the caller keeps its frame.
+  /// Blocks while the shard holds queue_capacity frames.
+  void ingest(net::FrameView frame);
 
   /// Non-blocking ingest for overload-aware feeders. On success the
-  /// frame's buffer is taken and the frame takes the next sequence number:
-  /// every accepted frame takes exactly one. False when the owning shard
-  /// already holds queue_capacity frames: the frame is left in `frame` and
-  /// no sequence number is consumed — the caller may retry, reroute or
-  /// shed it. Each accepted frame goes to the worker at once, as a batch
-  /// of one: a non-blocking feeder keeps pace or sheds, and holding frames
-  /// back would only idle the worker and understate the backlog.
-  [[nodiscard]] bool try_ingest(net::Frame& frame);
+  /// frame's bytes are copied into a batch arena, as ingest() copies them,
+  /// and the frame takes the next sequence number: every accepted frame
+  /// takes exactly one. False when the owning shard already holds
+  /// queue_capacity frames: nothing is copied and no sequence number is
+  /// consumed — the caller may retry, reroute or shed the frame. Either
+  /// way the caller keeps its frame. Each accepted frame goes to the
+  /// worker at once, as a batch of one: a non-blocking feeder keeps pace
+  /// or sheds, and holding frames back would only idle the worker and
+  /// understate the backlog.
+  [[nodiscard]] bool try_ingest(net::FrameView frame);
 
   /// Control events ride the same rings as frames, so they take effect at
   /// exactly the same stream position on every shard (upgrade events C/F,
@@ -201,19 +216,6 @@ class ShardedProbe {
     std::atomic<bool> done{false};
   };
 
-  /// Frames bound for one shard, in arrival order. Only [0, size) is live:
-  /// the slots keep their count, and every frame its buffer, across trips
-  /// through the rings, so refilling a recycled batch only copies. Slots
-  /// are added on demand, so a batch of one holds one.
-  struct Batch {
-    struct Slot {
-      net::Frame frame;
-      std::uint64_t seq = 0;
-    };
-    std::vector<Slot> slots;
-    std::size_t size = 0;
-  };
-
   struct Item {
     enum class Kind : std::uint8_t {
       kFrames,
@@ -224,7 +226,7 @@ class ShardedProbe {
       kRestore,
     };
     Kind kind = Kind::kFrames;
-    Batch batch;
+    FrameBatch batch;
     dpi::ClassifierOptions options;
     std::shared_ptr<BarrierSlot> barrier;
   };
@@ -236,12 +238,12 @@ class ShardedProbe {
     explicit Shard(std::size_t ring_slots)
         : queue(ring_slots), spare(queue.capacity() + 2) {}
     core::SpscQueue<Item> queue;    ///< Feeder → worker.
-    core::SpscQueue<Batch> spare;   ///< Worker → feeder: emptied batches.
+    core::SpscQueue<FrameBatch> spare;  ///< Worker → feeder: emptied batches.
     std::unique_ptr<Probe> probe;
     std::vector<flow::FlowRecord> records;  ///< Written by worker, read after join.
     // Feeder-owned.
-    alignas(64) Batch staged;
-    std::vector<Batch> free;          ///< Batches taken off `spare` while waiting.
+    alignas(64) FrameBatch staged;
+    std::vector<FrameBatch> free;     ///< Batches taken off `spare` while waiting.
     std::uint64_t processed_seen = 0;  ///< Last value read from `processed`.
     std::atomic<std::uint64_t> published{0};  ///< Frames pushed into the ring.
     // Worker-owned: poison-recovery state and the frame count that frees room.
@@ -255,18 +257,16 @@ class ShardedProbe {
     std::thread worker;  ///< Last: it uses every member above.
   };
 
-  [[nodiscard]] std::size_t shard_of(const net::Frame& frame) const noexcept;
-  /// Put the frame into its shard's staging batch (`fill`
-  /// writes the bytes into the slot's buffer) and stamp its sequence
+  [[nodiscard]] std::size_t shard_of(net::FrameView frame) const noexcept;
+  /// Copy the frame into its shard's staging batch under the next sequence
   /// number; publish the batch if that fills it (non-blocking: always).
   /// False when a non-blocking stage finds no room.
-  template <typename Fill>
-  bool stage(const net::Frame& frame, bool block, Fill fill);
+  bool stage(net::FrameView frame, bool block);
   /// Whether the shard can take one more frame under queue_capacity. A
   /// blocking call waits for the worker to hand batches back instead.
   bool has_room(Shard& shard, bool block);
   /// An empty batch for staging: a returned one if any, else a new one.
-  Batch take_batch(Shard& shard);
+  FrameBatch take_batch(Shard& shard);
   /// Push the staged batch (if any) into the ring, blocking or not. The
   /// batch stays staged when a non-blocking push finds the ring full.
   bool publish(Shard& shard, bool block);
@@ -276,8 +276,15 @@ class ShardedProbe {
   std::vector<std::shared_ptr<BarrierSlot>> barrier(
       Item::Kind kind, const std::vector<std::vector<std::byte>>* state_in);
   void worker_loop(Shard& shard);
-  void handle_frame(Shard& shard, std::uint64_t seq, const net::Frame& frame);
-  void beat(Shard& shard) noexcept;
+  /// Replay one batch through the shard's probe, run by run.
+  void replay_batch(Shard& shard, const FrameBatch& batch);
+  /// Capture a frame that threw, rolling the shard back if its state may
+  /// be half-mutated.
+  void quarantine(Shard& shard, std::uint64_t seq, net::FrameView frame, bool state_suspect);
+  /// The worker is done with `frames` frames: room for as many, and as
+  /// many heartbeats.
+  void finished(Shard& shard, std::uint64_t frames) noexcept;
+  void beat(Shard& shard, std::uint64_t n) noexcept;
   void join_workers();
 
   ShardedProbeConfig config_;

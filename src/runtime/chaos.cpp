@@ -39,9 +39,9 @@ void ChaosSchedule::release_stall() {
   shared_->stall_released.store(true, std::memory_order_release);
 }
 
-std::function<void(std::uint64_t, const net::Frame&)> ChaosSchedule::inspector() const {
+std::function<void(std::uint64_t, net::FrameView)> ChaosSchedule::inspector() const {
   auto shared = shared_;
-  return [shared](std::uint64_t seq, const net::Frame&) {
+  return [shared](std::uint64_t seq, net::FrameView) {
     const auto& cfg = shared->config;
     if (cfg.busy_spin > 0) {
       // Deterministic busy-work: enough to slow a worker, no side effects.

@@ -57,7 +57,7 @@ class ChaosSchedule {
 
   /// The frame inspector implementing this schedule. Safe to install on a
   /// pipeline that outlives the schedule object (state is shared).
-  [[nodiscard]] std::function<void(std::uint64_t, const net::Frame&)> inspector() const;
+  [[nodiscard]] std::function<void(std::uint64_t, net::FrameView)> inspector() const;
 
  private:
   struct Shared {

@@ -75,7 +75,7 @@ Supervisor::~Supervisor() {
 }
 
 void Supervisor::install_hooks() {
-  config_.probe.poison_sink = [this](std::uint64_t seq, const net::Frame& frame,
+  config_.probe.poison_sink = [this](std::uint64_t seq, net::FrameView frame,
                                      bool /*state_restored*/) {
     obs_.quarantined->add(1);  // registry cells are atomics: worker-safe
     std::scoped_lock lock(poison_mutex_);
@@ -194,7 +194,7 @@ core::Result<std::uint64_t> Supervisor::resume() {
   return cp.replay_from;
 }
 
-void Supervisor::offer(net::Frame frame) {
+void Supervisor::offer(net::FrameView frame) {
   if (!started_ || finished_ || crashed_) return;
   const core::CivilDate day = frame.timestamp.date();
   const std::uint64_t idx = offered_++;

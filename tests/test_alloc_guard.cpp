@@ -3,7 +3,9 @@
 // DN-Hunter lookups of the flows that follow them, must not touch the heap:
 // each response parses into the probe's scratch message and refreshes slab
 // entries in place, and its UDP packet only updates its flow and recycles
-// the flow table's expiry FIFO blocks.
+// the flow table's expiry FIFO blocks. A new TCP flow takes a released
+// flow slot, whose RTT segment buffer it reuses, and the sharded probe
+// hands frames over in recycled batch arenas.
 // This executable replaces global operator new (see alloc_counter.hpp), so
 // it holds no other tests.
 #include "alloc_counter.hpp"
@@ -12,11 +14,13 @@
 
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dns/message.hpp"
 #include "net/packet.hpp"
 #include "probe/probe.hpp"
+#include "probe/sharded_probe.hpp"
 
 namespace ew = edgewatch;
 using ew::core::IPv4Address;
@@ -79,6 +83,27 @@ std::vector<ew::net::Frame> responses_at(int names, Timestamp start) {
 
 constexpr int kNames = 12;
 const Timestamp kStart = Timestamp::from_seconds(1'500'000'000);
+
+/// Each client's responses as responses_at() renders them, each followed
+/// 50 us later by the client's SYN to the first address it resolved, from
+/// a port unique to (round, name): every SYN opens a new TCP flow.
+std::vector<ew::net::Frame> responses_and_syns_at(int round, Timestamp start) {
+  std::vector<ew::net::Frame> frames;
+  const auto responses = responses_at(kNames, start);
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    const int name = static_cast<int>(i) / kClients;
+    const int client = static_cast<int>(i) % kClients;
+    frames.push_back(responses[i]);
+    frames.push_back(
+        ew::net::PacketBuilder{}
+            .ts(Timestamp{responses[i].timestamp.micros() + 50})
+            .ip(client_at(client), IPv4Address{45, 57, static_cast<std::uint8_t>(name), 1})
+            .tcp(static_cast<std::uint16_t>(20000 + round * kNames + name), 443, 1000, 0,
+                 ew::net::TcpFlags::kSyn)
+            .build());
+  }
+  return frames;
+}
 
 /// The clients re-resolve every 10 s. Warming over more rounds than the
 /// flow table's 120 s UDP idle timeout spans brings its expiry FIFO to a
@@ -144,5 +169,79 @@ TEST(AllocGuard, DnHunterLookupsOfTheFollowingFlowsAllocateNothing) {
   const std::uint64_t allocations = scope.count();
 
   EXPECT_EQ(named, std::uint64_t{kNames} * kClients);
+  EXPECT_EQ(allocations, 0u);
+}
+
+TEST(AllocGuard, NewTcpFlowsAfterDnsResponsesAllocateNothing) {
+  std::uint64_t exported = 0;
+  ew::probe::Probe probe{{}, [&exported](ew::flow::FlowRecord&&) { ++exported; }};
+  constexpr int kSynRounds = 3;
+  for (int round = 0; round < kSynRounds; ++round) {
+    for (const auto& frame : responses_and_syns_at(round, round_start(round))) {
+      probe.process(frame);
+    }
+  }
+  // The clients keep resolving until every SYN's flow has passed the TCP
+  // idle timeout: those flows are exported and their slots freed, while
+  // the DNS flows stay open. So the measured round opens its TCP flows in
+  // slots TCP flows left, and exports nothing (an export builds its
+  // record's name string).
+  const int quiet_end =
+      kSynRounds + static_cast<int>(ew::flow::FlowTableConfig{}.tcp_idle_timeout_us / 10'000'000) + 2;
+  for (int round = kSynRounds; round < quiet_end; ++round) {
+    for (const auto& frame : responses_at(kNames, round_start(round))) probe.process(frame);
+  }
+  ASSERT_EQ(probe.table().active_flows(), std::size_t{kClients});
+  const auto round = responses_and_syns_at(quiet_end, round_start(quiet_end));
+  const std::uint64_t exported_before = exported;
+  const std::uint64_t flows_before = probe.table().counters().flows_created;
+
+  const ew::testing::AllocationScope scope;
+  probe.process(std::span<const ew::net::Frame>(round));
+  const std::uint64_t allocations = scope.count();
+
+  EXPECT_EQ(probe.table().counters().flows_created - flows_before, round.size() / 2);
+  EXPECT_EQ(exported, exported_before);
+  EXPECT_EQ(allocations, 0u);
+}
+
+TEST(AllocGuard, ShardedSteadyStateAllocatesNothing) {
+  // A small ring bounds the batches in circulation (a new one is made only
+  // when none is free), so the warm-up fills the ring and makes every
+  // batch the measured passes can need.
+  ew::probe::ShardedProbeConfig config;
+  config.shards = 2;
+  config.queue_capacity = 8;
+  ew::probe::ShardedProbe probe{config};
+  const auto ingest = [&probe](const std::vector<ew::net::Frame>& frames) {
+    for (const auto& frame : frames) probe.ingest(frame);
+  };
+  const auto try_ingest = [&probe](const std::vector<ew::net::Frame>& frames) {
+    for (const auto& frame : frames) {
+      while (!probe.try_ingest(frame)) std::this_thread::yield();
+    }
+  };
+  for (int round = 0; round < kWarmRounds; ++round) {
+    const auto frames = responses_at(kNames, round_start(round));
+    if (round % 2 == 0) {
+      ingest(frames);
+    } else {
+      try_ingest(frames);
+    }
+  }
+  const auto blocking = responses_at(kNames, round_start(kWarmRounds));
+  const auto non_blocking = responses_at(kNames, round_start(kWarmRounds + 1));
+
+  const ew::testing::AllocationScope scope;
+  ingest(blocking);
+  try_ingest(non_blocking);  // publishes every frame, and the staged ones before them
+  for (std::size_t s = 0; s < probe.shard_count(); ++s) {
+    while (probe.queue_depth(s) != 0) std::this_thread::yield();
+  }
+  const std::uint64_t allocations = scope.count();
+
+  (void)probe.finish();
+  EXPECT_EQ(probe.counters().dns_responses,
+            std::uint64_t{kWarmRounds + 2} * kNames * kClients);
   EXPECT_EQ(allocations, 0u);
 }

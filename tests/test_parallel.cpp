@@ -565,7 +565,7 @@ TEST(ShardedProbe, QueueDepthStaysWithinCapacityWhileWorkerBlocked) {
   ew::probe::ShardedProbeConfig scfg;
   scfg.shards = 1;
   scfg.queue_capacity = kCapacity;
-  scfg.frame_inspector = [&release](std::uint64_t, const ew::net::Frame&) {
+  scfg.frame_inspector = [&release](std::uint64_t, ew::net::FrameView) {
     while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
   };
   ew::probe::ShardedProbe sp(scfg);
@@ -611,7 +611,7 @@ TEST(ShardedProbe, TryIngestAdmitsOneFrameForEachFrameProcessed) {
   ew::probe::ShardedProbeConfig scfg;
   scfg.shards = 1;
   scfg.queue_capacity = kCapacity;
-  scfg.frame_inspector = [&](std::uint64_t, const ew::net::Frame&) {
+  scfg.frame_inspector = [&](std::uint64_t, ew::net::FrameView) {
     while (passed.load(std::memory_order_relaxed) >= allowance.load(std::memory_order_acquire)) {
       std::this_thread::yield();
     }
@@ -723,7 +723,7 @@ TEST(ShardedProbe, AbandonAndDestructionWithPartlyStagedBatchReturnPromptly) {
   scfg.shards = 2;
   scfg.queue_capacity = 4096;  // 256-frame batches: the frames below stay staged
   std::atomic<std::size_t> inspected{0};
-  scfg.frame_inspector = [&inspected](std::uint64_t, const ew::net::Frame&) {
+  scfg.frame_inspector = [&inspected](std::uint64_t, ew::net::FrameView) {
     inspected.fetch_add(1, std::memory_order_relaxed);
   };
   constexpr std::size_t kStaged = 100;
@@ -744,6 +744,110 @@ TEST(ShardedProbe, AbandonAndDestructionWithPartlyStagedBatchReturnPromptly) {
     for (std::size_t i = 0; i < kStaged; ++i) sp.ingest(frames[i]);
   }  // destroyed without finish()
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
+}
+
+namespace {
+
+/// A frame of `size` bytes whose EtherType field (if it has one) says
+/// `ethertype`, the rest zero: runts, and frames the probe only counts.
+ew::net::Frame raw_frame(Timestamp ts, std::uint16_t ethertype, std::size_t size) {
+  std::vector<std::byte> data(size);
+  if (size >= 14) {
+    data[12] = static_cast<std::byte>(ethertype >> 8);
+    data[13] = static_cast<std::byte>(ethertype & 0xff);
+  }
+  return {ts, std::move(data)};
+}
+
+/// `frame` with an 802.1Q tag (VLAN 42) after its MAC addresses.
+ew::net::Frame vlan_tagged(ew::net::Frame frame) {
+  const std::byte tag[] = {std::byte{0x81}, std::byte{0x00}, std::byte{0x00}, std::byte{0x2a}};
+  frame.data.insert(frame.data.begin() + 12, std::begin(tag), std::end(tag));
+  return frame;
+}
+
+/// The golden workload with frames a batch arena must carry byte for byte:
+/// a 9,000-byte frame before any arena has grown, then, among the golden
+/// frames, empty frames, runts shorter than the 34 bytes shard_of() reads,
+/// IPv6 frames, and a client whose every frame is VLAN-tagged (its DNS
+/// response and a TLS conversation; tagged frames all route to shard 0).
+std::vector<ew::net::Frame> odd_workload() {
+  const auto golden = golden_workload();
+  std::vector<ew::net::Frame> frames;
+  frames.push_back(golden.front());
+  frames.push_back(ew::net::PacketBuilder{}
+                       .ts(golden.front().timestamp)
+                       .ip(IPv4Address{10, 0, 9, 9}, IPv4Address{198, 51, 100, 7})
+                       .udp(5004, 5004)
+                       .payload(std::vector<std::byte>(9000 - 42, std::byte{0x5a}))
+                       .build());
+  EXPECT_EQ(frames.back().data.size(), 9000u);
+  const std::pair<std::uint16_t, std::size_t> odd[] = {
+      {0x0800, 0}, {0x0800, 1}, {0x0800, 20}, {0x0800, 33}, {0x86dd, 54}, {0x86dd, 1514}};
+  for (std::size_t i = 1; i < golden.size(); ++i) {
+    frames.push_back(golden[i]);
+    if (i % 7 == 0) {
+      const auto& [ethertype, size] = odd[(i / 7) % std::size(odd)];
+      frames.push_back(raw_frame(golden[i].timestamp, ethertype, size));
+    }
+  }
+
+  const IPv4Address client{10, 0, 7, 7};
+  const IPv4Address server{93, 184, 216, 34};
+  const Timestamp start = golden[golden.size() / 2].timestamp;
+  const IPv4Address addrs[] = {server};
+  frames.push_back(vlan_tagged(ew::synth::render_dns_response(
+      client, kResolver, "tagged.example.com", addrs, Timestamp{start.micros() - 40'000})));
+  ew::synth::ConversationSpec spec;
+  spec.client = client;
+  spec.server = server;
+  spec.client_port = 45000;
+  spec.web = ew::dpi::WebProtocol::kTls;
+  spec.server_name = "tagged.example.com";
+  spec.response_bytes = 4000;
+  spec.start = start;
+  spec.rtt_us = 15'000;
+  spec.teardown = true;
+  for (auto& f : ew::synth::render_conversation(spec)) frames.push_back(vlan_tagged(std::move(f)));
+  std::stable_sort(frames.begin(), frames.end(),
+                   [](const ew::net::Frame& a, const ew::net::Frame& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+  return frames;
+}
+
+}  // namespace
+
+TEST(ShardedProbe, ArenaBatchesCarryOddFramesLikeSerial) {
+  const auto frames = odd_workload();
+  const ew::probe::ProbeConfig cfg;
+  ew::probe::Probe::Counters serial;
+  const auto expected = encode_stream(serial_reference(frames, cfg, &serial));
+  ASSERT_GT(serial.ipv6_frames, 0u);
+  ASSERT_GT(serial.decode_failures, 0u);
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    for (const std::size_t capacity : {std::size_t{4}, std::size_t{1024}}) {
+      ew::probe::ShardedProbeConfig scfg;
+      scfg.probe = cfg;
+      scfg.shards = shards;
+      scfg.queue_capacity = capacity;
+      ew::probe::ShardedProbe sp(scfg);
+      for (const auto& f : frames) sp.ingest(f);
+      EXPECT_EQ(encode_stream(sp.finish()), expected)
+          << "shards=" << shards << " capacity=" << capacity;
+
+      const auto c = sp.counters();
+      const auto where = ::testing::Message() << "shards=" << shards << " capacity=" << capacity;
+      EXPECT_EQ(c.frames, serial.frames) << where;
+      EXPECT_EQ(c.decode_failures, serial.decode_failures) << where;
+      EXPECT_EQ(c.ipv6_frames, serial.ipv6_frames) << where;
+      EXPECT_EQ(c.dropped_offline, serial.dropped_offline) << where;
+      EXPECT_EQ(c.dns_responses, serial.dns_responses) << where;
+      EXPECT_EQ(c.records_exported, serial.records_exported) << where;
+      EXPECT_EQ(c.records_named_by_dns, serial.records_named_by_dns) << where;
+    }
+  }
 }
 
 // ------------------------------------------------- parallel stage-one
