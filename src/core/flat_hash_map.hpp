@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <new>
 #include <stdexcept>
 #include <type_traits>
@@ -467,14 +468,18 @@ class FlatHashMap {
   }
 
   void resize(size_type new_cap) {
+    // Both arrays are allocated before the table changes: if either
+    // allocation throws, the table is left as it was.
+    std::unique_ptr<std::uint8_t[]> new_ctrl{new std::uint8_t[new_cap + kGroupWidth]};
+    auto* const new_slots = static_cast<Slot*>(::operator new(new_cap * sizeof(Slot),
+                                                              std::align_val_t{alignof(Slot)}));
     std::uint8_t* old_ctrl = ctrl_;
     Slot* old_slots = slots_;
     const size_type old_cap = capacity_;
 
-    ctrl_ = new std::uint8_t[new_cap + kGroupWidth];
+    ctrl_ = new_ctrl.release();
     std::memset(ctrl_, kEmpty, new_cap + kGroupWidth);
-    slots_ = static_cast<Slot*>(::operator new(new_cap * sizeof(Slot),
-                                               std::align_val_t{alignof(Slot)}));
+    slots_ = new_slots;
     capacity_ = new_cap;
     deleted_ = 0;
     growth_left_ = max_load(new_cap) - size_;

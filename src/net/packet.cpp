@@ -15,13 +15,13 @@ std::size_t DecodedPacket::transport_payload_declared() const noexcept {
   return ip_payload >= l4_header ? ip_payload - l4_header : 0;
 }
 
-std::optional<DecodedPacket> decode_frame(FrameView frame) noexcept {
+std::optional<DecodedPacket> decode_frame(const FrameView& frame) noexcept {
   std::optional<DecodedPacket> out(std::in_place);
   if (!decode_frame_into(frame, *out)) return std::nullopt;
   return out;
 }
 
-bool decode_frame_into(FrameView frame, DecodedPacket& pkt) noexcept {
+bool decode_frame_into(const FrameView& frame, DecodedPacket& pkt) noexcept {
   // Headers are parsed straight into the packet's fields: on the per-frame
   // hot path the temporary-header-then-move dance costs more than the
   // parsing itself. Clear what parse_into may leave stale on reuse.

@@ -25,13 +25,16 @@ namespace edgewatch::probe {
 class FrameBatch {
  public:
   /// Append a copy of `frame`, to be replayed under `seq`.
-  void push(net::FrameView frame, std::uint64_t seq) {
+  void push(const net::FrameView& frame, std::uint64_t seq) {
     const std::size_t offset = used();
     const std::size_t length = frame.data.size();
     if (length > arena_.size() - offset) grow(offset + length);
     if (length != 0) std::memcpy(arena_.data() + offset, frame.data.data(), length);
     entries_.push_back({frame.timestamp, offset, length, seq});
   }
+
+  /// Room for `frames` entries without growing the entry vector.
+  void reserve(std::size_t frames) { entries_.reserve(frames); }
 
   /// Forget the frames; the arena and entry vector keep their sizes.
   void clear() noexcept { entries_.clear(); }

@@ -85,7 +85,7 @@ Probe::~Probe() {
   }
 }
 
-bool Probe::prepare_frame(net::FrameView frame) {
+bool Probe::prepare_frame(const net::FrameView& frame) {
   if (!online_) {
     ++counters_.dropped_offline;
     return false;
@@ -106,7 +106,7 @@ bool Probe::prepare_frame(net::FrameView frame) {
   return true;
 }
 
-void Probe::process(net::FrameView frame) {
+void Probe::process(const net::FrameView& frame) {
   if (!prepare_frame(frame)) return;
   const auto packet = net::decode_frame(frame);
   if (!packet) {
@@ -149,7 +149,7 @@ void Probe::replay_frames(const Frames& frames, std::size_t begin, std::size_t e
   // order inside prepare_frame (the only behavioral ordering that exists).
   [[maybe_unused]] obs::Registry* const reg = &obs::Registry::global();
   constexpr std::size_t kAhead = 8;
-  const auto prefetch_frame = [](net::FrameView f) {
+  const auto prefetch_frame = [](const net::FrameView& f) {
     if (f.data.empty()) return;
     // Two lines cover the L2-L4 headers plus the payload bytes DPI and the
     // DNS sniffer look at first.

@@ -53,7 +53,7 @@ class Probe {
   ~Probe();
 
   /// Feed one captured frame (decode failures are counted, not fatal).
-  void process(net::FrameView frame);
+  void process(const net::FrameView& frame);
 
   /// Feed a batch of captured frames, in order. Exactly equivalent to
   /// calling process(frame) on each — decode is a pure function — but
@@ -157,7 +157,7 @@ class Probe {
   /// the frame should proceed to flow tracking. The probe samples nothing
   /// (§2.1: "no traffic sampling is performed"): every frame it admits is
   /// tracked.
-  bool prepare_frame(net::FrameView frame);
+  bool prepare_frame(const net::FrameView& frame);
 
   /// Named export callable for the flow table's non-owning FunctionRef
   /// sink. Declared before table_ so it outlives every export. A probe is

@@ -86,7 +86,7 @@ ShardedProbe::ShardedProbe(ShardedProbeConfig config) : config_(std::move(config
 
 ShardedProbe::~ShardedProbe() { (void)finish(); }
 
-std::size_t ShardedProbe::shard_of(net::FrameView frame) const noexcept {
+std::size_t ShardedProbe::shard_of(const net::FrameView& frame) const noexcept {
   // Cheap L3/L4 peek — the full decode happens on the worker. Ethernet
   // header is 14 bytes; IPv4 src/dst sit at fixed offsets 26/30 whatever
   // the IHL. Non-IPv4 frames (IPv6, ARP, runts) carry no flow state, so
@@ -159,7 +159,16 @@ FrameBatch ShardedProbe::take_batch(Shard& shard) {
     return batch;
   }
   if (auto spare = shard.spare.try_pop()) return std::move(*spare);
-  return {};
+  if (shard.batches_made < capacity_) {
+    ++shard.batches_made;
+    FrameBatch batch;
+    batch.reserve(batch_);  // a batch made for try_ingest may later fill up
+    return batch;
+  }
+  // All made and none free: has_room found fewer than queue_capacity
+  // frames unfinished, so one batch holds none and the worker is handing
+  // it back.
+  return std::move(*shard.spare.pop());
 }
 
 bool ShardedProbe::publish(Shard& shard, bool block) {
@@ -180,12 +189,7 @@ bool ShardedProbe::publish(Shard& shard, bool block) {
   return true;
 }
 
-bool ShardedProbe::stage(net::FrameView frame, bool block) {
-  // Ask for all of the frame's lines before shard_of() reads the first,
-  // so their fetches overlap instead of the copy taking them one by one.
-  for (std::size_t off = 64; off < frame.data.size(); off += 64) {
-    __builtin_prefetch(frame.data.data() + off);
-  }
+bool ShardedProbe::stage(const net::FrameView& frame, bool block) {
   Shard& shard = *shards_[shard_of(frame)];
   FrameBatch& batch = shard.staged;
   // A batch left full by a refused non-blocking push must go first.
@@ -203,12 +207,12 @@ bool ShardedProbe::stage(net::FrameView frame, bool block) {
   return true;
 }
 
-void ShardedProbe::ingest(net::FrameView frame) {
+void ShardedProbe::ingest(const net::FrameView& frame) {
   if (finished_) return;
   (void)stage(frame, /*block=*/true);
 }
 
-bool ShardedProbe::try_ingest(net::FrameView frame) {
+bool ShardedProbe::try_ingest(const net::FrameView& frame) {
   return !finished_ && stage(frame, /*block=*/false);
 }
 
@@ -277,7 +281,7 @@ core::Result<void> ShardedProbe::restore(
   return {};
 }
 
-void ShardedProbe::quarantine(Shard& shard, std::uint64_t seq, net::FrameView frame,
+void ShardedProbe::quarantine(Shard& shard, std::uint64_t seq, const net::FrameView& frame,
                               bool state_suspect) {
   // Poison frame: quarantine it and, if the probe may be half-mutated,
   // roll the shard back to its last good state instead of letting one bad

@@ -137,7 +137,7 @@ class ShardedProbe {
   /// Feed one captured frame (single feeder thread). The bytes are copied
   /// into the owning shard's staging batch; the caller keeps its frame.
   /// Blocks while the shard holds queue_capacity frames.
-  void ingest(net::FrameView frame);
+  void ingest(const net::FrameView& frame);
 
   /// Non-blocking ingest for overload-aware feeders. On success the
   /// frame's bytes are copied into a batch arena, as ingest() copies them,
@@ -149,7 +149,7 @@ class ShardedProbe {
   /// worker at once, as a batch of one: a non-blocking feeder keeps pace
   /// or sheds, and holding frames back would only idle the worker and
   /// understate the backlog.
-  [[nodiscard]] bool try_ingest(net::FrameView frame);
+  [[nodiscard]] bool try_ingest(const net::FrameView& frame);
 
   /// Control events ride the same rings as frames, so they take effect at
   /// exactly the same stream position on every shard (upgrade events C/F,
@@ -232,11 +232,13 @@ class ShardedProbe {
   };
 
   struct Shard {
-    // The feeder makes a batch only when none is free, so batches in
-    // circulation never exceed the ring's capacity + 2 (one staged, one in
-    // the worker's hands) and returns always fit `spare`.
-    explicit Shard(std::size_t ring_slots)
-        : queue(ring_slots), spare(queue.capacity() + 2) {}
+    // Every batch in use holds a frame the worker has not finished, so a
+    // shard never needs more than queue_capacity batches: the feeder makes
+    // one only when none is free and fewer exist, and otherwise waits for
+    // one to come back. Returns always fit `spare`, and `free` never grows.
+    explicit Shard(std::size_t capacity) : queue(capacity), spare(queue.capacity()) {
+      free.reserve(capacity);
+    }
     core::SpscQueue<Item> queue;    ///< Feeder → worker.
     core::SpscQueue<FrameBatch> spare;  ///< Worker → feeder: emptied batches.
     std::unique_ptr<Probe> probe;
@@ -244,6 +246,7 @@ class ShardedProbe {
     // Feeder-owned.
     alignas(64) FrameBatch staged;
     std::vector<FrameBatch> free;     ///< Batches taken off `spare` while waiting.
+    std::size_t batches_made = 0;
     std::uint64_t processed_seen = 0;  ///< Last value read from `processed`.
     std::atomic<std::uint64_t> published{0};  ///< Frames pushed into the ring.
     // Worker-owned: poison-recovery state and the frame count that frees room.
@@ -257,15 +260,17 @@ class ShardedProbe {
     std::thread worker;  ///< Last: it uses every member above.
   };
 
-  [[nodiscard]] std::size_t shard_of(net::FrameView frame) const noexcept;
+  [[nodiscard]] std::size_t shard_of(const net::FrameView& frame) const noexcept;
   /// Copy the frame into its shard's staging batch under the next sequence
   /// number; publish the batch if that fills it (non-blocking: always).
   /// False when a non-blocking stage finds no room.
-  bool stage(net::FrameView frame, bool block);
+  bool stage(const net::FrameView& frame, bool block);
   /// Whether the shard can take one more frame under queue_capacity. A
   /// blocking call waits for the worker to hand batches back instead.
   bool has_room(Shard& shard, bool block);
-  /// An empty batch for staging: a returned one if any, else a new one.
+  /// An empty batch for staging: a returned one if any, else a new one
+  /// while the shard has fewer than queue_capacity, else the next to come
+  /// back.
   FrameBatch take_batch(Shard& shard);
   /// Push the staged batch (if any) into the ring, blocking or not. The
   /// batch stays staged when a non-blocking push finds the ring full.
@@ -280,7 +285,7 @@ class ShardedProbe {
   void replay_batch(Shard& shard, const FrameBatch& batch);
   /// Capture a frame that threw, rolling the shard back if its state may
   /// be half-mutated.
-  void quarantine(Shard& shard, std::uint64_t seq, net::FrameView frame, bool state_suspect);
+  void quarantine(Shard& shard, std::uint64_t seq, const net::FrameView& frame, bool state_suspect);
   /// The worker is done with `frames` frames: room for as many, and as
   /// many heartbeats.
   void finished(Shard& shard, std::uint64_t frames) noexcept;

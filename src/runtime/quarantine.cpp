@@ -40,7 +40,7 @@ core::Result<void> QuarantineLog::open(std::uint64_t resume_bytes,
   return {};
 }
 
-core::Result<void> QuarantineLog::append(std::uint64_t seq, net::FrameView frame) {
+core::Result<void> QuarantineLog::append(std::uint64_t seq, const net::FrameView& frame) {
   std::scoped_lock lock(mutex_);
   if (!file_) return core::Errc::kIoError;
   core::ByteWriter entry{kEntryHeader + frame.data.size()};

@@ -44,7 +44,7 @@ class QuarantineLog {
   core::Result<void> open(std::uint64_t resume_bytes = 0, std::uint64_t resume_entries = 0);
 
   /// Append one poisoned frame (any thread; internally serialized).
-  core::Result<void> append(std::uint64_t seq, net::FrameView frame);
+  core::Result<void> append(std::uint64_t seq, const net::FrameView& frame);
 
   /// Flush to stable storage (called before the checkpoint that records
   /// this file's size — the checkpoint must never point past durable data).

@@ -194,7 +194,7 @@ core::Result<std::uint64_t> Supervisor::resume() {
   return cp.replay_from;
 }
 
-void Supervisor::offer(net::FrameView frame) {
+void Supervisor::offer(const net::FrameView& frame) {
   if (!started_ || finished_ || crashed_) return;
   const core::CivilDate day = frame.timestamp.date();
   const std::uint64_t idx = offered_++;

@@ -115,7 +115,7 @@ class Supervisor {
   /// full-ring retries, per-day accounting, the watchdog poll cadence and
   /// the automatic checkpoint schedule. Every offered frame ends in
   /// exactly one bucket: ingested, shed or (later, on a worker) quarantined.
-  void offer(net::FrameView frame);
+  void offer(const net::FrameView& frame);
 
   /// Take a pipeline checkpoint now: barrier-snapshot the shards, flush
   /// drained records to the lake (with backoff), sync the quarantine log,

@@ -39,6 +39,48 @@ class AllocationScope {
 };
 
 namespace detail {
+/// Throwing allocations left, on threads not exempt, before one fails.
+inline std::atomic<std::uint64_t> g_fail_countdown{0};
+/// Throwing allocations made on threads not exempt.
+inline std::atomic<std::uint64_t> g_foreign_allocations{0};
+inline thread_local bool t_fail_exempt = false;
+}  // namespace detail
+
+/// While alive, the `n`-th throwing allocation (counting from 1) made by
+/// a thread other than the one that constructed it throws std::bad_alloc,
+/// as an exhausted heap would; the allocations before and after it
+/// succeed; n == 0 fails none. For tests of how a worker thread recovers.
+class FailForeignAllocation {
+ public:
+  explicit FailForeignAllocation(std::uint64_t n) noexcept {
+    detail::t_fail_exempt = true;
+    detail::g_fail_countdown.store(n, std::memory_order_relaxed);
+  }
+  ~FailForeignAllocation() {
+    detail::g_fail_countdown.store(0, std::memory_order_relaxed);
+    detail::t_fail_exempt = false;
+  }
+  /// Throwing allocations other threads have made so far, the failed one
+  /// included.
+  [[nodiscard]] std::uint64_t foreign() const noexcept {
+    return detail::g_foreign_allocations.load(std::memory_order_relaxed);
+  }
+  FailForeignAllocation(const FailForeignAllocation&) = delete;
+  FailForeignAllocation& operator=(const FailForeignAllocation&) = delete;
+};
+
+namespace detail {
+/// Whether this allocation is the one a FailForeignAllocation fails.
+inline bool fail_this_allocation() noexcept {
+  if (t_fail_exempt) return false;
+  g_foreign_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t left = g_fail_countdown.load(std::memory_order_relaxed);
+  while (left != 0 && !g_fail_countdown.compare_exchange_weak(left, left - 1,
+                                                               std::memory_order_relaxed)) {
+  }
+  return left == 1;
+}
+
 inline void* counted_alloc(std::size_t size, std::size_t align) noexcept {
   g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
   if (size == 0) size = 1;
@@ -47,6 +89,7 @@ inline void* counted_alloc(std::size_t size, std::size_t align) noexcept {
   return posix_memalign(&p, std::max(align, sizeof(void*)), size) == 0 ? p : nullptr;
 }
 inline void* counted_alloc_or_throw(std::size_t size, std::size_t align) {
+  if (fail_this_allocation()) throw std::bad_alloc();
   void* p = counted_alloc(size, align);
   if (p == nullptr) throw std::bad_alloc();
   return p;

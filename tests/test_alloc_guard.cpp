@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <span>
 #include <string>
 #include <thread>
@@ -206,12 +208,17 @@ TEST(AllocGuard, NewTcpFlowsAfterDnsResponsesAllocateNothing) {
 }
 
 TEST(AllocGuard, ShardedSteadyStateAllocatesNothing) {
-  // A small ring bounds the batches in circulation (a new one is made only
-  // when none is free), so the warm-up fills the ring and makes every
-  // batch the measured passes can need.
+  // A shard makes at most queue_capacity batches. The warm-up holds the
+  // workers at a gate while try_ingest fills each shard, which makes all
+  // of them: with batches of one frame, every batch is in use at once.
+  // After that, no pass can need a new batch, whatever the timing.
   ew::probe::ShardedProbeConfig config;
   config.shards = 2;
   config.queue_capacity = 8;
+  std::atomic<bool> gate{true};
+  config.frame_inspector = [&gate](std::uint64_t, ew::net::FrameView) {
+    while (gate.load(std::memory_order_acquire)) std::this_thread::yield();
+  };
   ew::probe::ShardedProbe probe{config};
   const auto ingest = [&probe](const std::vector<ew::net::Frame>& frames) {
     for (const auto& frame : frames) probe.ingest(frame);
@@ -221,7 +228,24 @@ TEST(AllocGuard, ShardedSteadyStateAllocatesNothing) {
       while (!probe.try_ingest(frame)) std::this_thread::yield();
     }
   };
-  for (int round = 0; round < kWarmRounds; ++round) {
+  const auto drain = [&probe] {
+    for (std::size_t s = 0; s < probe.shard_count(); ++s) {
+      while (probe.queue_depth(s) != 0) std::this_thread::yield();
+    }
+  };
+  std::uint64_t filled = 0;
+  for (const auto& frame : responses_at(kNames, round_start(0))) {
+    if (probe.queue_depth(0) == config.queue_capacity &&
+        probe.queue_depth(1) == config.queue_capacity) {
+      break;
+    }
+    filled += probe.try_ingest(frame) ? 1 : 0;  // a full shard refuses
+  }
+  ASSERT_EQ(probe.queue_depth(0), config.queue_capacity);
+  ASSERT_EQ(probe.queue_depth(1), config.queue_capacity);
+  gate.store(false, std::memory_order_release);
+  drain();
+  for (int round = 1; round < kWarmRounds; ++round) {
     const auto frames = responses_at(kNames, round_start(round));
     if (round % 2 == 0) {
       ingest(frames);
@@ -235,13 +259,83 @@ TEST(AllocGuard, ShardedSteadyStateAllocatesNothing) {
   const ew::testing::AllocationScope scope;
   ingest(blocking);
   try_ingest(non_blocking);  // publishes every frame, and the staged ones before them
-  for (std::size_t s = 0; s < probe.shard_count(); ++s) {
-    while (probe.queue_depth(s) != 0) std::this_thread::yield();
-  }
+  drain();
   const std::uint64_t allocations = scope.count();
 
   (void)probe.finish();
   EXPECT_EQ(probe.counters().dns_responses,
-            std::uint64_t{kWarmRounds + 2} * kNames * kClients);
+            filled + std::uint64_t{kWarmRounds + 1} * kNames * kClients);
   EXPECT_EQ(allocations, 0u);
+}
+
+TEST(ShardedProbe, WorkerThrowMidRunQuarantinesOnlyThatFrame) {
+  // With no frame inspector, a shard replays a whole batch as one run, cut
+  // only where a snapshot falls due. Fail each of the worker's allocations
+  // in turn, as an exhausted heap would: whether it lands on a frame in the
+  // middle of a run or on the snapshot that ends one, exactly one frame must
+  // be quarantined, the shard must roll back to its last snapshot (or reset
+  // without one) and resume at the next frame. Every SYN opens a TCP flow
+  // and nothing expires mid-stream, so the TCP records that survive count
+  // the frames replayed after the rollback point.
+  const auto frames = responses_and_syns_at(0, kStart);
+  constexpr std::size_t kBatch = 256;  // the default ring's batches: three runs
+  ASSERT_EQ(frames.size() % kBatch, 0u);
+  const auto syns_in = [](std::uint64_t from, std::uint64_t to) {
+    std::uint64_t n = 0;
+    for (std::uint64_t seq = from; seq < to; ++seq) n += seq % 2;  // SYNs at odd seqs
+    return n;
+  };
+  for (const std::uint64_t interval : {std::uint64_t{0}, std::uint64_t{7}}) {
+    ew::probe::ShardedProbeConfig config;
+    config.shards = 1;
+    config.snapshot_interval = interval;
+    std::vector<std::uint64_t> poisoned;
+    config.poison_sink = [&poisoned](std::uint64_t seq, ew::net::FrameView, bool) {
+      poisoned.push_back(seq);
+    };
+    // Runs the capture with the worker's n-th allocation failing (none for
+    // n == 0) and returns the worker's allocations while it replayed.
+    const auto run = [&](std::uint64_t n, std::vector<ew::flow::FlowRecord>& records,
+                         ew::probe::ShardedProbe& probe) {
+      (void)probe.snapshot();  // the worker's start-up snapshot is behind it
+      const ew::testing::FailForeignAllocation fail{n};
+      const std::uint64_t before = fail.foreign();
+      for (const auto& frame : frames) probe.ingest(frame);
+      while (probe.queue_depth(0) != 0) std::this_thread::yield();
+      const std::uint64_t replayed = fail.foreign() - before;
+      records = probe.finish();  // after the scope: finish()'s own allocations succeed
+      return replayed;
+    };
+    std::vector<ew::flow::FlowRecord> records;
+    std::uint64_t allocations = 0;
+    {
+      ew::probe::ShardedProbe probe{config};
+      allocations = run(0, records, probe);
+    }
+    ASSERT_GT(allocations, 0u) << "interval=" << interval;
+    ASSERT_TRUE(poisoned.empty());
+    // Some forty failure points spread over the replay (every allocation
+    // would take a minute: snapshots allocate a score of times each).
+    bool mid_run = false;
+    const std::uint64_t stride = std::max<std::uint64_t>(1, allocations / 41);
+    for (std::uint64_t n = 1; n <= allocations; n += stride) {
+      poisoned.clear();
+      ew::probe::ShardedProbe probe{config};
+      (void)run(n, records, probe);
+      const auto where = ::testing::Message() << "interval=" << interval << " n=" << n;
+      ASSERT_EQ(poisoned.size(), 1u) << where;
+      EXPECT_EQ(probe.quarantined_total(), 1u) << where;
+      EXPECT_EQ(probe.heartbeat(0), frames.size() + 1) << where;  // + the snapshot barrier
+      const std::uint64_t seq = poisoned.front();
+      mid_run = mid_run || seq % kBatch != 0;
+      // Rolled back to the snapshot after the last whole interval before
+      // the frame (to empty without snapshots), resumed after it.
+      const std::uint64_t kept = interval == 0 ? 0 : seq / interval * interval;
+      std::uint64_t tcp = 0;
+      for (const auto& r : records) tcp += r.server_port == 443 ? 1 : 0;
+      EXPECT_EQ(tcp, syns_in(0, kept) + syns_in(seq + 1, frames.size()))
+          << where << " seq=" << seq;
+    }
+    EXPECT_TRUE(mid_run) << "interval=" << interval;
+  }
 }

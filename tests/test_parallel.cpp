@@ -826,26 +826,39 @@ TEST(ShardedProbe, ArenaBatchesCarryOddFramesLikeSerial) {
   ASSERT_GT(serial.ipv6_frames, 0u);
   ASSERT_GT(serial.decode_failures, 0u);
 
+  // A snapshot interval of 7 divides no batch: every run is cut short
+  // where a snapshot falls due, and must still replay each frame once.
   for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
     for (const std::size_t capacity : {std::size_t{4}, std::size_t{1024}}) {
-      ew::probe::ShardedProbeConfig scfg;
-      scfg.probe = cfg;
-      scfg.shards = shards;
-      scfg.queue_capacity = capacity;
-      ew::probe::ShardedProbe sp(scfg);
-      for (const auto& f : frames) sp.ingest(f);
-      EXPECT_EQ(encode_stream(sp.finish()), expected)
-          << "shards=" << shards << " capacity=" << capacity;
+      for (const std::uint64_t interval : {std::uint64_t{0}, std::uint64_t{7}}) {
+        ew::probe::ShardedProbeConfig scfg;
+        scfg.probe = cfg;
+        scfg.shards = shards;
+        scfg.queue_capacity = capacity;
+        scfg.snapshot_interval = interval;
+        ew::probe::ShardedProbe sp(scfg);
+        for (const auto& f : frames) sp.ingest(f);
+        const auto where = ::testing::Message()
+                           << "shards=" << shards << " capacity=" << capacity
+                           << " interval=" << interval;
+        EXPECT_EQ(encode_stream(sp.finish()), expected) << where;
 
-      const auto c = sp.counters();
-      const auto where = ::testing::Message() << "shards=" << shards << " capacity=" << capacity;
-      EXPECT_EQ(c.frames, serial.frames) << where;
-      EXPECT_EQ(c.decode_failures, serial.decode_failures) << where;
-      EXPECT_EQ(c.ipv6_frames, serial.ipv6_frames) << where;
-      EXPECT_EQ(c.dropped_offline, serial.dropped_offline) << where;
-      EXPECT_EQ(c.dns_responses, serial.dns_responses) << where;
-      EXPECT_EQ(c.records_exported, serial.records_exported) << where;
-      EXPECT_EQ(c.records_named_by_dns, serial.records_named_by_dns) << where;
+        std::uint64_t beats = 0;
+        for (std::size_t i = 0; i < shards; ++i) {
+          beats += sp.heartbeat(i);
+          EXPECT_EQ(sp.queue_depth(i), 0u) << where << " shard=" << i;
+        }
+        EXPECT_EQ(beats, frames.size()) << where;
+        EXPECT_EQ(sp.quarantined_total(), 0u) << where;
+        const auto c = sp.counters();
+        EXPECT_EQ(c.frames, serial.frames) << where;
+        EXPECT_EQ(c.decode_failures, serial.decode_failures) << where;
+        EXPECT_EQ(c.ipv6_frames, serial.ipv6_frames) << where;
+        EXPECT_EQ(c.dropped_offline, serial.dropped_offline) << where;
+        EXPECT_EQ(c.dns_responses, serial.dns_responses) << where;
+        EXPECT_EQ(c.records_exported, serial.records_exported) << where;
+        EXPECT_EQ(c.records_named_by_dns, serial.records_named_by_dns) << where;
+      }
     }
   }
 }
