@@ -4,7 +4,8 @@
 // runs >= 1.5x faster when the aggregator consumes SoA batches
 // (DayAggregator::add_batch, dict-code pass-through, one classification
 // per dictionary entry) than when the same blocks are emitted through the
-// row-callback shim one FlowRecord at a time.
+// batch→row shim (exec::materialize_rows, the walk DataLake::read_day
+// makes) one FlowRecord at a time.
 //
 // Both paths read the *same* day file with the same day-aggregate
 // projection; the only variable is the consumption shape. The identity
@@ -23,13 +24,14 @@
 #include <string>
 #include <vector>
 
-#include "analytics/parallel.hpp"
+#include "analytics/day_aggregate.hpp"
 #include "core/time.hpp"
 #include "exec/record_batch.hpp"
 #include "storage/columnar.hpp"
 #include "storage/datalake.hpp"
 #include "synth/generator.hpp"
 #include "synth/scenario.hpp"
+#include "host.hpp"
 
 namespace ew = edgewatch;
 namespace fs = std::filesystem;
@@ -138,7 +140,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "lake append failed\n");
     return 1;
   }
-  const std::size_t blocks = lake.load_day_blocks(base).blocks().size();
+  const std::size_t blocks = lake.fsck_day(base).blocks_ok;
   std::printf("batch scan bench: %zu records, %zu blocks, %d repeats\n", records.size(),
               blocks, repeats);
 
@@ -151,8 +153,12 @@ int main(int argc, char** argv) {
   std::uint64_t row_records = 0;
   const double row_s = best_of(repeats, [&] {
     ew::analytics::DayAggregator agg(base);
-    const auto scan = lake.scan_day(base, proj,
-                                    [&](const ew::flow::FlowRecord& r) { agg.add(r); });
+    ew::flow::FlowRecord rec;
+    std::uint64_t materialized = 0;
+    const auto add = [&agg](const ew::flow::FlowRecord& r) { agg.add(r); };
+    const auto scan = lake.scan_day_batches(base, proj, [&](const ew::exec::RecordBatch& b) {
+      ew::exec::materialize_rows(b, rec, add, materialized);
+    });
     row_records = scan.records_delivered;
     row_agg = std::move(agg).take();
   });
@@ -197,10 +203,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  char buf[512];
+  char buf[1024];
   std::snprintf(buf, sizeof buf,
                 "{\n"
                 "  \"bench\": \"batch_scan\",\n"
+                "%s"
                 "  \"records\": %zu,\n"
                 "  \"blocks\": %zu,\n"
                 "  \"repeats\": %d,\n"
@@ -211,7 +218,8 @@ int main(int argc, char** argv) {
                 "  \"rows_per_batch\": %.1f,\n"
                 "  \"min_speedup_gate\": %.2f\n"
                 "}\n",
-                records.size(), blocks, repeats, row_s, batch_s, speedup,
+                ew::bench::host_json_line().c_str(), records.size(), blocks, repeats, row_s,
+                batch_s, speedup,
                 static_cast<unsigned long long>(batches), rows_per_batch, min_speedup);
   bool wrote = false;
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {

@@ -24,6 +24,7 @@
 #include "obs/obs.hpp"
 #include "probe/probe.hpp"
 #include "synth/packets.hpp"
+#include "host.hpp"
 
 namespace ew = edgewatch;
 
@@ -173,9 +174,10 @@ int main(int argc, char** argv) {
     std::printf("  vs baseline %.0f frames/s: %+.2f%% overhead\n", baseline, overhead_pct);
   }
 
-  char buf[512];
+  char buf[1024];
   std::snprintf(buf, sizeof buf,
                 "{\n  \"bench\": \"obs_overhead\",\n"
+                "%s"
                 "  \"conversations\": %d,\n"
                 "  \"frames\": %zu,\n"
                 "  \"obs_enabled\": %s,\n"
@@ -184,7 +186,8 @@ int main(int argc, char** argv) {
                 "  \"samples\": [\n"
                 "    {\"name\": \"probe_serial\", \"seconds\": %.4f, "
                 "\"items_per_sec\": %.0f, \"speedup\": 1.00}\n  ]\n}\n",
-                conversations, frames.size(), ew::obs::kEnabled ? "true" : "false",
+                ew::bench::host_json_line().c_str(), conversations, frames.size(),
+                ew::obs::kEnabled ? "true" : "false",
                 baseline > 0 ? baseline : 0.0, overhead_pct, probe_s, items_per_sec);
   if (FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fwrite(buf, 1, std::strlen(buf), f);

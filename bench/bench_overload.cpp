@@ -35,6 +35,7 @@
 #include "runtime/supervisor.hpp"
 #include "storage/datalake.hpp"
 #include "synth/packets.hpp"
+#include "host.hpp"
 
 namespace ew = edgewatch;
 
@@ -181,6 +182,7 @@ int main(int argc, char** argv) {
 
   std::string json = "{\n";
   json += "  \"bench\": \"overload\",\n";
+  json += ew::bench::host_json_line();
   json += "  \"hardware_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
   json += "  \"conversations\": " + std::to_string(conversations) + ",\n";

@@ -1,15 +1,13 @@
-// Parallel-engine scaling harness (run by scripts/bench.sh). A plain
-// main() that measures the two parallel paths end to end and writes
-// machine-readable results to BENCH_pipeline.json:
+// Sharded-probe scaling harness (run by scripts/bench.sh). A plain main()
+// that measures probe ingest end to end and writes machine-readable
+// results to BENCH_pipeline.json:
 //
 //   - probe ingest: serial Probe vs ShardedProbe at 1/2/4/8 shards over a
-//     replayed traffic mix (records/sec + speedup vs serial);
-//   - stage-one analytics: serial aggregate_day vs block-parallel
-//     aggregate_day_parallel at 1/2/4/8 threads over a stored day;
-//   - a determinism check: the merged output of every configuration is
-//     byte-compared (probe) / deep-compared (analytics) to the serial run.
-//     Any MISMATCH makes the binary exit 2 (after writing the JSON), so a
-//     smoke run gates the sharded merge's byte identity.
+//     replayed traffic mix (frames/sec + speedup vs serial);
+//   - a determinism check: the merged export stream of every shard count
+//     is byte-compared to the serial run. Any MISMATCH makes the binary
+//     exit 2 (after writing the JSON), so a smoke run gates the sharded
+//     merge's byte identity.
 //
 // The host (CPUs, model, build type, commit) is recorded next to the
 // numbers: speedups flatten at the core count, so a 1-core CI box honestly
@@ -17,18 +15,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "analytics/parallel.hpp"
 #include "core/bytes.hpp"
-#include "core/thread_pool.hpp"
 #include "probe/probe.hpp"
 #include "probe/sharded_probe.hpp"
 #include "storage/codec.hpp"
-#include "storage/datalake.hpp"
-#include "synth/generator.hpp"
 #include "synth/packets.hpp"
 #include "host.hpp"
 
@@ -166,56 +160,6 @@ int main(int argc, char** argv) {
                 s.items_per_sec, s.speedup, s.deterministic ? "bit-identical" : "MISMATCH");
   }
 
-  // ------------------------------------------------------------- analytics
-  const auto dir = std::filesystem::temp_directory_path() / "ew_bench_scaling_lake";
-  std::filesystem::remove_all(dir);
-  ew::storage::DataLake lake{dir};
-  const ew::core::CivilDate day{2016, 5, 10};
-  {
-    const ew::synth::WorkloadGenerator gen{ew::synth::build_paper_scenario(42)};
-    lake.append(day, gen.day_records(day));
-  }
-  double serial_agg_s = 0;
-  ew::analytics::DayScanAggregate golden;
-  {
-    double best = 1e100;
-    for (int r = 0; r < repeats; ++r) {
-      const auto t0 = Clock::now();
-      golden = ew::analytics::aggregate_day(lake, day);
-      best = std::min(best, seconds_since(t0));
-    }
-    serial_agg_s = best;
-    Sample s{"aggregate_serial", 1, best,
-             static_cast<double>(golden.scan.records_delivered) / best, 1.0, true};
-    append_json(samples, s);
-    std::printf("  aggregate serial:  %8.0f records/s (%llu records)\n", s.items_per_sec,
-                static_cast<unsigned long long>(golden.scan.records_delivered));
-  }
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                                    std::size_t{8}}) {
-    double best = 1e100;
-    ew::analytics::DayScanAggregate result;
-    for (int r = 0; r < repeats; ++r) {
-      ew::core::ThreadPool pool{threads};
-      const auto t0 = Clock::now();
-      result = ew::analytics::aggregate_day_parallel(lake, day, pool);
-      best = std::min(best, seconds_since(t0));
-    }
-    bool same = result.scan.records_delivered == golden.scan.records_delivered &&
-                result.aggregate.subscribers.size() == golden.aggregate.subscribers.size() &&
-                result.aggregate.web_bytes == golden.aggregate.web_bytes &&
-                result.aggregate.rtt_min_ms == golden.aggregate.rtt_min_ms &&
-                result.aggregate.domain_bytes == golden.aggregate.domain_bytes;
-    Sample s{"aggregate_parallel", threads, best,
-             static_cast<double>(golden.scan.records_delivered) / best, serial_agg_s / best,
-             same};
-    all_deterministic = all_deterministic && same;
-    append_json(samples, s);
-    std::printf("  aggregate %zu thr:   %8.0f records/s  speedup %.2fx  %s\n", threads,
-                s.items_per_sec, s.speedup, same ? "identical" : "MISMATCH");
-  }
-  std::filesystem::remove_all(dir);
-
   // ----------------------------------------------------------------- emit
   std::string json = "{\n";
   json += "  \"bench\": \"parallel_scaling\",\n";
@@ -233,7 +177,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!all_deterministic) {
-    std::printf("determinism check FAILED: a parallel run differs from the serial one\n");
+    std::printf("determinism check FAILED: a sharded run differs from the serial one\n");
     return 2;
   }
   return 0;

@@ -20,12 +20,14 @@
 #include <string>
 #include <vector>
 
-#include "analytics/parallel.hpp"
+#include "analytics/day_aggregate.hpp"
 #include "core/time.hpp"
+#include "exec/record_batch.hpp"
 #include "storage/columnar.hpp"
 #include "storage/datalake.hpp"
 #include "synth/generator.hpp"
 #include "synth/scenario.hpp"
+#include "host.hpp"
 
 namespace ew = edgewatch;
 namespace fs = std::filesystem;
@@ -47,6 +49,20 @@ double best_of(int repeats, Fn&& fn) {
     best = std::min(best, seconds_since(t0));
   }
   return best;
+}
+
+/// Row-at-a-time scan: every delivered batch replayed through the
+/// batch→row shim (the walk DataLake::read_day makes), with optional
+/// predicate pushdown (null: every row, every column).
+template <typename Fn>
+ew::storage::ScanResult scan_rows(const ew::storage::DataLake& lake, ew::core::CivilDate day,
+                                  const ew::storage::ScanPredicate* pred, Fn&& fn) {
+  ew::flow::FlowRecord rec;
+  std::uint64_t materialized = 0;
+  ew::storage::ScanScratch scratch;
+  return lake.scan_day_batches(day, pred, scratch, [&](const ew::exec::RecordBatch& b) {
+    ew::exec::materialize_rows(b, rec, fn, materialized);
+  });
 }
 
 }  // namespace
@@ -81,7 +97,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "lake append failed\n");
     return 1;
   }
-  const std::size_t blocks = lake.load_day_blocks(base).blocks().size();
+  const std::size_t blocks = lake.fsck_day(base).blocks_ok;
   std::printf("scan selectivity bench: %zu records, %zu blocks, %d repeats\n", records.size(),
               blocks, repeats);
 
@@ -113,23 +129,23 @@ int main(int argc, char** argv) {
 
   const double full_s = best_of(repeats, [&] {
     sum = 0;
-    full = lake.scan_day(base, count).records_delivered;
+    full = scan_rows(lake, base, nullptr, count).records_delivered;
     chk = sum;
   });
   const double proj_s = best_of(repeats, [&] {
     sum = 0;
-    full_p = lake.scan_day(base, proj, count).records_delivered;
+    full_p = scan_rows(lake, base, &proj, count).records_delivered;
     chk_p = sum;
   });
   // Baseline for the selective question: full decode, filter afterwards.
   const double post_sel_s = best_of(repeats, [&] {
     sel_post = 0;
-    (void)lake.scan_day(base, [&](const ew::flow::FlowRecord& r) {
+    (void)scan_rows(lake, base, nullptr, [&](const ew::flow::FlowRecord& r) {
       sel_post += pred.matches(r) ? 1 : 0;
     });
   });
   const double sel_s = best_of(repeats, [&] {
-    sel_scan = lake.scan_day(base, pred, count);
+    sel_scan = scan_rows(lake, base, &pred, count);
     sel = sel_scan.records_delivered;
   });
 
@@ -171,10 +187,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  char buf[768];
+  char buf[1024];
   std::snprintf(buf, sizeof buf,
                 "{\n"
                 "  \"bench\": \"scan_selectivity\",\n"
+                "%s"
                 "  \"records\": %zu,\n"
                 "  \"blocks\": %zu,\n"
                 "  \"repeats\": %d,\n"
@@ -188,7 +205,8 @@ int main(int argc, char** argv) {
                 "  \"blocks_pruned\": %u,\n"
                 "  \"skip_ratio\": %.4f\n"
                 "}\n",
-                records.size(), blocks, repeats, full_s, proj_s, proj_speedup, post_sel_s,
+                ew::bench::host_json_line().c_str(), records.size(), blocks, repeats, full_s,
+                proj_s, proj_speedup, post_sel_s,
                 sel_s, sel_speedup, static_cast<unsigned long long>(sel),
                 sel_scan.blocks_pruned, skip_ratio);
   bool wrote = false;

@@ -23,6 +23,7 @@
 #include "storage/datalake.hpp"
 #include "synth/generator.hpp"
 #include "synth/scenario.hpp"
+#include "host.hpp"
 
 namespace ew = edgewatch;
 namespace fs = std::filesystem;
@@ -198,10 +199,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  char buf[1024];
+  char buf[1536];
   std::snprintf(buf, sizeof buf,
                 "{\n"
                 "  \"bench\": \"write_path\",\n"
+                "%s"
                 "  \"records\": %zu,\n"
                 "  \"blocks\": %zu,\n"
                 "  \"workers\": %zu,\n"
@@ -218,7 +220,8 @@ int main(int argc, char** argv) {
                 "  \"codec_bytes_out\": {\"stored\": %llu, \"lz\": %llu, \"for\": %llu, "
                 "\"rle\": %llu}\n"
                 "}\n",
-                records.size(), nblocks, workers, repeats, serial_s, parallel_s,
+                ew::bench::host_json_line().c_str(), records.size(), nblocks, workers, repeats,
+                serial_s, parallel_s,
                 pipeline_speedup, serial_median_s, parallel_median_s, median_speedup, mb, mb / parallel_s, records.size() / parallel_s,
                 static_cast<unsigned long long>(after.out[0] - before.out[0]),
                 static_cast<unsigned long long>(after.out[1] - before.out[1]),

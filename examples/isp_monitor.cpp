@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "analytics/day_aggregate.hpp"
 #include "analytics/figures.hpp"
 #include "analytics/infrastructure.hpp"
 #include "storage/datalake.hpp"
@@ -40,9 +41,7 @@ int main(int argc, char** argv) {
   }
 
   // Stage one: per-day aggregate, re-read from the lake (round trip!).
-  ew::analytics::DayAggregator aggregator{day};
-  const auto scan = lake.scan_day(day, [&](const ew::flow::FlowRecord& r) { aggregator.add(r); });
-  const auto agg = std::move(aggregator).take();
+  const auto [agg, scan] = ew::analytics::aggregate_day(lake, day);
 
   std::printf("\n-- ingest ------------------------------------------------\n");
   std::printf("flow records:        %zu\n", records.size());

@@ -26,6 +26,9 @@ fi
 cmake --build build --target bench_parallel_scaling bench_probe_hotpath bench_overload bench_scan_selectivity bench_batch_scan bench_obs_overhead bench_write_path -j "$(nproc)"
 
 mkdir -p "$FRAGMENTS"
+# Sharded probe scaling (probe only): serial Probe vs ShardedProbe at
+# 1/2/4/8 shards; exits 2 if any shard count's export stream differs from
+# the serial one.
 ./build/bench/bench_parallel_scaling "$CONVERSATIONS" "$REPEATS" \
   "$FRAGMENTS/parallel_scaling.json"
 ./build/bench/bench_probe_hotpath "$CONVERSATIONS" "$REPEATS" \

@@ -1,6 +1,39 @@
 #include "analytics/day_aggregate.hpp"
 
+#include <utility>
+
+#include "obs/obs.hpp"
+
 namespace edgewatch::analytics {
+
+namespace {
+
+/// The stage-one default when the caller pushes no predicate of its own:
+/// unrestricted rows, but only the columns DayAggregator::add reads.
+const storage::ScanPredicate& day_aggregate_projection() {
+  static const storage::ScanPredicate p =
+      storage::ScanPredicate::project(kDayAggregateScanFields);
+  return p;
+}
+
+// Per-day-aggregate instrumentation: one span + one counter bump per day,
+// never per record (rollup builds fan days across pool workers; registry
+// cells are atomics, the span ring is mutex-protected).
+struct AggregateObs {
+  obs::SpanSite* day_span;
+  obs::Counter* records;
+};
+
+AggregateObs& aggregate_obs() {
+  static AggregateObs m = [] {
+    auto& reg = obs::Registry::global();
+    return AggregateObs{&reg.span_site("analytics_day_aggregate"),
+                        &reg.counter("analytics_records_aggregated_total")};
+  }();
+  return m;
+}
+
+}  // namespace
 
 std::size_t DayAggregate::active_subscribers(const ActivityCriteria& c) const {
   std::size_t n = 0;
@@ -213,28 +246,32 @@ void DayAggregator::add_batch(const exec::RecordBatch& batch) {
   });
 }
 
-void DayAggregate::merge(const DayAggregate& other) {
-  for (const auto& [ip, sub] : other.subscribers) subscribers[ip].merge(sub);
-  for (std::size_t p = 0; p < web_bytes.size(); ++p) web_bytes[p] += other.web_bytes[p];
-  for (std::size_t t = 0; t < downlink_bins.size(); ++t) {
-    for (std::size_t b = 0; b < kTimeBinsPerDay; ++b) {
-      downlink_bins[t][b] += other.downlink_bins[t][b];
-    }
-  }
-  for (std::size_t s = 0; s < services::kServiceCount; ++s) {
-    rtt_min_ms[s].insert(rtt_min_ms[s].end(), other.rtt_min_ms[s].begin(),
-                         other.rtt_min_ms[s].end());
-    health[s].merge(other.health[s]);
-  }
-  for (const auto& [ip, stats] : other.server_ips) server_ips[ip].merge(stats);
-  for (const auto& [key, bytes] : other.domain_bytes) domain_bytes[key] += bytes;
-  for (const auto& [domain, bytes] : other.unclassified_domain_bytes) {
-    unclassified_domain_bytes[domain] += bytes;
-  }
-  capture.merge(other.capture);
+DayAggregate DayAggregator::take() && { return std::move(agg_); }
+
+DayScanAggregate aggregate_day(const storage::DataLake& lake, core::CivilDate day,
+                               const services::ServiceCatalog& catalog) {
+  storage::ScanScratch scratch;
+  return aggregate_day(lake, day, scratch, nullptr, catalog);
 }
 
-DayAggregate DayAggregator::take() && { return std::move(agg_); }
+DayScanAggregate aggregate_day(const storage::DataLake& lake, core::CivilDate day,
+                               storage::ScanScratch& scratch,
+                               const storage::ScanPredicate* predicate,
+                               const services::ServiceCatalog& catalog) {
+  if (predicate == nullptr) predicate = &day_aggregate_projection();
+  obs::Span day_span(*aggregate_obs().day_span);
+  DayAggregator agg(day, catalog);
+  DayScanAggregate out;
+  // Batch delivery: blocks aggregate column-at-a-time with dict-code
+  // pass-through (no per-row FlowRecord, no string materialization).
+  // Identical aggregates to the per-record add() — add_batch is
+  // golden-tested against it.
+  out.scan = lake.scan_day_batches(day, predicate, scratch,
+                                   [&agg](const exec::RecordBatch& b) { agg.add_batch(b); });
+  if constexpr (obs::kEnabled) aggregate_obs().records->add(out.scan.records_delivered);
+  out.aggregate = std::move(agg).take();
+  return out;
+}
 
 std::string_view second_level_domain(std::string_view host) {
   // Find the last two labels; if the ending is a known multi-label suffix

@@ -21,6 +21,7 @@
 #include "exec/record_batch.hpp"
 #include "flow/record.hpp"
 #include "services/catalog.hpp"
+#include "storage/datalake.hpp"
 
 namespace edgewatch::analytics {
 
@@ -56,13 +57,6 @@ struct CaptureQuality {
     return frames_offered == frames_ingested + frames_shed + frames_quarantined;
   }
 
-  void merge(const CaptureQuality& other) noexcept {
-    frames_offered += other.frames_offered;
-    frames_ingested += other.frames_ingested;
-    frames_shed += other.frames_shed;
-    frames_quarantined += other.frames_quarantined;
-  }
-
   bool operator==(const CaptureQuality&) const noexcept = default;
 };
 
@@ -79,12 +73,6 @@ struct ServiceDayTraffic {
   std::uint64_t bytes_down = 0;
 
   [[nodiscard]] std::uint64_t total() const noexcept { return bytes_up + bytes_down; }
-
-  void merge(const ServiceDayTraffic& other) noexcept {
-    flows += other.flows;
-    bytes_up += other.bytes_up;
-    bytes_down += other.bytes_down;
-  }
 };
 
 /// Per-service TCP health counters for the day (downstream direction —
@@ -96,12 +84,6 @@ struct ServiceDayHealth {
 
   [[nodiscard]] double retransmission_rate() const noexcept {
     return packets ? static_cast<double>(retransmits) / static_cast<double>(packets) : 0.0;
-  }
-
-  void merge(const ServiceDayHealth& other) noexcept {
-    packets += other.packets;
-    retransmits += other.retransmits;
-    out_of_order += other.out_of_order;
   }
 };
 
@@ -119,14 +101,6 @@ struct SubscriberDay {
   [[nodiscard]] const ServiceDayTraffic& service(services::ServiceId id) const noexcept {
     return per_service[static_cast<std::size_t>(id)];
   }
-
-  void merge(const SubscriberDay& other) noexcept {
-    access = other.access;
-    flows += other.flows;
-    bytes_up += other.bytes_up;
-    bytes_down += other.bytes_down;
-    for (std::size_t s = 0; s < per_service.size(); ++s) per_service[s].merge(other.per_service[s]);
-  }
 };
 
 /// Per-server-IP observations for the infrastructure analysis.
@@ -141,11 +115,6 @@ struct IpDayStats {
     const std::uint32_t named =
         service_mask & ((1u << services::kNamedServiceCount) - 1u);
     return (named & (named - 1)) != 0;
-  }
-
-  void merge(const IpDayStats& other) noexcept {
-    service_mask |= other.service_mask;
-    bytes += other.bytes;
   }
 };
 
@@ -190,15 +159,6 @@ struct DayAggregate {
   [[nodiscard]] std::size_t total_subscribers() const noexcept { return subscribers.size(); }
   [[nodiscard]] std::size_t active_subscribers(const ActivityCriteria& c = {}) const;
   [[nodiscard]] std::uint64_t total_web_bytes() const noexcept;
-
-  /// Merge another aggregate for the same civil day: another PoP's (paper
-  /// §2.1: two vantage points feed the same data lake) or a parallel
-  /// worker's partial over a slice of the day's blocks. Commutative and
-  /// associative except for rtt_min_ms sample order, which is append-order
-  /// — merge partials in block order to reproduce the serial stream (the
-  /// figure-level distributions sort, so figures are order-insensitive
-  /// either way).
-  void merge(const DayAggregate& other);
 };
 
 /// Builds a DayAggregate from a stream of flow records.
@@ -233,6 +193,48 @@ class DayAggregator {
   std::vector<services::ServiceId> dict_service_;
   std::vector<std::string_view> dict_sld_;
 };
+
+/// One day's stage-one output plus how the underlying scan went (damaged
+/// blocks are skipped, never silently aggregated).
+struct DayScanAggregate {
+  DayAggregate aggregate;
+  storage::ScanResult scan;
+};
+
+/// Exactly the FlowRecord fields DayAggregator::add reads — the projection
+/// the stage-one scan pushes down so lake scans skip the 14 column segments
+/// (duration, ports, close flags, upstream packet/quality counters, wire
+/// bytes, HTTP status, content-type, RTT spread, name source) the
+/// aggregation never touches. first_packet, proto and server_ip are always
+/// materialized by the decoder; tests/test_analytics.cpp holds the
+/// projected and unprojected aggregates bit-identical, which is what keeps
+/// this mask honest when add() grows a new field read.
+inline constexpr std::uint32_t kDayAggregateScanFields = storage::scan_fields::kDayAggregate;
+static_assert(kDayAggregateScanFields ==
+                  (storage::scan_fields::kClientIp | storage::scan_fields::kAccess |
+                   storage::scan_fields::kUpBytes | storage::scan_fields::kDownBytes |
+                   storage::scan_fields::kDownPackets | storage::scan_fields::kDownQuality |
+                   storage::scan_fields::kRttMin | storage::scan_fields::kL7 |
+                   storage::scan_fields::kWeb | storage::scan_fields::kServerName),
+              "storage's kDayAggregate preset must track DayAggregator::add's field reads");
+
+/// Stage one for one lake day: scan it and aggregate it on the calling
+/// thread, batch by batch (DayAggregator::add_batch), under the
+/// kDayAggregateScanFields projection.
+[[nodiscard]] DayScanAggregate aggregate_day(
+    const storage::DataLake& lake, core::CivilDate day,
+    const services::ServiceCatalog& catalog = services::ServiceCatalog::standard());
+
+/// Scratch-reusing, optionally filtered variant: the caller owns the scan
+/// buffers, so a loop over many days (the rollup store's incremental
+/// build) decodes every block of every day into the same allocations. A
+/// non-null predicate is pushed below the block decoder — blocks are
+/// pruned on zone maps (ScanResult::blocks_pruned) and only referenced
+/// column segments decode.
+[[nodiscard]] DayScanAggregate aggregate_day(
+    const storage::DataLake& lake, core::CivilDate day, storage::ScanScratch& scratch,
+    const storage::ScanPredicate* predicate = nullptr,
+    const services::ServiceCatalog& catalog = services::ServiceCatalog::standard());
 
 /// "facebook.com" from "edge-star-shv-01-mxp1.facebook.com"; keeps known
 /// multi-part public suffixes whole (co.uk-style endings are not needed for

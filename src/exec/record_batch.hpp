@@ -103,8 +103,7 @@ struct RecordBatch {
   std::span<const std::uint64_t> rtt_samples, http_status;
   /// Resolved RTT values (the on-disk delta/dense coding is a storage
   /// detail the batch contract hides). min/max are exact; avg is the
-  /// writer's integer-quantized value — same as the row-callback path
-  /// delivers.
+  /// writer's integer-quantized value — same as read_day delivers.
   std::span<const std::int64_t> rtt_min_us, rtt_max_us;
   std::span<const double> rtt_avg_us;
   /// Dictionary-coded string columns: per-row dict indexes plus the block's
@@ -118,8 +117,8 @@ struct RecordBatch {
   }
   [[nodiscard]] bool empty() const noexcept { return delivered_rows() == 0; }
 
-  /// Visit every delivered row index, in row (stream) order — the order the
-  /// row-callback path emits, which aggregate identity depends on.
+  /// Visit every delivered row index, in row (stream) order — the order
+  /// read_day emits, which aggregate identity depends on.
   template <typename Fn>
   void for_each_row(Fn&& fn) const {
     if (sel.empty()) {
@@ -130,7 +129,7 @@ struct RecordBatch {
   }
 };
 
-/// The batch→row shim behind DataLake::scan_day's row callback: emit every
+/// The batch→row shim behind DataLake::read_day: emit every
 /// delivered row of `batch` through the one reused `rec` — per-block
 /// value-initialization of unprojected fields, dict-index
 /// change detection so a string is only re-assigned when the row's code

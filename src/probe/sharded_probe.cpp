@@ -88,31 +88,39 @@ ShardedProbe::~ShardedProbe() { (void)finish(); }
 
 std::size_t ShardedProbe::shard_of(const net::FrameView& frame) const noexcept {
   // Cheap L3/L4 peek — the full decode happens on the worker. Ethernet
-  // header is 14 bytes; IPv4 src/dst sit at fixed offsets 26/30 whatever
-  // the IHL. Non-IPv4 frames (IPv6, ARP, runts) carry no flow state, so
-  // any deterministic shard works; they go to shard 0 for counting.
+  // header is 14 bytes; IPv4 src/dst sit at fixed offsets 12/16 into the
+  // IPv4 header whatever the IHL. Non-IPv4 frames (IPv6, ARP, runts) carry
+  // no flow state, so any deterministic shard works; they go to shard 0 for
+  // counting.
   if (shards_.size() == 1) return 0;
   const auto d = frame.data;
   if (d.size() < 34) return 0;
-  const auto ethertype = (std::to_integer<std::uint16_t>(d[12]) << 8) |
-                         std::to_integer<std::uint16_t>(d[13]);
-  if (ethertype != 0x0800) return 0;
-  const core::IPv4Address src{rd32be(d, 26)};
-  const core::IPv4Address dst{rd32be(d, 30)};
+  const auto be16 = [&d](std::size_t pos) {
+    return (std::to_integer<std::uint16_t>(d[pos]) << 8) |
+           std::to_integer<std::uint16_t>(d[pos + 1]);
+  };
+  std::size_t l3 = 14;
+  if (be16(12) != 0x0800) {
+    // One 802.1Q tag in front of the EtherType is skipped, as
+    // net::decode_frame_into skips it: a flow or a client seen both tagged
+    // and untagged must keep one shard.
+    if (be16(12) != 0x8100 || d.size() < 38 || be16(16) != 0x0800) return 0;
+    l3 = 18;
+  }
+  const core::IPv4Address src{rd32be(d, l3 + 12)};
+  const core::IPv4Address dst{rd32be(d, l3 + 16)};
   const auto& net = config_.probe.customer_net;
 
   // DNS traffic is keyed by the *client*, whichever direction the packet
   // travels: DN-Hunter's cache lives on the client's shard, and in-net
   // resolvers would otherwise pull responses onto the resolver's shard.
-  const auto proto = std::to_integer<std::uint8_t>(d[23]);
+  const auto proto = std::to_integer<std::uint8_t>(d[l3 + 9]);
   if (proto == 17) {  // UDP
-    const std::size_t ihl = (std::to_integer<std::size_t>(d[14]) & 0x0f) * 4;
-    const std::size_t l4 = 14 + ihl;
+    const std::size_t ihl = (std::to_integer<std::size_t>(d[l3]) & 0x0f) * 4;
+    const std::size_t l4 = l3 + ihl;
     if (ihl >= 20 && d.size() >= l4 + 4) {
-      const auto sport = (std::to_integer<std::uint16_t>(d[l4]) << 8) |
-                         std::to_integer<std::uint16_t>(d[l4 + 1]);
-      const auto dport = (std::to_integer<std::uint16_t>(d[l4 + 2]) << 8) |
-                         std::to_integer<std::uint16_t>(d[l4 + 3]);
+      const auto sport = be16(l4);
+      const auto dport = be16(l4 + 2);
       if (sport == 53 && net.contains(dst)) {
         return core::IPv4AddressHash{}(dst) % shards_.size();  // response → client
       }

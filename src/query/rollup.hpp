@@ -134,10 +134,9 @@ struct DayRollup {
 using DayRollups = std::array<DayRollup, kDimensionCount>;
 
 /// Build one day's rollups from its stage-one aggregate (the same
-/// DayAggregate the figure analytics consume — including one merged from
-/// parallel partials). `rib` maps server IPs to origin ASNs for the
-/// kServerAsn dimension (unrouted IPs group under ASN 0). Active
-/// subscribers follow the default ActivityCriteria.
+/// DayAggregate the figure analytics consume). `rib` maps server IPs to
+/// origin ASNs for the kServerAsn dimension (unrouted IPs group under ASN
+/// 0). Active subscribers follow the default ActivityCriteria.
 [[nodiscard]] DayRollups build_day_rollups(
     const analytics::DayAggregate& aggregate,
     const services::ServiceCatalog& catalog = services::ServiceCatalog::standard(),

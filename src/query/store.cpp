@@ -6,7 +6,6 @@
 #include <system_error>
 #include <utility>
 
-#include "analytics/parallel.hpp"
 #include "obs/obs.hpp"
 #include "storage/io.hpp"
 

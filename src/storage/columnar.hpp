@@ -33,7 +33,7 @@
 //
 // Every block is self-contained: its server-name and content-type
 // dictionaries are stored in full, so any block decodes on its own — a
-// pruned, damaged or parallel-scanned neighbour never matters. Numeric
+// pruned or damaged neighbour never matters. Numeric
 // columns use the adaptive value-segment codec (compress_u64_segment: per
 // segment the smallest of {stored varint, LZ varint, frame-of-reference
 // bitpack, run-length} wins); u8 columns pick constant, plain or

@@ -64,13 +64,11 @@ constexpr std::int64_t unzigzag(std::uint64_t z) noexcept {
   return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
 }
 
-/// Greedy LZ core shared by every compress_block* entry point: appends a
-/// complete envelope (scheme byte + u32le size + payload) to `out`. The
-/// stored fallback thresholds reproduce the historical compress_block /
-/// compress_block_lazy byte-for-byte: non-lazy stores when LZ failed to
-/// beat raw + header, lazy stores unless LZ saves ≥ 1/8 of the input.
+/// Greedy LZ core: appends a complete envelope (scheme byte + u32le size +
+/// payload) to `out`, falling back to the stored envelope unless LZ saves
+/// at least 1/8 of the input.
 void lz_append(std::span<const std::byte> input, std::vector<std::byte>& out,
-               std::vector<std::uint32_t>& table, bool lazy) {
+               std::vector<std::uint32_t>& table) {
   const std::size_t start = out.size();
   out.reserve(start + input.size() / 2 + 16);
   out.push_back(static_cast<std::byte>(kSchemeLz));
@@ -124,12 +122,10 @@ void lz_append(std::span<const std::byte> input, std::vector<std::byte>& out,
   }
   emit_sequence(input.size(), 0, 0);
 
-  // Stored fallback. Non-lazy: envelope must stay below input + 5-byte
-  // header (historically `out.size() >= input.size() + 5` → stored). Lazy:
-  // additionally demand a 1/8 saving; for inputs under 8 bytes that term
-  // vanishes and the non-lazy bound still applies.
-  const std::size_t cap = lazy ? std::min(input.size() + 4, input.size() + 5 - input.size() / 8)
-                               : input.size() + 4;
+  // Stored fallback: the envelope must stay below input + 5-byte header and
+  // save 1/8 of the input; for inputs under 8 bytes that term vanishes and
+  // the first bound still applies.
+  const std::size_t cap = std::min(input.size() + 4, input.size() + 5 - input.size() / 8);
   if (out.size() - start > cap) {
     out.resize(start);
     out.push_back(static_cast<std::byte>(kSchemeStored));
@@ -297,28 +293,9 @@ __attribute__((target("bmi2"))) void unpack_for_bmi2(const std::uint8_t* bytes, 
 
 }  // namespace
 
-std::vector<std::byte> compress_block(std::span<const std::byte> input) {
-  std::vector<std::byte> out;
-  std::vector<std::uint32_t> table;
-  lz_append(input, out, table, /*lazy=*/false);
-  return out;
-}
-
-std::vector<std::byte> compress_block_lazy(std::span<const std::byte> input) {
-  std::vector<std::byte> out;
-  std::vector<std::uint32_t> table;
-  lz_append(input, out, table, /*lazy=*/true);
-  return out;
-}
-
-void compress_block_append(std::span<const std::byte> input, std::vector<std::byte>& out,
-                           CompressScratch& scratch) {
-  lz_append(input, out, scratch.lz_table, /*lazy=*/false);
-}
-
 void compress_block_lazy_append(std::span<const std::byte> input, std::vector<std::byte>& out,
                                 CompressScratch& scratch) {
-  lz_append(input, out, scratch.lz_table, /*lazy=*/true);
+  lz_append(input, out, scratch.lz_table);
 }
 
 SegmentEncodeResult compress_u64_segment(std::span<const std::uint64_t> values,
@@ -390,12 +367,12 @@ SegmentEncodeResult compress_u64_segment(std::span<const std::uint64_t> values,
     pack_for_bits(values, mn, width, out);
     return fin(kSchemeForBitpack);
   }
-  // Varint wins the analytic comparison; the LZ attempt (with the lazy 1/8
+  // Varint wins the analytic comparison; the LZ attempt (with its 1/8
   // rule) can still shrink it further.
   scratch.stream.clear();
   scratch.stream.reserve(varint_bytes);
   for (const std::uint64_t v : values) put_varint_raw(scratch.stream, v);
-  lz_append(scratch.stream, out, scratch.lz_table, /*lazy=*/true);
+  lz_append(scratch.stream, out, scratch.lz_table);
   return fin(std::to_integer<std::uint8_t>(out[start]));
 }
 
@@ -452,23 +429,10 @@ bool decompress_zigzag_segment(std::span<const std::byte> input, std::size_t n, 
   return true;
 }
 
-std::optional<std::vector<std::byte>> decompress_block(std::span<const std::byte> input) {
-  std::vector<std::byte> out;
-  if (!decompress_block_into(input, out)) return std::nullopt;
-  return out;
-}
+namespace {
 
-std::optional<std::span<const std::byte>> decompress_block_view(std::span<const std::byte> input,
-                                                                std::vector<std::byte>& scratch) {
-  if (input.size() >= 5 && std::to_integer<std::uint8_t>(input[0]) == kSchemeStored) {
-    const std::size_t expected = get_le32(input.subspan(1, 4));
-    if (expected > kMaxDecompressedSize || input.size() - 5 != expected) return std::nullopt;
-    return input.subspan(5);
-  }
-  if (!decompress_block_into(input, scratch)) return std::nullopt;
-  return std::span<const std::byte>{scratch};
-}
-
+/// Inflate a byte-stream envelope into `out`, reusing its capacity; on
+/// failure `out` is left cleared.
 bool decompress_block_into(std::span<const std::byte> input, std::vector<std::byte>& out) {
   out.clear();
   if (input.size() < 5) return false;
@@ -528,6 +492,19 @@ bool decompress_block_into(std::span<const std::byte> input, std::vector<std::by
   }
   if (out.size() != expected) return false;
   return true;
+}
+
+}  // namespace
+
+std::optional<std::span<const std::byte>> decompress_block_view(std::span<const std::byte> input,
+                                                                std::vector<std::byte>& scratch) {
+  if (input.size() >= 5 && std::to_integer<std::uint8_t>(input[0]) == kSchemeStored) {
+    const std::size_t expected = get_le32(input.subspan(1, 4));
+    if (expected > kMaxDecompressedSize || input.size() - 5 != expected) return std::nullopt;
+    return input.subspan(5);
+  }
+  if (!decompress_block_into(input, scratch)) return std::nullopt;
+  return std::span<const std::byte>{scratch};
 }
 
 }  // namespace edgewatch::storage

@@ -6,8 +6,8 @@
 //  * Byte-stream compression (schemes 0/1): LZ-style greedy byte compressor
 //    in the LZ4 spirit — a hash table finds previous 4-byte matches within
 //    the block; output is a stream of (literal-run, match) tokens. The
-//    incompressible path falls back to a stored block so compress() never
-//    expands by more than the 5-byte header.
+//    incompressible path falls back to a stored block so an envelope never
+//    expands its input by more than the 5-byte header.
 //
 //  * Value-segment codecs (schemes 2/3, the lake's columnar blocks): integer
 //    columns skip byte-stream compression entirely and are packed by shape
@@ -41,10 +41,11 @@ inline constexpr std::size_t kMaxDecompressedSize = std::size_t{1} << 26;
 ///   for    : u8 2 | u32le value_count | u8 bit_width | varint base | packed
 ///   rle    : u8 3 | u32le value_count | (varint run_len | varint value)*
 ///
-/// Schemes 0/1 describe bytes and are produced/consumed by the
-/// compress_block family; schemes 2/3 describe u64 value sequences and only
-/// appear inside compress_u64_segment envelopes. A scheme-2/3 payload
-/// handed to decompress_block* is rejected as malformed, and vice versa the
+/// Schemes 0/1 describe bytes and are produced by
+/// compress_block_lazy_append and consumed by decompress_block_view;
+/// schemes 2/3 describe u64 value sequences and only appear inside
+/// compress_u64_segment envelopes. A scheme-2/3 payload handed to
+/// decompress_block_view is rejected as malformed, and vice versa the
 /// segment decoder accepts all four (a varint stream in a scheme-0/1
 /// envelope is a numeric segment whose varint candidate won).
 inline constexpr std::uint8_t kSchemeStored = 0;
@@ -72,25 +73,14 @@ struct SegmentEncodeResult {
   std::uint32_t bytes_out = 0;
 };
 
-/// Compress a block. Output begins with a 1-byte scheme tag and a 4-byte
-/// little-endian uncompressed size.
-[[nodiscard]] std::vector<std::byte> compress_block(std::span<const std::byte> input);
-
-/// As compress_block, but emits the stored envelope unless LZ saves at
-/// least 1/8 of the input. Column segments are already varint/delta/dict
-/// packed, so LZ rarely buys much on them — and a stored segment is
-/// decoded zero-copy straight from the file bytes (decompress_block_view
-/// returns a subspan), which is what makes the columnar scan path fast.
-/// Row-format block bodies keep plain compress_block: they compress well
-/// and are decoded once per block, not once per column.
-[[nodiscard]] std::vector<std::byte> compress_block_lazy(std::span<const std::byte> input);
-
-/// Append-in-place variants producing byte-identical envelopes while
-/// reusing the caller's match-table scratch: the pipelined encode path
-/// compresses thousands of segments per day file and must not pay a 64 KB
-/// allocation for each.
-void compress_block_append(std::span<const std::byte> input, std::vector<std::byte>& out,
-                           CompressScratch& scratch);
+/// Append a byte-stream envelope (scheme 0 or 1: a 1-byte scheme tag, a
+/// 4-byte little-endian uncompressed size, then the payload) to `out`,
+/// reusing the caller's match-table scratch. The stored envelope is emitted
+/// unless LZ saves at least 1/8 of the input. Column segments are already
+/// varint/delta/dict packed, so LZ rarely buys much on them — and a stored
+/// segment is decoded zero-copy straight from the file bytes
+/// (decompress_block_view returns a subspan), which is what makes the
+/// columnar scan path fast.
 void compress_block_lazy_append(std::span<const std::byte> input, std::vector<std::byte>& out,
                                 CompressScratch& scratch);
 
@@ -98,10 +88,10 @@ void compress_block_lazy_append(std::span<const std::byte> input, std::vector<st
 /// candidate is smallest. Candidate sizes are computed analytically in one
 /// pass (varint length sum; FOR size from the min/max bit width; RLE size
 /// from the run structure) so only the winner is materialized; the LZ
-/// attempt is made only when the varint stream wins, matching the legacy
-/// lazy rule (LZ must save ≥ 1/8 over stored). Selection is a pure function
-/// of `values`, which is what makes parallel and serial encoders
-/// byte-identical by construction.
+/// attempt is made only when the varint stream wins, under the rule of
+/// compress_block_lazy_append (LZ must save ≥ 1/8 over stored). Selection
+/// is a pure function of `values`, which is what makes parallel and serial
+/// encoders byte-identical by construction.
 [[nodiscard]] SegmentEncodeResult compress_u64_segment(std::span<const std::uint64_t> values,
                                                        std::vector<std::byte>& out,
                                                        CompressScratch& scratch);
@@ -121,23 +111,12 @@ void compress_block_lazy_append(std::span<const std::byte> input, std::vector<st
 [[nodiscard]] bool decompress_zigzag_segment(std::span<const std::byte> input, std::size_t n,
                                              std::int64_t* out, std::vector<std::byte>& scratch);
 
-/// Decompress; nullopt on malformed input (never reads out of bounds, never
-/// allocates more than kMaxDecompressedSize).
-[[nodiscard]] std::optional<std::vector<std::byte>> decompress_block(
-    std::span<const std::byte> input);
-
-/// Decompress into a caller-owned buffer, reusing its capacity. `out` is
-/// cleared and filled; on failure it is left cleared and false returned.
-/// This is the scan hot path: one scratch buffer per scan (or per parallel
-/// worker) instead of one allocation per block.
-[[nodiscard]] bool decompress_block_into(std::span<const std::byte> input,
-                                         std::vector<std::byte>& out);
-
 /// View the uncompressed bytes of a block: a stored block is returned as a
 /// subspan of `input` itself (zero copy — the columnar scan path decodes
 /// incompressible column segments straight from the mapped file bytes);
-/// an LZ block is inflated into `scratch` and a span over it returned.
-/// nullopt on malformed input.
+/// an LZ block is inflated into `scratch` (its capacity reused) and a span
+/// over it returned. nullopt on malformed input, which never reads out of
+/// bounds and never allocates more than kMaxDecompressedSize.
 [[nodiscard]] std::optional<std::span<const std::byte>> decompress_block_view(
     std::span<const std::byte> input, std::vector<std::byte>& scratch);
 

@@ -87,7 +87,7 @@ constexpr std::size_t kHeaderSize = 5;
 // Block frame: body_len | seq | record_count | crc32c | body. The CRC
 // covers the three header fields and the body, so a flipped bit anywhere —
 // including in the length that frames the stream — fails validation.
-constexpr std::size_t kBlockHeaderSize = DayBlockIndex::kFrameHeaderSize;
+constexpr std::size_t kBlockHeaderSize = 16;
 // Seal: sentinel | magic | cumulative_records | cumulative_blocks | crc.
 constexpr std::uint32_t kSealSentinel = 0xffffffffu;
 constexpr std::uint32_t kSealMagic = 0x324c5745u;  // "EWL2"
@@ -578,39 +578,12 @@ core::Result<std::uint64_t> DataLake::append_impl(core::CivilDate day,
   return static_cast<std::uint64_t>(out.size());
 }
 
-DayBlockIndex DataLake::load_day_blocks(core::CivilDate day) const {
-  DayBlockIndex idx;
-  const auto path = day_path(day);
-  if (!std::filesystem::exists(path)) {
-    idx.fatal_ = core::Errc::kNotFound;
-    return idx;
-  }
-  auto data = read_file(path);
-  if (!data) {
-    idx.fatal_ = core::Errc::kIoError;
-    return idx;
-  }
-  const FileModel m = parse_file(*data);
-  if (m.errc != core::Errc::kOk) {
-    idx.fatal_ = m.errc;
-    return idx;
-  }
-  idx.blocks_.reserve(m.blocks.size());
-  for (const auto& b : m.blocks) idx.blocks_.push_back({b.offset, b.body_len, b.record_count});
-  idx.damaged_ranges_ = static_cast<std::uint32_t>(m.bad.size());
-  idx.baseline_ = !m.bad.empty() ? core::Errc::kCorrupt
-                  : !m.ends_sealed ? core::Errc::kTruncated
-                                   : core::Errc::kOk;
-  idx.data_ = std::make_shared<const std::vector<std::byte>>(std::move(*data));
-  return idx;
-}
-
 namespace {
 
 /// The one per-block scan: zone-map pruning, atomic decode, skip and
 /// zone-lie accounting. `native` says the sink consumes the batch as such
-/// (counted as dictionary pass-through rows); the row shim counts its own
-/// materialized rows instead.
+/// (counted as dictionary pass-through rows); read_day's row replay counts
+/// its own materialized rows instead.
 void scan_block_impl(std::span<const std::byte> body, std::uint32_t record_count,
                      const ScanPredicate* predicate, ScanScratch& scratch, ScanResult& res,
                      DataLake::BatchSink fn, bool native) {
@@ -659,52 +632,45 @@ void scan_block_impl(std::span<const std::byte> body, std::uint32_t record_count
   }
 }
 
-}  // namespace
-
-void DataLake::scan_block_batches(std::span<const std::byte> body, std::uint32_t record_count,
-                                  const ScanPredicate* predicate, ScanScratch& scratch,
-                                  ScanResult& res, BatchSink fn) {
-  scan_block_impl(body, record_count, predicate, scratch, res, fn, /*native=*/true);
-}
-
-namespace {
-
-/// Index the day, scan every CRC-valid block in file order, fold the
-/// damaged-range and baseline status.
-ScanResult scan_day_walk(const DataLake& lake, core::CivilDate day,
-                         const ScanPredicate* predicate, DataLake::BatchSink fn, bool native) {
+/// The one day walk: read and index the file, scan every CRC-valid block
+/// in file order, then fold the damaged ranges and the file's own status
+/// (kCorrupt when damage was stepped over, kTruncated for an unsealed
+/// tail) into the result. Corruption found in a block body dominates.
+ScanResult scan_day_walk(const std::filesystem::path& path, const ScanPredicate* predicate,
+                         ScanScratch& scratch, DataLake::BatchSink fn, bool native) {
   ScanResult res;
-  const DayBlockIndex idx = lake.load_day_blocks(day);
-  if (idx.fatal() != core::Errc::kOk) {
-    res.errc = idx.fatal();
+  if (!std::filesystem::exists(path)) {
+    res.errc = core::Errc::kNotFound;
     return res;
   }
-  ScanScratch scratch;
-  for (const auto& b : idx.blocks()) {
-    scan_block_impl(idx.body(b), b.record_count, predicate, scratch, res, fn, native);
+  const auto data = read_file(path);
+  if (!data) {
+    res.errc = core::Errc::kIoError;
+    return res;
   }
-  res.blocks_skipped += idx.damaged_ranges();
-  if (res.errc == core::Errc::kOk || idx.baseline() == core::Errc::kCorrupt) {
-    res.errc = idx.baseline();
+  const FileModel m = parse_file(*data);
+  if (m.errc != core::Errc::kOk) {
+    res.errc = m.errc;
+    return res;
   }
+  const std::span<const std::byte> bytes{*data};
+  for (const BlockRef& b : m.blocks) {
+    scan_block_impl(bytes.subspan(b.offset + kBlockHeaderSize, b.body_len), b.record_count,
+                    predicate, scratch, res, fn, native);
+  }
+  res.blocks_skipped += static_cast<std::uint32_t>(m.bad.size());
+  const core::Errc baseline = !m.bad.empty()    ? core::Errc::kCorrupt
+                              : !m.ends_sealed ? core::Errc::kTruncated
+                                               : core::Errc::kOk;
+  if (res.errc == core::Errc::kOk || baseline == core::Errc::kCorrupt) res.errc = baseline;
   return res;
 }
 
 }  // namespace
 
-ScanResult DataLake::scan_day_impl(core::CivilDate day, const ScanPredicate* predicate,
-                                   RowSink fn) const {
-  flow::FlowRecord rec;
-  std::uint64_t materialized = 0;
-  const auto rows = [&](const exec::RecordBatch& batch) {
-    exec::materialize_rows(batch, rec, fn, materialized);
-  };
-  return scan_day_walk(*this, day, predicate, BatchSink{rows}, /*native=*/false);
-}
-
 ScanResult DataLake::scan_day_batches_impl(core::CivilDate day, const ScanPredicate* predicate,
-                                           BatchSink fn) const {
-  return scan_day_walk(*this, day, predicate, fn, /*native=*/true);
+                                           ScanScratch& scratch, BatchSink fn) const {
+  return scan_day_walk(day_path(day), predicate, scratch, fn, /*native=*/true);
 }
 
 std::vector<flow::FlowRecord> DataLake::read_day(core::CivilDate day) const {
@@ -715,7 +681,14 @@ std::vector<flow::FlowRecord> DataLake::read_day(core::CivilDate day) const {
 std::vector<flow::FlowRecord> DataLake::read_day(core::CivilDate day,
                                                  ScanResult& status) const {
   std::vector<flow::FlowRecord> out;
-  status = scan_day(day, [&out](const flow::FlowRecord& r) { out.push_back(r); });
+  flow::FlowRecord rec;
+  std::uint64_t materialized = 0;
+  const auto keep = [&out](const flow::FlowRecord& r) { out.push_back(r); };
+  const auto rows = [&](const exec::RecordBatch& batch) {
+    exec::materialize_rows(batch, rec, keep, materialized);
+  };
+  ScanScratch scratch;
+  status = scan_day_walk(day_path(day), nullptr, scratch, BatchSink{rows}, /*native=*/false);
   return out;
 }
 
@@ -905,17 +878,6 @@ std::uint64_t DataLake::file_bytes(core::CivilDate day) const {
 
 FileIdentity DataLake::day_identity(core::CivilDate day) const {
   return file_identity(day_path(day));
-}
-
-ScanResult DataLake::export_csv(core::CivilDate day, const std::filesystem::path& out) const {
-  std::ofstream csv(out);
-  if (!csv) {
-    ScanResult res;
-    res.errc = core::Errc::kIoError;
-    return res;
-  }
-  csv << csv_header() << '\n';
-  return scan_day(day, [&](const flow::FlowRecord& r) { csv << r.to_csv_row() << '\n'; });
 }
 
 }  // namespace edgewatch::storage

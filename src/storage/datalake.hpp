@@ -35,7 +35,6 @@
 #include <functional>
 #include <future>
 #include <map>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -68,61 +67,11 @@ struct ScanResult {
 
   [[nodiscard]] bool ok() const noexcept { return errc == core::Errc::kOk; }
   [[nodiscard]] explicit operator bool() const noexcept { return ok(); }
-
-  /// Fold a partial result (one worker's share of a day's blocks) into
-  /// this one. Corruption dominates; otherwise the first non-kOk status
-  /// sticks — merge partials in block order for a deterministic outcome.
-  void merge(const ScanResult& other) noexcept {
-    records_delivered += other.records_delivered;
-    blocks_skipped += other.blocks_skipped;
-    blocks_pruned += other.blocks_pruned;
-    if (errc == core::Errc::kOk || other.errc == core::Errc::kCorrupt) errc = other.errc;
-  }
 };
 
 /// Scratch buffers reused across block decodes. One per scanning thread:
 /// the columnar decoder fills the same allocations block after block.
 using ScanScratch = ColumnScratch;
-
-/// Random-access view of one day file for parallel scanning: the raw file
-/// bytes (shared, immutable) plus the location of every CRC-valid block.
-/// Each block is independently decodable, so workers can fan out over the
-/// block list — share the index, give each worker its own ScanScratch.
-class DayBlockIndex {
- public:
-  /// Bytes of a block frame's header (body_len, seq, record_count, crc).
-  static constexpr std::size_t kFrameHeaderSize = 16;
-
-  struct Block {
-    std::size_t offset = 0;  ///< Frame start within the file.
-    std::uint32_t body_len = 0;
-    std::uint32_t record_count = 0;
-  };
-
-  /// Header-level failure (absent file, I/O error, bad magic/version,
-  /// header-less stub). When set, no blocks are available.
-  [[nodiscard]] core::Errc fatal() const noexcept { return fatal_; }
-  /// Day status before any block is decoded: kOk for a clean sealed file,
-  /// kCorrupt when damaged ranges were skipped during indexing,
-  /// kTruncated for an unsealed tail.
-  [[nodiscard]] core::Errc baseline() const noexcept { return baseline_; }
-  [[nodiscard]] const std::vector<Block>& blocks() const noexcept { return blocks_; }
-  /// Damaged byte ranges stepped over while indexing (counts toward
-  /// ScanResult::blocks_skipped, exactly as in the serial scan).
-  [[nodiscard]] std::uint32_t damaged_ranges() const noexcept { return damaged_ranges_; }
-  /// The compressed body of an indexed block.
-  [[nodiscard]] std::span<const std::byte> body(const Block& b) const noexcept {
-    return std::span<const std::byte>{*data_}.subspan(b.offset + kFrameHeaderSize, b.body_len);
-  }
-
- private:
-  friend class DataLake;
-  std::shared_ptr<const std::vector<std::byte>> data_;
-  std::vector<Block> blocks_;
-  std::uint32_t damaged_ranges_ = 0;
-  core::Errc fatal_ = core::Errc::kOk;
-  core::Errc baseline_ = core::Errc::kOk;
-};
 
 /// Cheap identity of one on-disk day file: stat facts plus the cumulative
 /// block count of the trailing seal (the file's durability receipt). Two reads of
@@ -200,78 +149,56 @@ class DataLake {
   core::Result<std::uint64_t> append(core::CivilDate day,
                                      std::span<const flow::FlowRecord> records);
 
-  /// Per-record and per-batch scan sinks. Both are non-owning
-  /// core::FunctionRef views: one calling convention for every scan entry
-  /// point, no per-scan std::function allocation. A batch sink must consume
-  /// (or copy from) the RecordBatch inside the call — it views the scan's
-  /// scratch and is overwritten by the next block.
-  using RowSink = core::FunctionRef<void(const flow::FlowRecord&)>;
+  /// Batch scan sink: a non-owning core::FunctionRef view, so no scan
+  /// allocates a std::function. It must consume (or copy from) the
+  /// RecordBatch inside the call — the batch views the scan's scratch and
+  /// is overwritten by the next block.
   using BatchSink = core::FunctionRef<void(const exec::RecordBatch&)>;
 
-  /// Stream every recoverable record of a day. Damaged blocks are skipped
-  /// (the reader resynchronizes on block sequence numbers) and reported. No
-  /// record from a block that failed its checksum is ever delivered.
+  /// Stream every recoverable record of a day, one RecordBatch per
+  /// surviving block, filled straight from the decode scratch, with
+  /// dictionary codes passed through without materializing a single
+  /// string. Damaged blocks are skipped (the reader resynchronizes on block
+  /// sequence numbers) and reported; no record from a block that failed its
+  /// checksum is ever delivered. A filtered batch carries its selection
+  /// vector instead of re-copying the surviving rows.
   ///
-  /// Templated only to bind the callable to a RowSink through a named
+  /// Templated only to bind the callable to a BatchSink through a named
   /// lvalue (FunctionRef rejects temporaries by design); dispatch is
-  /// non-virtual. The body is a thin loop over scan_day_batches that replays
-  /// each batch through exec::materialize_rows.
+  /// non-virtual.
   template <typename Fn,
-            typename = std::enable_if_t<std::is_invocable_v<Fn&, const flow::FlowRecord&>>>
-  ScanResult scan_day(core::CivilDate day, Fn&& fn) const {
-    RowSink sink{fn};
-    return scan_day_impl(day, nullptr, sink);
+            typename = std::enable_if_t<std::is_invocable_v<Fn&, const exec::RecordBatch&>>>
+  ScanResult scan_day_batches(core::CivilDate day, Fn&& fn) const {
+    ScanScratch scratch;
+    return scan_day_batches(day, nullptr, scratch, fn);
   }
 
   /// Selective scan with predicate pushdown: blocks whose zone map cannot
   /// match are skipped without decompressing anything (counted in
   /// ScanResult::blocks_pruned), and surviving blocks decode only the
-  /// column segments the filter and the callback need.
-  template <typename Fn,
-            typename = std::enable_if_t<std::is_invocable_v<Fn&, const flow::FlowRecord&>>>
-  ScanResult scan_day(core::CivilDate day, const ScanPredicate& predicate, Fn&& fn) const {
-    RowSink sink{fn};
-    return scan_day_impl(day, &predicate, sink);
-  }
-
-  /// Native batch delivery — the primary scan path: one RecordBatch per
-  /// surviving block, filled straight from the decode scratch, with
-  /// dictionary codes passed through without materializing a single
-  /// string. A filtered batch carries its selection vector instead of
-  /// re-copying the surviving rows.
-  template <typename Fn,
-            typename = std::enable_if_t<std::is_invocable_v<Fn&, const exec::RecordBatch&>>>
-  ScanResult scan_day_batches(core::CivilDate day, Fn&& fn) const {
-    BatchSink sink{fn};
-    return scan_day_batches_impl(day, nullptr, sink);
-  }
-
+  /// column segments the filter and the sink need.
   template <typename Fn,
             typename = std::enable_if_t<std::is_invocable_v<Fn&, const exec::RecordBatch&>>>
   ScanResult scan_day_batches(core::CivilDate day, const ScanPredicate& predicate,
                               Fn&& fn) const {
-    BatchSink sink{fn};
-    return scan_day_batches_impl(day, &predicate, sink);
+    ScanScratch scratch;
+    return scan_day_batches(day, &predicate, scratch, fn);
   }
 
-  /// Load the raw bytes and validated block index of one day for
-  /// random-access (parallel) decoding. scan_day_batches is this plus a
-  /// serial walk over the blocks.
-  [[nodiscard]] DayBlockIndex load_day_blocks(core::CivilDate day) const;
+  /// As above with a caller-owned scratch, so a loop over many days (the
+  /// rollup store's build) decodes every block into the same allocations.
+  /// A null predicate scans every row and every column.
+  template <typename Fn,
+            typename = std::enable_if_t<std::is_invocable_v<Fn&, const exec::RecordBatch&>>>
+  ScanResult scan_day_batches(core::CivilDate day, const ScanPredicate* predicate,
+                              ScanScratch& scratch, Fn&& fn) const {
+    BatchSink sink{fn};
+    return scan_day_batches_impl(day, predicate, scratch, sink);
+  }
 
-  /// Scan one indexed block body with optional predicate pushdown, folding
-  /// delivery/skip/prune accounting into `res`: the block's surviving rows
-  /// are delivered as one RecordBatch viewing `scratch`. The workhorse
-  /// behind scan_day_batches and the parallel day aggregators — blocks are
-  /// self-contained, so any subset decodes in any order. `record_count` is
-  /// the frame header's count (cross-checked against the zone map; pass
-  /// kAnyRecordCount when unknown). A lying zone map delivers its rows and
-  /// flags kCorrupt; an empty post-filter block invokes no sink call.
-  static void scan_block_batches(std::span<const std::byte> body, std::uint32_t record_count,
-                                 const ScanPredicate* predicate, ScanScratch& scratch,
-                                 ScanResult& res, BatchSink fn);
-
-  /// Convenience: materialize a day (recoverable records only).
+  /// Materialize a day (recoverable records only): the scan_day_batches
+  /// walk with every batch replayed row by row through
+  /// exec::materialize_rows.
   [[nodiscard]] std::vector<flow::FlowRecord> read_day(core::CivilDate day) const;
   /// As above, but also report how the scan went.
   [[nodiscard]] std::vector<flow::FlowRecord> read_day(core::CivilDate day,
@@ -311,9 +238,6 @@ class DataLake {
   /// Identity of the day's file (see file_identity); default when absent.
   [[nodiscard]] FileIdentity day_identity(core::CivilDate day) const;
   [[nodiscard]] const std::filesystem::path& root() const noexcept { return root_; }
-
-  /// Export one day as CSV (interop path). records_delivered == rows.
-  ScanResult export_csv(core::CivilDate day, const std::filesystem::path& out) const;
 
   [[nodiscard]] static std::string day_filename(core::CivilDate day);
 
@@ -368,10 +292,8 @@ class DataLake {
   /// append() minus the observability envelope (span + outcome counters).
   core::Result<std::uint64_t> append_impl(core::CivilDate day,
                                           std::span<const flow::FlowRecord> records);
-  ScanResult scan_day_impl(core::CivilDate day, const ScanPredicate* predicate,
-                           RowSink fn) const;
   ScanResult scan_day_batches_impl(core::CivilDate day, const ScanPredicate* predicate,
-                                   BatchSink fn) const;
+                                   ScanScratch& scratch, BatchSink fn) const;
   /// Chunk `records` into block frames plus a trailing seal, appending to
   /// `out`; blocks go through the encode pipeline when one is configured.
   void encode_day_elements(core::ByteWriter& out, std::span<const flow::FlowRecord> records,

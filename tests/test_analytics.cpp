@@ -312,31 +312,6 @@ TEST(Figures, CategorySharesVideoDominates) {
   EXPECT_NEAR(total, 100.0, 1e-6);
 }
 
-TEST(DayAggregate, MergeCombinesTwoPops) {
-  // PoP 1 sees subscriber A; PoP 2 sees B and also more traffic from A
-  // (overlap is handled even though real PoPs have disjoint populations).
-  DayAggregator pop1{{2016, 3, 5}};
-  add_active_subscriber(pop1, kSubA, AccessTech::kAdsl, "www.facebook.com", 12'000'000,
-                        6'000'000);
-  DayAggregator pop2{{2016, 3, 5}};
-  add_active_subscriber(pop2, kSubB, AccessTech::kFtth, "r1.googlevideo.com", 240'000'000,
-                        8'000'000);
-  pop2.add(make_record(kSubA, AccessTech::kAdsl, "www.facebook.com", 1'000'000, 50'000));
-
-  auto merged = std::move(pop1).take();
-  merged.merge(std::move(pop2).take());
-  EXPECT_EQ(merged.total_subscribers(), 2u);
-  EXPECT_EQ(merged.subscribers.at(kSubA).bytes_down, 13'000'000u);
-  EXPECT_EQ(merged.subscribers.at(kSubA).flows, 13u);
-  EXPECT_EQ(merged.subscribers.at(kSubB).service(ServiceId::kYouTube).bytes_down,
-            240'000'000u);
-  EXPECT_EQ(merged.active_subscribers(), 2u);
-  // Web bytes and domain maps merged too.
-  EXPECT_GT(merged.total_web_bytes(), 0u);
-  EXPECT_EQ(merged.domain_bytes.count({ServiceId::kYouTube, "googlevideo.com"}), 1u);
-  EXPECT_EQ(merged.domain_bytes.count({ServiceId::kFacebook, "facebook.com"}), 1u);
-}
-
 // ----------------------------------------------------------- infrastructure
 
 TEST(Infrastructure, IpLifecycleCountsDedicatedAndShared) {

@@ -2,11 +2,11 @@
 // invisible to every consumer. A day stored in the lake has to produce the
 // same day aggregates and byte-identical rollups as DayAggregator::add over
 // the very records that were appended, predicate pushdown has to deliver
-// exactly what ScanPredicate::matches selects from them, the parallel
-// scanner has to reproduce the serial one, and the query engine's raw-lake
-// fallback has to be indistinguishable from a rollup-answered day. The
-// stored service column must hold each row's own flow verdict, although the
-// encoder classifies each name only once per block.
+// exactly what ScanPredicate::matches selects from them, and the query
+// engine's raw-lake fallback has to be indistinguishable from a
+// rollup-answered day. The stored service column must hold each row's own
+// flow verdict, although the encoder classifies each name only once per
+// block.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,7 @@
 #include <filesystem>
 #include <vector>
 
-#include "analytics/parallel.hpp"
+#include "analytics/day_aggregate.hpp"
 #include "core/thread_pool.hpp"
 #include "query/engine.hpp"
 #include "query/rollup.hpp"
@@ -24,6 +24,7 @@
 #include "storage/columnar.hpp"
 #include "storage/datalake.hpp"
 #include "synth/generator.hpp"
+#include "lake_rows.hpp"
 #include "temp_dir.hpp"
 
 namespace ew = edgewatch;
@@ -130,29 +131,25 @@ ew::analytics::DayAggregate reference_aggregate(CivilDate day,
 }  // namespace
 
 TEST(ColumnarGolden, AggregatesAndRollupsAreByteIdenticalAcrossFormats) {
-  // Lake (serial and parallel batch scans) vs the in-memory reference over
-  // the records that were appended.
+  // Lake (the stage-one batch scan) vs the in-memory reference over the
+  // records that were appended.
   const CivilDate day{2015, 6, 10};
   const auto records = paper_day(day);
   TempDir dir;
   ew::storage::DataLake lake(dir.path);
   ASSERT_TRUE(lake.append(day, records).has_value());
-  ASSERT_GT(lake.load_day_blocks(day).blocks().size(), 1u);
+  ASSERT_GT(lake.fsck_day(day).blocks_ok, 1u);
   const auto want = reference_aggregate(day, records);
 
-  ThreadPool pool(4);
-  const auto serial = ew::analytics::aggregate_day(lake, day);
-  const auto parallel = ew::analytics::aggregate_day_parallel(lake, day, pool);
-  for (const auto* got : {&serial, &parallel}) {
-    ASSERT_TRUE(got->scan.ok());
-    EXPECT_EQ(got->scan.records_delivered, records.size());
-    expect_aggregates_equal(want, got->aggregate);
+  const auto got = ew::analytics::aggregate_day(lake, day);
+  ASSERT_TRUE(got.scan.ok());
+  EXPECT_EQ(got.scan.records_delivered, records.size());
+  expect_aggregates_equal(want, got.aggregate);
 
-    // The figure-feeding rollups — counters, HLLs, quantile sketches — are
-    // byte-identical, so every downstream figure is too.
-    EXPECT_EQ(ew::query::encode_rollup(ew::query::build_day_rollups(want)),
-              ew::query::encode_rollup(ew::query::build_day_rollups(got->aggregate)));
-  }
+  // The figure-feeding rollups — counters, HLLs, quantile sketches — are
+  // byte-identical, so every downstream figure is too.
+  EXPECT_EQ(ew::query::encode_rollup(ew::query::build_day_rollups(want)),
+            ew::query::encode_rollup(ew::query::build_day_rollups(got.aggregate)));
 }
 
 TEST(ColumnarGolden, PushdownDeliversExactlyThePostFilterSet) {
@@ -183,7 +180,7 @@ TEST(ColumnarGolden, PushdownDeliversExactlyThePostFilterSet) {
 
   std::vector<FlowRecord> got;
   auto sink = [&](const FlowRecord& r) { got.push_back(r); };
-  const auto scan = lake.scan_day(day, pred, sink);
+  const auto scan = ew::testing::scan_rows(lake, day, pred, sink);
   EXPECT_TRUE(scan.ok());
   EXPECT_EQ(encode_stream(got), encode_stream(oracle));
 
@@ -194,26 +191,6 @@ TEST(ColumnarGolden, PushdownDeliversExactlyThePostFilterSet) {
   EXPECT_EQ(agg.scan.records_delivered, oracle.size());
   EXPECT_GT(agg.scan.blocks_pruned, 0u);
   expect_aggregates_equal(reference_aggregate(day, records, &pred), agg.aggregate);
-}
-
-TEST(ColumnarGolden, ParallelPredicateScanMatchesSerial) {
-  const CivilDate day{2015, 9, 9};
-  const auto records = paper_day(day);
-  TempDir dir;
-  ew::storage::DataLake lake(dir.path);
-  ASSERT_TRUE(lake.append(day, records).has_value());
-  ASSERT_GT(lake.load_day_blocks(day).blocks().size(), 1u);
-
-  const auto pred = ew::storage::ScanPredicate::for_service(ew::services::ServiceId::kNetflix);
-  ew::storage::ScanScratch scratch;
-  const auto serial = ew::analytics::aggregate_day(lake, day, scratch, &pred);
-  ThreadPool pool(4);
-  const auto parallel = ew::analytics::aggregate_day_parallel(lake, day, pool, pred);
-
-  EXPECT_EQ(parallel.scan.records_delivered, serial.scan.records_delivered);
-  EXPECT_EQ(parallel.scan.blocks_pruned, serial.scan.blocks_pruned);
-  EXPECT_EQ(parallel.scan.errc, serial.scan.errc);
-  expect_aggregates_equal(parallel.aggregate, serial.aggregate);
 }
 
 TEST(ColumnarGolden, QueryRawFallbackMatchesRollupAnswers) {
@@ -290,7 +267,7 @@ TEST(ColumnarGolden, ServiceColumnHoldsEachRowsFlowVerdict) {
   TempDir lake_dir, full_dir, empty_dir;
   ew::storage::DataLake lake(lake_dir.path);
   ASSERT_TRUE(lake.append(day, records).has_value());
-  ASSERT_EQ(lake.load_day_blocks(day).blocks().size(), 2u);
+  ASSERT_EQ(lake.fsck_day(day).blocks_ok, 2u);
 
   std::size_t rows = 0;
   std::array<std::size_t, ew::services::kServiceCount> per_service{};

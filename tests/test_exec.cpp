@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "analytics/parallel.hpp"
+#include "analytics/day_aggregate.hpp"
 #include "core/hash.hpp"
 #include "exec/record_batch.hpp"
 #include "query/rollup.hpp"
@@ -21,6 +21,7 @@
 #include "storage/daily_writer.hpp"
 #include "storage/datalake.hpp"
 #include "synth/generator.hpp"
+#include "lake_rows.hpp"
 #include "temp_dir.hpp"
 
 namespace ew = edgewatch;
@@ -115,13 +116,14 @@ void expect_aggregates_equal(const ew::analytics::DayAggregate& a,
 }
 
 /// The row-path oracle: same lake, same projection, but every record goes
-/// through DayAggregator::add via the row-callback shim.
+/// through DayAggregator::add via the batch→row shim.
 ew::analytics::DayAggregate row_oracle(const ew::storage::DataLake& lake, CivilDate day,
                                        ew::storage::ScanResult* scan_out = nullptr) {
   ew::analytics::DayAggregator agg(day);
   const auto pred =
       ew::storage::ScanPredicate::project(ew::analytics::kDayAggregateScanFields);
-  const auto scan = lake.scan_day(day, pred, [&](const FlowRecord& r) { agg.add(r); });
+  const auto scan =
+      ew::testing::scan_rows(lake, day, pred, [&](const FlowRecord& r) { agg.add(r); });
   if (scan_out != nullptr) *scan_out = scan;
   return std::move(agg).take();
 }
@@ -130,7 +132,7 @@ ew::analytics::DayAggregate row_oracle(const ew::storage::DataLake& lake, CivilD
 
 // Decoding a stored block and replaying it through the batch→row shim
 // reproduces the appended records byte for byte — the direct oracle for
-// the row-callback scan path.
+// the row path (DataLake::read_day).
 TEST(ExecBatch, MaterializedBatchRoundTripsRecordsByteIdentical) {
   const CivilDate day{2016, 3, 3};
   auto records = paper_day(day);
@@ -198,8 +200,8 @@ TEST(ExecBatch, ProjectionPassesDictCodesThrough) {
       ew::storage::ScanPredicate::project(ew::exec::scan_fields::kDayAggregate);
 
   std::vector<std::string> row_names;
-  (void)lake.scan_day(day, pred,
-                      [&](const FlowRecord& r) { row_names.push_back(r.server_name); });
+  (void)ew::testing::scan_rows(
+      lake, day, pred, [&](const FlowRecord& r) { row_names.push_back(r.server_name); });
 
   std::vector<std::string> batch_names;
   std::size_t batches = 0, dict_entries = 0;
@@ -257,7 +259,7 @@ TEST(ExecBatch, TornDayDeliversSamePrefixAsBatches) {
   TempDir dir;
   ew::storage::DataLake lake(dir.path);
   ASSERT_TRUE(lake.append(day, records).has_value());
-  ASSERT_GT(lake.load_day_blocks(day).blocks().size(), 2u);
+  ASSERT_GT(lake.fsck_day(day).blocks_ok, 2u);
 
   const auto path = dir.path / ew::storage::DataLake::day_filename(day);
   auto contents = slurp(path);
@@ -274,6 +276,61 @@ TEST(ExecBatch, TornDayDeliversSamePrefixAsBatches) {
   EXPECT_EQ(got.scan.records_delivered, row_scan.records_delivered);
   EXPECT_EQ(got.scan.errc, row_scan.errc);
   expect_aggregates_equal(want, got.aggregate);
+}
+
+// aggregate_day pushes kDayAggregateScanFields down to the block decoder by
+// default; this is the check day_aggregate.hpp promises keeps that mask
+// honest — the projected aggregate must be bit-identical to one built from
+// fully-materialized records, or add() grew a field read the projection no
+// longer covers.
+TEST(DayAggregateScan, ProjectedScanReproducesFullDecodeAggregate) {
+  const CivilDate day{2015, 6, 10};
+  TempDir dir;
+  ew::storage::DataLake lake(dir.path);
+  ASSERT_TRUE(lake.append(day, paper_day(day)).has_value());
+
+  const auto projected = ew::analytics::aggregate_day(lake, day);
+  ASSERT_TRUE(projected.scan.ok());
+  ASSERT_GT(projected.scan.records_delivered, 0u);
+
+  ew::storage::ScanScratch scratch;
+  const auto all = ew::storage::ScanPredicate::project(ew::storage::scan_fields::kAll);
+  const auto full = ew::analytics::aggregate_day(lake, day, scratch, &all);
+  ASSERT_TRUE(full.scan.ok());
+  EXPECT_EQ(projected.scan.records_delivered, full.scan.records_delivered);
+  expect_aggregates_equal(projected.aggregate, full.aggregate);
+}
+
+// A damaged day aggregates what survives and says so (kCorrupt, the
+// skipped blocks counted); a missing day is kNotFound with an empty
+// aggregate, never a silent zero day.
+TEST(DayAggregateScan, DamagedAndMissingDaysReportStatus) {
+  const CivilDate day{2015, 6, 10};
+  TempDir dir;
+  ew::storage::DataLake lake(dir.path);
+  ASSERT_TRUE(lake.append(day, paper_day(day)).has_value());
+  ASSERT_TRUE(lake.append(day, paper_day({2015, 6, 12})).has_value());
+
+  // Flip bytes mid-file: CRC framing quarantines the damaged block(s).
+  const auto path = dir.path / ew::storage::DataLake::day_filename(day);
+  auto contents = slurp(path);
+  std::fill_n(contents.begin() + static_cast<std::ptrdiff_t>(contents.size() / 2), 32, '\0');
+  spew(path, contents);
+
+  ew::storage::ScanResult row_scan;
+  const auto want = row_oracle(lake, day, &row_scan);
+  const auto damaged = ew::analytics::aggregate_day(lake, day);
+  EXPECT_EQ(damaged.scan.errc, ew::core::Errc::kCorrupt);
+  EXPECT_GT(damaged.scan.blocks_skipped, 0u);
+  EXPECT_GT(damaged.scan.records_delivered, 0u);
+  EXPECT_EQ(damaged.scan.records_delivered, row_scan.records_delivered);
+  EXPECT_EQ(damaged.scan.blocks_skipped, row_scan.blocks_skipped);
+  expect_aggregates_equal(want, damaged.aggregate);
+
+  const auto missing = ew::analytics::aggregate_day(lake, {2019, 1, 1});
+  EXPECT_EQ(missing.scan.errc, ew::core::Errc::kNotFound);
+  EXPECT_EQ(missing.scan.records_delivered, 0u);
+  EXPECT_TRUE(missing.aggregate.subscribers.empty());
 }
 
 // The writer's one-entry MRU day cache is pure mechanism: interleaved days,

@@ -209,8 +209,7 @@ TEST(FlatHashMap, HeterogeneousStringViewLookup) {
 
 TEST(FlatHashMap, IterationOrderIndependentMerge) {
   // Merging two maps must give identical contents regardless of which
-  // iteration order the inputs present — the parallel day-aggregate merge
-  // depends on this.
+  // iteration order the inputs present.
   std::mt19937_64 rng{99};
   std::vector<std::pair<std::uint32_t, std::uint64_t>> items;
   for (int i = 0; i < 2000; ++i) {

@@ -6,8 +6,7 @@
 //     process() loop, across batch boundaries and junk frames;
 //   - ShardedProbe stays byte-identical to the (pipelined) serial probe for
 //     N ∈ {1, 2, 4, 8} shards;
-//   - DayAggregate on FlatHashMap matches a std::unordered_map oracle and
-//     survives split-and-merge without drift;
+//   - DayAggregate on FlatHashMap matches a std::unordered_map oracle;
 //   - the compiled rule matcher (interned exact map, reversed-label trie,
 //     regex prefilter) agrees with a reference implementation of the old
 //     matcher on randomized rule sets and adversarial domains.
@@ -241,51 +240,6 @@ TEST(HotpathGolden, DayAggregateMatchesUnorderedMapOracle) {
     const auto it = agg.server_ips.find(IPv4Address{ip});
     ASSERT_NE(it, agg.server_ips.end());
     EXPECT_EQ(it->second.bytes, bytes);
-  }
-}
-
-TEST(HotpathGolden, DayAggregateSplitAndMergeMatchesSerial) {
-  const auto frames = make_workload();
-  const auto records = replay(frames, frames.size()).records;
-  ASSERT_GT(records.size(), 4u);
-
-  ew::analytics::DayAggregator whole({2015, 6, 10});
-  for (const auto& r : records) whole.add(r);
-  const auto serial = std::move(whole).take();
-
-  // Split at an arbitrary point, aggregate independently, merge: the
-  // FlatHashMap-backed maps must land on identical totals regardless of
-  // which partial saw a subscriber first.
-  const std::size_t cut = records.size() / 3;
-  ew::analytics::DayAggregator left({2015, 6, 10});
-  ew::analytics::DayAggregator right({2015, 6, 10});
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    (i < cut ? left : right).add(records[i]);
-  }
-  auto merged = std::move(left).take();
-  merged.merge(std::move(right).take());
-
-  EXPECT_EQ(merged.web_bytes, serial.web_bytes);
-  EXPECT_EQ(merged.domain_bytes, serial.domain_bytes);
-  EXPECT_EQ(merged.unclassified_domain_bytes, serial.unclassified_domain_bytes);
-  ASSERT_EQ(merged.subscribers.size(), serial.subscribers.size());
-  for (const auto& [ip, sub] : serial.subscribers) {
-    const auto it = merged.subscribers.find(ip);
-    ASSERT_NE(it, merged.subscribers.end());
-    EXPECT_EQ(it->second.flows, sub.flows);
-    EXPECT_EQ(it->second.bytes_up, sub.bytes_up);
-    EXPECT_EQ(it->second.bytes_down, sub.bytes_down);
-    for (std::size_t s = 0; s < ew::services::kServiceCount; ++s) {
-      EXPECT_EQ(it->second.per_service[s].flows, sub.per_service[s].flows);
-      EXPECT_EQ(it->second.per_service[s].total(), sub.per_service[s].total());
-    }
-  }
-  ASSERT_EQ(merged.server_ips.size(), serial.server_ips.size());
-  for (const auto& [ip, stats] : serial.server_ips) {
-    const auto it = merged.server_ips.find(ip);
-    ASSERT_NE(it, merged.server_ips.end());
-    EXPECT_EQ(it->second.service_mask, stats.service_mask);
-    EXPECT_EQ(it->second.bytes, stats.bytes);
   }
 }
 

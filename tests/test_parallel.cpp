@@ -1,16 +1,14 @@
 // The parallel execution engine: ThreadPool and SPSC ring semantics under
 // contention, ShardedProbe's golden determinism guarantee (merged export
 // stream byte-identical for every shard count, and to the serial probe),
-// and the block/day-parallel stage-one analytics reproducing the serial
-// aggregates exactly. Run under TSan via `SANITIZE=tsan scripts/tier1.sh`.
+// and the scan decoder's scratch reuse. Run under TSan via
+// `SANITIZE=tsan scripts/tier1.sh`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <future>
 #include <numeric>
 #include <stdexcept>
@@ -18,17 +16,13 @@
 #include <type_traits>
 #include <vector>
 
-#include "analytics/parallel.hpp"
 #include "core/bytes.hpp"
 #include "core/spsc_queue.hpp"
 #include "core/thread_pool.hpp"
 #include "probe/sharded_probe.hpp"
 #include "storage/codec.hpp"
 #include "storage/compress.hpp"
-#include "storage/datalake.hpp"
-#include "synth/generator.hpp"
 #include "synth/packets.hpp"
-#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 using ew::core::IPv4Address;
@@ -748,6 +742,8 @@ TEST(ShardedProbe, AbandonAndDestructionWithPartlyStagedBatchReturnPromptly) {
 
 namespace {
 
+constexpr IPv4Address kMixedTagClient{10, 0, 7, 7};
+
 /// A frame of `size` bytes whose EtherType field (if it has one) says
 /// `ethertype`, the rest zero: runts, and frames the probe only counts.
 ew::net::Frame raw_frame(Timestamp ts, std::uint16_t ethertype, std::size_t size) {
@@ -769,8 +765,10 @@ ew::net::Frame vlan_tagged(ew::net::Frame frame) {
 /// The golden workload with frames a batch arena must carry byte for byte:
 /// a 9,000-byte frame before any arena has grown, then, among the golden
 /// frames, empty frames, runts shorter than the 34 bytes shard_of() reads,
-/// IPv6 frames, and a client whose every frame is VLAN-tagged (its DNS
-/// response and a TLS conversation; tagged frames all route to shard 0).
+/// IPv6 frames, and a client seen both with and without an 802.1Q tag
+/// (its DNS response tagged, its TLS conversation alternating tagged and
+/// untagged frames). Its frames must route as one client whichever way
+/// they arrive.
 std::vector<ew::net::Frame> odd_workload() {
   const auto golden = golden_workload();
   std::vector<ew::net::Frame> frames;
@@ -792,7 +790,7 @@ std::vector<ew::net::Frame> odd_workload() {
     }
   }
 
-  const IPv4Address client{10, 0, 7, 7};
+  const IPv4Address client = kMixedTagClient;
   const IPv4Address server{93, 184, 216, 34};
   const Timestamp start = golden[golden.size() / 2].timestamp;
   const IPv4Address addrs[] = {server};
@@ -808,7 +806,11 @@ std::vector<ew::net::Frame> odd_workload() {
   spec.start = start;
   spec.rtt_us = 15'000;
   spec.teardown = true;
-  for (auto& f : ew::synth::render_conversation(spec)) frames.push_back(vlan_tagged(std::move(f)));
+  auto conversation = ew::synth::render_conversation(spec);
+  for (std::size_t i = 0; i < conversation.size(); ++i) {
+    frames.push_back(i % 2 == 0 ? std::move(conversation[i])
+                                : vlan_tagged(std::move(conversation[i])));
+  }
   std::stable_sort(frames.begin(), frames.end(),
                    [](const ew::net::Frame& a, const ew::net::Frame& b) {
                      return a.timestamp < b.timestamp;
@@ -825,6 +827,10 @@ TEST(ShardedProbe, ArenaBatchesCarryOddFramesLikeSerial) {
   const auto expected = encode_stream(serial_reference(frames, cfg, &serial));
   ASSERT_GT(serial.ipv6_frames, 0u);
   ASSERT_GT(serial.decode_failures, 0u);
+  // The mixed-tag client's untagged frames key on the client address; at 3
+  // shards that is not shard 0, so routing tagged frames anywhere but with
+  // them would split its conversation and its DNS cache.
+  ASSERT_NE(ew::core::IPv4AddressHash{}(kMixedTagClient) % 3, 0u);
 
   // A snapshot interval of 7 divides no batch: every run is cut short
   // where a snapshot falls due, and must still replay each frame once.
@@ -863,163 +869,28 @@ TEST(ShardedProbe, ArenaBatchesCarryOddFramesLikeSerial) {
   }
 }
 
-// ------------------------------------------------- parallel stage-one
-
-namespace {
-
-using TempLakeDir = ew::testing::TempDir;
-
-void expect_aggregates_equal(const ew::analytics::DayAggregate& a,
-                             const ew::analytics::DayAggregate& b) {
-  EXPECT_EQ(a.date.to_string(), b.date.to_string());
-  EXPECT_EQ(a.web_bytes, b.web_bytes);
-  EXPECT_EQ(a.downlink_bins, b.downlink_bins);
-  for (std::size_t s = 0; s < ew::services::kServiceCount; ++s) {
-    EXPECT_EQ(a.rtt_min_ms[s], b.rtt_min_ms[s]) << "service " << s;  // exact order
-    EXPECT_EQ(a.health[s].packets, b.health[s].packets);
-    EXPECT_EQ(a.health[s].retransmits, b.health[s].retransmits);
-    EXPECT_EQ(a.health[s].out_of_order, b.health[s].out_of_order);
-  }
-  ASSERT_EQ(a.subscribers.size(), b.subscribers.size());
-  for (const auto& [ip, sub] : a.subscribers) {
-    const auto it = b.subscribers.find(ip);
-    ASSERT_NE(it, b.subscribers.end());
-    EXPECT_EQ(sub.access, it->second.access);
-    EXPECT_EQ(sub.flows, it->second.flows);
-    EXPECT_EQ(sub.bytes_up, it->second.bytes_up);
-    EXPECT_EQ(sub.bytes_down, it->second.bytes_down);
-    for (std::size_t s = 0; s < ew::services::kServiceCount; ++s) {
-      EXPECT_EQ(sub.per_service[s].flows, it->second.per_service[s].flows);
-      EXPECT_EQ(sub.per_service[s].bytes_up, it->second.per_service[s].bytes_up);
-      EXPECT_EQ(sub.per_service[s].bytes_down, it->second.per_service[s].bytes_down);
-    }
-  }
-  ASSERT_EQ(a.server_ips.size(), b.server_ips.size());
-  for (const auto& [ip, stats] : a.server_ips) {
-    const auto it = b.server_ips.find(ip);
-    ASSERT_NE(it, b.server_ips.end());
-    EXPECT_EQ(stats.service_mask, it->second.service_mask);
-    EXPECT_EQ(stats.bytes, it->second.bytes);
-  }
-  EXPECT_EQ(a.domain_bytes, b.domain_bytes);
-  EXPECT_EQ(a.unclassified_domain_bytes, b.unclassified_domain_bytes);
-}
-
-}  // namespace
-
-TEST(ParallelAnalytics, BlockFanOutReproducesSerialAggregate) {
-  TempLakeDir dir;
-  ew::storage::DataLake lake(dir.path);
-  const ew::synth::WorkloadGenerator gen{ew::synth::build_paper_scenario(7, 0.2)};
-  const ew::core::CivilDate day{2015, 6, 10};
-  // Two appends → several blocks, so the fan-out actually splits work.
-  ASSERT_TRUE(lake.append(day, gen.day_records(day)));
-  ASSERT_TRUE(lake.append(day, gen.day_records({2015, 6, 11})));
-
-  const auto serial = ew::analytics::aggregate_day(lake, day);
-  ASSERT_TRUE(serial.scan.ok());
-  ASSERT_GT(serial.scan.records_delivered, 0u);
-  ASSERT_GT(lake.load_day_blocks(day).blocks().size(), 1u);
-
-  ThreadPool pool(4);
-  const auto parallel = ew::analytics::aggregate_day_parallel(lake, day, pool);
-  EXPECT_EQ(parallel.scan.records_delivered, serial.scan.records_delivered);
-  EXPECT_EQ(parallel.scan.blocks_skipped, serial.scan.blocks_skipped);
-  EXPECT_EQ(parallel.scan.errc, serial.scan.errc);
-  expect_aggregates_equal(parallel.aggregate, serial.aggregate);
-}
-
-TEST(ParallelAnalytics, DayFanOutReproducesSerialAggregates) {
-  TempLakeDir dir;
-  ew::storage::DataLake lake(dir.path);
-  const ew::synth::WorkloadGenerator gen{ew::synth::build_paper_scenario(7, 0.1)};
-  const std::vector<ew::core::CivilDate> days = {
-      {2014, 3, 3}, {2015, 6, 10}, {2016, 9, 20}, {2017, 1, 5}};
-  for (const auto day : days) ASSERT_TRUE(lake.append(day, gen.day_records(day)));
-
-  ThreadPool pool(4);
-  const auto results = ew::analytics::aggregate_days_parallel(lake, days, pool);
-  ASSERT_EQ(results.size(), days.size());
-  for (std::size_t i = 0; i < days.size(); ++i) {
-    const auto serial = ew::analytics::aggregate_day(lake, days[i]);
-    EXPECT_EQ(results[i].scan.records_delivered, serial.scan.records_delivered);
-    EXPECT_EQ(results[i].scan.errc, serial.scan.errc);
-    expect_aggregates_equal(results[i].aggregate, serial.aggregate);
-  }
-}
-
-TEST(ParallelAnalytics, DamagedDayReportsSameStatusAsSerialScan) {
-  TempLakeDir dir;
-  ew::storage::DataLake lake(dir.path);
-  const ew::synth::WorkloadGenerator gen{ew::synth::build_paper_scenario(7, 0.2)};
-  const ew::core::CivilDate day{2015, 6, 10};
-  ASSERT_TRUE(lake.append(day, gen.day_records(day)));
-  ASSERT_TRUE(lake.append(day, gen.day_records({2015, 6, 12})));
-
-  // Flip bytes mid-file: CRC framing quarantines the damaged block(s).
-  const auto path = dir.path / ew::storage::DataLake::day_filename(day);
-  {
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(f.is_open());
-    f.seekp(static_cast<std::streamoff>(std::filesystem::file_size(path) / 2));
-    const char junk[32] = {};
-    f.write(junk, sizeof junk);
-  }
-
-  const auto serial = ew::analytics::aggregate_day(lake, day);
-  EXPECT_EQ(serial.scan.errc, ew::core::Errc::kCorrupt);
-  EXPECT_GT(serial.scan.blocks_skipped, 0u);
-
-  ThreadPool pool(4);
-  const auto parallel = ew::analytics::aggregate_day_parallel(lake, day, pool);
-  EXPECT_EQ(parallel.scan.records_delivered, serial.scan.records_delivered);
-  EXPECT_EQ(parallel.scan.blocks_skipped, serial.scan.blocks_skipped);
-  EXPECT_EQ(parallel.scan.errc, serial.scan.errc);
-  expect_aggregates_equal(parallel.aggregate, serial.aggregate);
-
-  const auto missing = ew::analytics::aggregate_day_parallel(lake, {2019, 1, 1}, pool);
-  EXPECT_EQ(missing.scan.errc, ew::core::Errc::kNotFound);
-  EXPECT_TRUE(missing.aggregate.subscribers.empty());
-}
-
-TEST(ParallelAnalytics, ProjectedScanReproducesFullDecodeAggregate) {
-  // aggregate_day pushes kDayAggregateScanFields down to the block decoder by
-  // default; this is the check parallel.hpp promises keeps that mask
-  // honest — the projected aggregate must be bit-identical to one built
-  // from fully-materialized records, or add() grew a field read the
-  // projection no longer covers.
-  TempLakeDir dir;
-  ew::storage::DataLake lake(dir.path);
-  const ew::synth::WorkloadGenerator gen{ew::synth::build_paper_scenario(7, 0.2)};
-  const ew::core::CivilDate day{2015, 6, 10};
-  ASSERT_TRUE(lake.append(day, gen.day_records(day)));
-
-  const auto projected = ew::analytics::aggregate_day(lake, day);
-  ASSERT_TRUE(projected.scan.ok());
-  ASSERT_GT(projected.scan.records_delivered, 0u);
-
-  ew::storage::ScanScratch scratch;
-  const auto all = ew::storage::ScanPredicate::project(ew::storage::scan_fields::kAll);
-  const auto full = ew::analytics::aggregate_day(lake, day, scratch, &all);
-  ASSERT_TRUE(full.scan.ok());
-  EXPECT_EQ(projected.scan.records_delivered, full.scan.records_delivered);
-  expect_aggregates_equal(projected.aggregate, full.aggregate);
-}
+// ------------------------------------------------------ scan scratch
 
 TEST(ParallelScan, DecompressIntoReusesScratchBuffer) {
   std::vector<std::byte> input;
   for (int i = 0; i < 10000; ++i) {
     input.push_back(static_cast<std::byte>(i % 7));  // compressible
   }
-  const auto compressed = ew::storage::compress_block(input);
+  std::vector<std::byte> compressed;
+  ew::storage::CompressScratch compress_scratch;
+  ew::storage::compress_block_lazy_append(input, compressed, compress_scratch);
+  ASSERT_EQ(std::to_integer<std::uint8_t>(compressed[0]), ew::storage::kSchemeLz);
   std::vector<std::byte> scratch;
-  ASSERT_TRUE(ew::storage::decompress_block_into(compressed, scratch));
-  EXPECT_EQ(scratch, input);
+  const auto first = ew::storage::decompress_block_view(compressed, scratch);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(std::equal(first->begin(), first->end(), input.begin(), input.end()));
+  EXPECT_EQ(first->data(), scratch.data());  // inflated into the scratch
   const auto* before = scratch.data();
-  ASSERT_TRUE(ew::storage::decompress_block_into(compressed, scratch));
+  const auto second = ew::storage::decompress_block_view(compressed, scratch);
+  ASSERT_TRUE(second.has_value());
   EXPECT_EQ(scratch, input);
   EXPECT_EQ(scratch.data(), before);  // capacity reused, no realloc
 
-  ASSERT_FALSE(ew::storage::decompress_block_into(std::span<const std::byte>{}, scratch));
+  ASSERT_FALSE(ew::storage::decompress_block_view(std::span<const std::byte>{}, scratch));
   EXPECT_TRUE(scratch.empty());  // failure leaves it cleared
 }

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "analytics/figures.hpp"
-#include "analytics/parallel.hpp"
+#include "analytics/day_aggregate.hpp"
 #include "core/hash.hpp"
 #include "core/thread_pool.hpp"
 #include "query/engine.hpp"

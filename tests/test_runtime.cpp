@@ -698,14 +698,6 @@ TEST(Supervisor, AnnotateThreadsCaptureQualityIntoDayAggregate) {
   sup.annotate(agg);
   EXPECT_EQ(agg.capture.frames_offered, sup.day_quality().at(agg.date).frames_offered);
   EXPECT_TRUE(agg.capture.reconciles());
-
-  // Merging two annotated aggregates sums the capture accounting.
-  ew::analytics::DayAggregate other;
-  other.date = agg.date;
-  sup.annotate(other);
-  const auto offered = agg.capture.frames_offered;
-  agg.merge(other);
-  EXPECT_EQ(agg.capture.frames_offered, 2 * offered);
 }
 
 TEST(Supervisor, AppendRetriesTransientDiskFaultWithBackoff) {

@@ -1,19 +1,22 @@
 // Codec round-trips, compressor properties, and data-lake behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <span>
 
-#include "analytics/parallel.hpp"
+#include "analytics/day_aggregate.hpp"
 #include "core/hash.hpp"
 #include "core/rng.hpp"
-#include "core/thread_pool.hpp"
 #include "storage/codec.hpp"
 #include "storage/columnar.hpp"
 #include "storage/compress.hpp"
 #include "storage/daily_writer.hpp"
 #include "storage/datalake.hpp"
 #include "storage/fault_injection.hpp"
+#include "lake_rows.hpp"
 #include "temp_dir.hpp"
 
 namespace ew = edgewatch;
@@ -104,6 +107,49 @@ std::string slurp(const fs::path& path) {
 void spew(const fs::path& path, const std::string& contents) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << contents;
+}
+
+/// A day file's block frames, in file order: frame offset and body length.
+/// The layout is "EWLK" + version (5 bytes), then per block a 16-byte
+/// header (u32le body_len | seq | record_count | crc32c) and the body.
+struct FrameRef {
+  std::size_t offset = 0;
+  std::size_t body_len = 0;
+};
+constexpr std::size_t kFrameHeader = 16;
+
+std::vector<FrameRef> block_frames(const std::string& contents) {
+  std::vector<FrameRef> frames;
+  std::size_t pos = 5;
+  while (pos + kFrameHeader <= contents.size()) {
+    std::uint32_t body_len = 0;
+    for (int i = 0; i < 4; ++i) {
+      body_len |= static_cast<std::uint32_t>(static_cast<unsigned char>(contents[pos + i]))
+                  << (8 * i);
+    }
+    if (body_len == 0xffffffffu) {  // seal: sentinel | magic | u64 | u32 | crc
+      pos += 24;
+      continue;
+    }
+    frames.push_back({pos, body_len});
+    pos += kFrameHeader + body_len;
+  }
+  return frames;
+}
+
+/// Byte-stream envelope round trip through the lake's compressor pair.
+std::vector<std::byte> compress_bytes(std::span<const std::byte> input) {
+  std::vector<std::byte> out;
+  ew::storage::CompressScratch scratch;
+  ew::storage::compress_block_lazy_append(input, out, scratch);
+  return out;
+}
+
+std::optional<std::vector<std::byte>> decompress_bytes(std::span<const std::byte> input) {
+  std::vector<std::byte> scratch;
+  const auto view = ew::storage::decompress_block_view(input, scratch);
+  if (!view) return std::nullopt;
+  return std::vector<std::byte>(view->begin(), view->end());
 }
 
 /// Every delivered record must be byte-identical to some prefix-preserving
@@ -242,9 +288,9 @@ TEST(Compress, RoundTripStructuredData) {
   ByteWriter w;
   for (std::uint64_t i = 0; i < 500; ++i) ew::storage::encode_record(sample_record(i % 10), w);
   const std::vector<std::byte> input{w.view().begin(), w.view().end()};
-  const auto compressed = ew::storage::compress_block(input);
+  const auto compressed = compress_bytes(input);
   EXPECT_LT(compressed.size(), input.size() / 2);  // long repeats compress well
-  const auto back = ew::storage::decompress_block(compressed);
+  const auto back = decompress_bytes(compressed);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, input);
 }
@@ -253,9 +299,9 @@ TEST(Compress, RoundTripRandomData) {
   ew::core::Xoshiro256 rng{77};
   std::vector<std::byte> input;
   for (int i = 0; i < 10000; ++i) input.push_back(static_cast<std::byte>(rng() & 0xff));
-  const auto compressed = ew::storage::compress_block(input);
+  const auto compressed = compress_bytes(input);
   EXPECT_LE(compressed.size(), input.size() + 5);  // stored fallback bound
-  const auto back = ew::storage::decompress_block(compressed);
+  const auto back = decompress_bytes(compressed);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, input);
 }
@@ -265,7 +311,7 @@ TEST(Compress, RoundTripEdgeCases) {
        {std::string{}, std::string{"x"}, std::string{"abcd"}, std::string(100000, 'a'),
         std::string{"abcabcabcabcabcabc"}}) {
     const auto input = ew::core::to_bytes(s);
-    const auto back = ew::storage::decompress_block(ew::storage::compress_block(input));
+    const auto back = decompress_bytes(compress_bytes(input));
     ASSERT_TRUE(back.has_value()) << s.size();
     EXPECT_EQ(*back, input) << s.size();
   }
@@ -281,26 +327,26 @@ TEST(Compress, RandomInputsPropertyRoundTrip) {
       input.push_back(static_cast<std::byte>(
           ew::core::chance(rng, 0.7) ? 0xAB : static_cast<std::uint8_t>(rng() & 0xff)));
     }
-    const auto back = ew::storage::decompress_block(ew::storage::compress_block(input));
+    const auto back = decompress_bytes(compress_bytes(input));
     ASSERT_TRUE(back.has_value());
     ASSERT_EQ(*back, input);
   }
 }
 
 TEST(Compress, RejectsCorruptedHeaders) {
-  EXPECT_FALSE(ew::storage::decompress_block({}).has_value());
+  EXPECT_FALSE(decompress_bytes({}).has_value());
   const auto input = ew::core::to_bytes("hello world hello world hello world");
-  auto compressed = ew::storage::compress_block(input);
+  auto compressed = compress_bytes(input);
   compressed[0] = static_cast<std::byte>(9);  // bogus scheme
-  EXPECT_FALSE(ew::storage::decompress_block(compressed).has_value());
+  EXPECT_FALSE(decompress_bytes(compressed).has_value());
 }
 
 TEST(Compress, RejectsTruncatedBody) {
   std::vector<std::byte> input;
   for (int i = 0; i < 1000; ++i) input.push_back(static_cast<std::byte>(i % 7));
-  auto compressed = ew::storage::compress_block(input);
+  auto compressed = compress_bytes(input);
   compressed.resize(compressed.size() / 2);
-  EXPECT_FALSE(ew::storage::decompress_block(compressed).has_value());
+  EXPECT_FALSE(decompress_bytes(compressed).has_value());
 }
 
 // --------------------------------------------------------------- data lake
@@ -347,9 +393,9 @@ TEST(DataLake, DaysAreSortedAndDiscoverable) {
 TEST(DataLake, MissingDayScanReturnsFalse) {
   TempDir dir;
   ew::storage::DataLake lake{dir.path};
-  int count = 0;
-  EXPECT_FALSE(lake.scan_day({2015, 6, 1}, [&](const FlowRecord&) { ++count; }));
-  EXPECT_EQ(count, 0);
+  ew::storage::ScanResult status;
+  EXPECT_TRUE(lake.read_day({2015, 6, 1}, status).empty());
+  EXPECT_FALSE(status);
 }
 
 TEST(DataLake, CorruptFileDetected) {
@@ -367,8 +413,9 @@ TEST(DataLake, CorruptFileDetected) {
   contents[contents.size() / 2] ^= 0x5A;
   contents[contents.size() / 2 + 1] ^= 0x5A;
   std::ofstream(path, std::ios::binary) << contents;
-  int count = 0;
-  EXPECT_FALSE(lake.scan_day(day, [&](const FlowRecord&) { ++count; }));
+  ew::storage::ScanResult status;
+  (void)lake.read_day(day, status);
+  EXPECT_FALSE(status);
 }
 
 TEST(DataLake, CompressionShrinksTypicalLogs) {
@@ -420,24 +467,18 @@ TEST(DailyLakeWriter, MidnightRollover) {
   EXPECT_FALSE(lake.has_day({2016, 5, 5}));
 }
 
-TEST(DataLake, CsvExportWritesHeaderAndRows) {
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  const CivilDate day{2017, 7, 7};
-  std::vector<FlowRecord> records{sample_record(1), sample_record(2), sample_record(3)};
-  lake.append(day, records);
-  const auto csv_path = dir.path / "out.csv";
-  const auto exported = lake.export_csv(day, csv_path);
-  EXPECT_TRUE(exported.ok());
-  EXPECT_EQ(exported.records_delivered, 3u);
-  std::ifstream in(csv_path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, ew::storage::csv_header());
-  int rows = 0;
-  std::string line;
-  while (std::getline(in, line)) ++rows;
-  EXPECT_EQ(rows, 3);
+TEST(Codec, CsvRowHasOneFieldPerHeaderColumn) {
+  // pcap2flows --out writes csv_header() and then one to_csv_row() per
+  // record: the two must agree on the column count.
+  const auto columns = [](std::string_view line) {
+    return static_cast<std::size_t>(std::count(line.begin(), line.end(), ',')) + 1;
+  };
+  const std::size_t header = columns(ew::storage::csv_header());
+  EXPECT_GT(header, 1u);
+  for (std::uint64_t seed : {1, 2, 3}) {
+    EXPECT_EQ(columns(sample_record(seed).to_csv_row()), header) << seed;
+  }
+  EXPECT_EQ(columns(FlowRecord{}.to_csv_row()), header);
 }
 
 // ------------------------------------------------------------ durability
@@ -449,7 +490,8 @@ TEST(DataLakeV2, CleanDayIsSealedAndHealthy) {
   const auto records = sample_batch(1, 5000);  // > kBlockRecords: multi-block
   ASSERT_TRUE(lake.append(day, records).has_value());
 
-  const auto scan = lake.scan_day(day, [](const FlowRecord&) {});
+  ew::storage::ScanResult scan;
+  EXPECT_EQ(lake.read_day(day, scan).size(), records.size());
   EXPECT_TRUE(scan.ok());
   EXPECT_EQ(scan.records_delivered, records.size());
   EXPECT_EQ(scan.blocks_skipped, 0u);
@@ -477,8 +519,9 @@ TEST(DataLakeV2, FsckReportsMissingDay) {
   TempDir dir;
   ew::storage::DataLake lake{dir.path};
   EXPECT_EQ(lake.fsck_day({2016, 3, 5}).errc, ew::core::Errc::kNotFound);
-  EXPECT_EQ(lake.scan_day({2016, 3, 5}, [](const FlowRecord&) {}).errc,
-            ew::core::Errc::kNotFound);
+  ew::storage::ScanResult status;
+  (void)lake.read_day({2016, 3, 5}, status);
+  EXPECT_EQ(status.errc, ew::core::Errc::kNotFound);
 }
 
 TEST(DataLakeV2, TornTailIsDetectedAndHealedByNextAppend) {
@@ -523,11 +566,11 @@ TEST(DataLakeV2, MidFileCorruptionSkipsOnlyTheDamagedBlock) {
   // Flip one byte inside the middle block's body. Blocks are
   // self-contained, so the damage must cost exactly that block's records
   // on every read path — never its neighbours'.
-  const auto idx = lake.load_day_blocks(day);
-  ASSERT_EQ(idx.blocks().size(), 3u);
-  const auto& hit = idx.blocks()[1];
   auto contents = slurp(path);
-  contents[hit.offset + ew::storage::DayBlockIndex::kFrameHeaderSize + hit.body_len / 2] ^= 0x10;
+  const auto frames = block_frames(contents);
+  ASSERT_EQ(frames.size(), 3u);
+  const auto& hit = frames[1];
+  contents[hit.offset + kFrameHeader + hit.body_len / 2] ^= 0x10;
   spew(path, contents);
   std::vector<FlowRecord> survivors(records.begin(), records.begin() + 4096);
   survivors.insert(survivors.end(), records.begin() + 8192, records.end());
@@ -540,11 +583,10 @@ TEST(DataLakeV2, MidFileCorruptionSkipsOnlyTheDamagedBlock) {
   ASSERT_EQ(delivered.size(), survivors.size());
   for (std::size_t i = 0; i < survivors.size(); ++i) expect_equal(delivered[i], survivors[i]);
 
-  // Parallel aggregate: every worker range loses only the damaged block.
-  ew::core::ThreadPool pool(3);
-  const auto parallel = ew::analytics::aggregate_day_parallel(lake, day, pool);
-  EXPECT_EQ(parallel.scan.errc, ew::core::Errc::kCorrupt);
-  EXPECT_EQ(parallel.scan.records_delivered, survivors.size());
+  // Stage-one aggregate: the batch path loses only the damaged block too.
+  const auto aggregate = ew::analytics::aggregate_day(lake, day);
+  EXPECT_EQ(aggregate.scan.errc, ew::core::Errc::kCorrupt);
+  EXPECT_EQ(aggregate.scan.records_delivered, survivors.size());
 
   // fsck: exact loss accounting against the seal.
   const auto health = lake.fsck_day(day);
@@ -763,10 +805,9 @@ TEST(DataLakeVersion, OlderVersionHeadersAreRejectedByScanAndFsck) {
     write_day_with_version(dir.path, day, version);
 
     ew::storage::DataLake lake{dir.path};
-    std::size_t delivered = 0;
-    const auto status = lake.scan_day(day, [&](const FlowRecord&) { ++delivered; });
+    ew::storage::ScanResult status;
+    EXPECT_TRUE(lake.read_day(day, status).empty());
     EXPECT_EQ(status.errc, ew::core::Errc::kBadVersion);
-    EXPECT_EQ(delivered, 0u);
     EXPECT_EQ(lake.fsck_day(day).errc, ew::core::Errc::kBadVersion);
   }
 }
@@ -798,11 +839,11 @@ TEST(DataLakeVersion, ForeignLayoutByteIsCorruptAndQuarantined) {
   const auto records = sample_batch(9, 5000);  // blocks of 4096 + 904
   ASSERT_TRUE(lake.append(day, records).has_value());
   const auto path = dir.path / ew::storage::DataLake::day_filename(day);
-  const auto first = lake.load_day_blocks(day).blocks().front();
   // Rewrite block 0's layout byte (body offset 1) and re-seal its CRC, so
   // only the body decoder can object.
   auto contents = slurp(path);
-  const std::size_t body = first.offset + ew::storage::DayBlockIndex::kFrameHeaderSize;
+  const auto first = block_frames(contents).front();
+  const std::size_t body = first.offset + kFrameHeader;
   contents[body + 1] = '\x02';
   const auto* bytes = reinterpret_cast<const std::byte*>(contents.data());
   std::uint32_t crc = ew::core::crc32c({bytes + first.offset, 12});
@@ -831,7 +872,9 @@ TEST(DataLake, ForeignFileIsRejectedNotParsed) {
   ew::storage::DataLake lake{dir.path};
   const CivilDate day{2015, 9, 9};
   spew(dir.path / ew::storage::DataLake::day_filename(day), "not a lake file at all");
-  EXPECT_EQ(lake.scan_day(day, [](const FlowRecord&) {}).errc, ew::core::Errc::kBadMagic);
+  ew::storage::ScanResult status;
+  (void)lake.read_day(day, status);
+  EXPECT_EQ(status.errc, ew::core::Errc::kBadMagic);
   EXPECT_EQ(lake.fsck_day(day).errc, ew::core::Errc::kBadMagic);
   EXPECT_FALSE(lake.append(day, sample_batch(1, 5)).has_value());
 }
@@ -1054,7 +1097,7 @@ TEST(DataLakeV3, PredicatePushdownMatchesPostFilterAndPrunes) {
 
     std::vector<FlowRecord> got;
     auto sink = [&](const FlowRecord& r) { got.push_back(r); };
-    const auto scan = lake.scan_day(day, pred, sink);
+    const auto scan = ew::testing::scan_rows(lake, day, pred, sink);
     EXPECT_TRUE(scan.ok());
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < got.size(); ++i) expect_equal(got[i], expected[i]);
@@ -1064,9 +1107,11 @@ TEST(DataLakeV3, PredicatePushdownMatchesPostFilterAndPrunes) {
   // their zone maps without decompressing a single segment.
   std::size_t n = 0;
   auto count = [&](const FlowRecord&) { ++n; };
-  EXPECT_EQ(lake.scan_day(day, by_service, count).blocks_pruned, 2u);
+  EXPECT_EQ(ew::testing::scan_rows(lake, day, by_service, count).blocks_pruned, 2u);
   // An unrestricted scan prunes nothing.
-  EXPECT_EQ(lake.scan_day(day, [](const FlowRecord&) {}).blocks_pruned, 0u);
+  ew::storage::ScanResult unrestricted;
+  (void)lake.read_day(day, unrestricted);
+  EXPECT_EQ(unrestricted.blocks_pruned, 0u);
 }
 
 TEST(DataLakeV3, LyingZoneMapIsDetectedDeliveredAndQuarantined) {
@@ -1084,9 +1129,8 @@ TEST(DataLakeV3, LyingZoneMapIsDetectedDeliveredAndQuarantined) {
 
   // An unfiltered scan still delivers every record — zone maps are never
   // authoritative — but flags the day so the lie cannot linger.
-  std::vector<FlowRecord> got;
-  auto sink = [&](const FlowRecord& r) { got.push_back(r); };
-  const auto scan = lake.scan_day(day, sink);
+  ew::storage::ScanResult scan;
+  const auto got = lake.read_day(day, scan);
   EXPECT_EQ(scan.errc, ew::core::Errc::kCorrupt);
   ASSERT_EQ(got.size(), records.size());
   for (std::size_t i = 0; i < got.size(); ++i) expect_equal(got[i], records[i]);
@@ -1095,8 +1139,9 @@ TEST(DataLakeV3, LyingZoneMapIsDetectedDeliveredAndQuarantined) {
   // prunes the block and silently misses every record.
   std::size_t n = 0;
   auto count = [&](const FlowRecord&) { ++n; };
-  const auto filtered = lake.scan_day(
-      day, ew::storage::ScanPredicate::for_service(ew::services::ServiceId::kGoogle), count);
+  const auto filtered = ew::testing::scan_rows(
+      lake, day, ew::storage::ScanPredicate::for_service(ew::services::ServiceId::kGoogle),
+      count);
   EXPECT_EQ(n, 0u);
   EXPECT_EQ(filtered.blocks_pruned, 1u);
 
@@ -1123,9 +1168,8 @@ TEST(DataLakeV3, BadServiceDictionaryIsCorruptNotACrash) {
   const unsigned char bogus[1] = {0xEE};
   patch_first_body(path, 2 + 36 + 1, bogus);
 
-  std::size_t n = 0;
-  auto count = [&](const FlowRecord&) { ++n; };
-  const auto scan = lake.scan_day(day, count);
+  ew::storage::ScanResult scan;
+  const auto n = lake.read_day(day, scan).size();
   EXPECT_EQ(scan.errc, ew::core::Errc::kCorrupt);
   EXPECT_EQ(n, 0u);  // atomic: no half-decoded block leaks records
   EXPECT_GE(scan.blocks_skipped, 1u);
@@ -1217,8 +1261,9 @@ TEST(DataLakeV3, ProjectedScanMaterializesExactlyTheRequestedFields) {
   const auto records = varied_batch(41, 1200, day);
   ASSERT_TRUE(lake.append(day, records).has_value());
 
-  std::vector<FlowRecord> full;
-  ASSERT_TRUE(lake.scan_day(day, [&](const FlowRecord& r) { full.push_back(r); }).ok());
+  ew::storage::ScanResult status;
+  const auto full = lake.read_day(day, status);
+  ASSERT_TRUE(status.ok());
   ASSERT_EQ(full.size(), records.size());
 
   // One preset mask (compile-time-specialized emit loop), one arbitrary
@@ -1230,7 +1275,9 @@ TEST(DataLakeV3, ProjectedScanMaterializesExactlyTheRequestedFields) {
   for (const std::uint32_t mask : masks) {
     std::vector<FlowRecord> got;
     const auto pred = ew::storage::ScanPredicate::project(mask);
-    ASSERT_TRUE(lake.scan_day(day, pred, [&](const FlowRecord& r) { got.push_back(r); }).ok());
+    ASSERT_TRUE(ew::testing::scan_rows(lake, day, pred, [&](const FlowRecord& r) {
+                  got.push_back(r);
+                }).ok());
     ASSERT_EQ(got.size(), full.size()) << "mask " << mask;
     for (std::size_t i = 0; i < got.size(); ++i) {
       expect_identical(got[i], project_oracle(full[i], mask));
@@ -1246,13 +1293,16 @@ TEST(DataLakeV3, ProjectionComposesWithRowFilters) {
   const auto records = varied_batch(42, 1200, day);
   ASSERT_TRUE(lake.append(day, records).has_value());
 
-  std::vector<FlowRecord> full;
-  ASSERT_TRUE(lake.scan_day(day, [&](const FlowRecord& r) { full.push_back(r); }).ok());
+  ew::storage::ScanResult status;
+  const auto full = lake.read_day(day, status);
+  ASSERT_TRUE(status.ok());
 
   auto pred = ew::storage::ScanPredicate::for_proto(ew::core::TransportProto::kUdp);
   pred.fields = sf::kUpBytes | sf::kDownBytes;
   std::vector<FlowRecord> got;
-  ASSERT_TRUE(lake.scan_day(day, pred, [&](const FlowRecord& r) { got.push_back(r); }).ok());
+  ASSERT_TRUE(
+      ew::testing::scan_rows(lake, day, pred, [&](const FlowRecord& r) { got.push_back(r); })
+          .ok());
 
   std::vector<FlowRecord> expected;
   for (const auto& r : full) {
