@@ -206,7 +206,7 @@ struct DayScanAggregate {
 /// (duration, ports, close flags, upstream packet/quality counters, wire
 /// bytes, HTTP status, content-type, RTT spread, name source) the
 /// aggregation never touches. first_packet, proto and server_ip are always
-/// materialized by the decoder; tests/test_analytics.cpp holds the
+/// materialized by the decoder; tests/test_exec.cpp holds the
 /// projected and unprojected aggregates bit-identical, which is what keeps
 /// this mask honest when add() grows a new field read.
 inline constexpr std::uint32_t kDayAggregateScanFields = storage::scan_fields::kDayAggregate;
